@@ -15,7 +15,6 @@ from .errors import (
     UnreachableLinkError,
 )
 from .experiments import SweepResult, SweepSpec, emit_csv, emit_plot, run_sweep
-from .latency import LatencyBreakdown
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,6 @@ __all__ = [
     "AggregationError",
     "CamlatError",
     "ConfigurationError",
-    "LatencyBreakdown",
     "ScenarioError",
     "SimulationPlan",
     "SweepResult",

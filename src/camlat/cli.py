@@ -14,18 +14,18 @@ import sys
 from .config import DEFAULT_PROFILE, PROFILES, load_config
 from .engine import COMPONENT_KEYS
 from .errors import CamlatError, ConfigurationError
-from .experiments import SweepResult, SweepSpec, emit_csv, emit_plot, run_point, run_sweep
+from .experiments import (
+    SWEEPS,
+    SweepResult,
+    SweepSpec,
+    emit_csv,
+    emit_plot,
+    gain_pct,
+    run_point,
+    run_sweep,
+)
 
-DEFAULT_SWEEPS = {
-    "vru_count": (50, 70, 90, 110, 130),
-    "vehicle_intensity": (0.01, 0.03, 0.05, 0.07, 0.09),
-    "cluster_size": (1, 3, 5, 7, 9),
-}
-_SWEEP_BASENAMES = {
-    "vru_count": "vru_sweep",
-    "vehicle_intensity": "density_sweep",
-    "cluster_size": "cluster_sweep",
-}
+DEFAULT_SWEEPS = {parameter: sweep.values for parameter, sweep in SWEEPS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,17 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default="results", help="directory for CSV/SVG outputs")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="simulate the configured single operating point")
-    for name, param in (
-        ("sweep-vru", "vru_count"),
-        ("sweep-density", "vehicle_intensity"),
-        ("sweep-cluster", "cluster_size"),
-    ):
-        p = sub.add_parser(name, help=f"sweep {param}")
-        p.set_defaults(parameter=param)
+    for parameter, sweep in SWEEPS.items():
+        p = sub.add_parser(sweep.command, help=f"sweep {parameter}")
+        p.set_defaults(parameter=parameter)
         p.add_argument(
             "--values",
             help="comma-separated sweep values (default: "
-            + ",".join(str(v) for v in DEFAULT_SWEEPS[param])
+            + ",".join(str(v) for v in sweep.values)
             + ")",
         )
     sub.add_parser("reproduce", help="run all three sweeps and emit tables and charts")
@@ -60,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(text: str, parameter: str) -> tuple:
-    caster = float if parameter == "vehicle_intensity" else int
+    caster = type(SWEEPS[parameter].values[0])
     try:
         return tuple(caster(v) for v in text.split(","))
     except ValueError as exc:
@@ -81,7 +77,7 @@ def _print_rows(result: SweepResult) -> None:
 
 def _run_sweep_command(plan, parameter: str, values: tuple, out_dir: str) -> SweepResult:
     result = run_sweep(SweepSpec(parameter=parameter, values=values, base_plan=plan))
-    base = os.path.join(out_dir, _SWEEP_BASENAMES[parameter])
+    base = os.path.join(out_dir, SWEEPS[parameter].basename)
     emit_csv(result, base + ".csv")
     emit_plot(result, base + ".svg")
     print(f"{parameter} sweep -> {base}.csv, {base}.svg")
@@ -114,8 +110,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
                     f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
                 )
-            gain = 100.0 * (1.0 - stats["e2e_mec"].mean_s / stats["e2e_cloud"].mean_s)
-            print(f"  edge-processing gain: {gain:.1f} %")
+            print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
         elif args.command == "reproduce":
             for parameter, values in DEFAULT_SWEEPS.items():
                 _run_sweep_command(plan, parameter, values, args.out_dir)

@@ -6,6 +6,10 @@ random substreams, so a replication's output depends only on
 (master_seed, replication_index): replications can run in any order, on any
 number of workers, and aggregates come out bit-identical because per-packet
 results are merged in replication order before any reduction.
+
+Per-packet results travel as one float array of shape (7, packets) whose
+rows follow ``COMPONENT_KEYS``: one column per packet, periods and then
+replications concatenated in order.
 """
 
 from __future__ import annotations
@@ -18,20 +22,8 @@ import numpy as np
 from . import channel, latency, radio, scenario, traffic
 from .config import SimulationPlan
 from .errors import AggregationError, CamlatError, ScenarioError
-from .latency import LatencyBreakdown
+from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
-
-COMPONENT_KEYS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
-
-_COMPONENT_ATTRS = {
-    "ul": "t_ul",
-    "bh": "t_bh",
-    "tn_cn": "t_tn_cn",
-    "exc": "t_exc",
-    "dl": "t_dl",
-    "e2e_cloud": "e2e_cloud",
-    "e2e_mec": "e2e_mec",
-}
 
 
 @dataclass(frozen=True)
@@ -45,33 +37,29 @@ class AggregateStats:
 def evaluate_period(
     scn: scenario.Scenario,
     plan: SimulationPlan,
-    jobs: list[traffic.CamJob],
+    packets: np.ndarray,
     ul_rng: np.random.Generator,
     dl_rng: np.random.Generator,
     tn_cn_rng: np.random.Generator,
-) -> list[LatencyBreakdown]:
-    """All per-VRU latency components for one period (pure given the streams).
+) -> np.ndarray:
+    """All latency components of one period, shape (7, n) (pure given the streams).
 
-    ``jobs[i]`` must belong to the i-th VRU of the scenario arrays.
+    ``packets[i]`` must belong to the i-th VRU of the scenario arrays.
     """
     pool = plan.radio.pool
-    n = len(jobs)
-    offsets = np.fromiter((j.offset_bin for j in jobs), dtype=np.int64, count=n)
-    sizes = np.fromiter((j.size_bits for j in jobs), dtype=float, count=n)
-    densities = np.fromiter((j.compute_density for j in jobs), dtype=float, count=n)
-
-    occupancy = np.bincount(offsets, minlength=plan.traffic.offset_bins)
-    n_hat = occupancy[offsets]
-    eta = pool.total_prbs / n_hat  # fluid equal split within each bin
+    sizes = packets["size_bits"]
+    n_hat = traffic.n_hat(packets["offset_bin"])
 
     enb_x, enb_y = plan.scenario.road.enb_position_m
     d_ul = np.hypot(scn.vru_x - enb_x, scn.vru_y - enb_y)
     snr_ul = channel.sample_snr_db(plan.channel.ul_budget(), d_ul, ul_rng)
-    t_ul = radio.ul_latency(sizes, eta, snr_ul, pool)
+    t_ul = radio.ul_latency(sizes, radio.prb_share(pool, n_hat, 1), snr_ul, pool)
 
     t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
-    t_exc = latency.execution_latency(sizes, densities, n_hat, plan.network.server_cycles_per_s)
-    t_tn_cn = latency.sample_tn_cn(plan.network.tn_cn, tn_cn_rng, size=n)
+    t_exc = latency.execution_latency(
+        sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
+    )
+    t_tn_cn = latency.sample_tn_cn(plan.network.tn_cn, tn_cn_rng, size=len(packets))
 
     if scn.vehicle_count == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
@@ -79,44 +67,30 @@ def evaluate_period(
     members = radio.nearest_member_indices(
         scn.vru_x, scn.vru_y, scn.vehicle_x, scn.vehicle_y, scn.vehicle_lane, m
     )
-    # All clusters scheduled in one bin share the pool across all their members.
-    members_in_bin = occupancy[offsets] * m
-    per_vehicle_prbs = pool.total_prbs / members_in_bin
-
     d_dl = np.hypot(scn.vehicle_x[members] - enb_x, scn.vehicle_y[members] - enb_y)
     snr_dl = channel.sample_snr_db(plan.channel.dl_budget(), d_dl, dl_rng)
-    rates_dl = radio.link_rate_bps(per_vehicle_prbs[:, None], snr_dl, pool)
-    t_dl = np.max(sizes[:, None] / rates_dl, axis=1)
+    t_dl = radio.dl_latency(sizes, radio.prb_share(pool, n_hat, m), snr_dl, pool)
 
-    return [
-        latency.compose_e2e(
-            vru_id=jobs[i].vru_id,
-            t_ul=float(t_ul[i]),
-            t_bh=float(t_bh[i]),
-            t_tn_cn=float(t_tn_cn[i]),
-            t_exc=float(t_exc[i]),
-            t_dl=float(t_dl[i]),
-        )
-        for i in range(n)
-    ]
+    return latency.compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl)
 
 
-def run_replication(plan: SimulationPlan, replication_index: int) -> list[LatencyBreakdown]:
-    """Simulate one scenario realization for all periods of the plan."""
+def run_replication(plan: SimulationPlan, replication_index: int) -> np.ndarray:
+    """Simulate one scenario realization for all periods of the plan, shape (7, n)."""
     streams = SubstreamFactory(plan.master_seed)
     try:
         scn = scenario.sample_scenario(plan.scenario, streams, replication_index)
-        vrus = scn.vrus
-        breakdowns: list[LatencyBreakdown] = []
+        periods = []
         for period in range(plan.periods):
-            jobs = traffic.generate_period(
-                vrus, plan.traffic, period, streams.stream("traffic", replication_index, period)
+            packets = traffic.generate_period(
+                plan.scenario.vru_count,
+                plan.traffic,
+                streams.stream("traffic", replication_index, period),
             )
-            breakdowns.extend(
+            periods.append(
                 evaluate_period(
                     scn,
                     plan,
-                    jobs,
+                    packets,
                     ul_rng=streams.stream("ul", replication_index, period),
                     dl_rng=streams.stream("dl", replication_index, period),
                     tn_cn_rng=streams.stream("tn_cn", replication_index, period),
@@ -124,16 +98,16 @@ def run_replication(plan: SimulationPlan, replication_index: int) -> list[Latenc
             )
             if plan.scenario.mobility:
                 scn = scenario.advance_vehicles(scn, plan.traffic.period_s)
-        return breakdowns
+        return np.concatenate(periods, axis=1)
     except CamlatError as exc:
         raise type(exc)(f"replication {replication_index}: {exc}") from exc
 
 
-def _replication_task(args: tuple[SimulationPlan, int]) -> list[LatencyBreakdown]:
+def _replication_task(args: tuple[SimulationPlan, int]) -> np.ndarray:
     return run_replication(*args)
 
 
-def run_plan(plan: SimulationPlan) -> list[LatencyBreakdown]:
+def run_plan(plan: SimulationPlan) -> np.ndarray:
     """All replications, merged in replication order regardless of worker count."""
     if plan.workers == 1:
         results = [run_replication(plan, rep) for rep in range(plan.replications)]
@@ -142,20 +116,16 @@ def run_plan(plan: SimulationPlan) -> list[LatencyBreakdown]:
             results = list(
                 executor.map(_replication_task, ((plan, rep) for rep in range(plan.replications)))
             )
-    merged: list[LatencyBreakdown] = []
-    for rep_result in results:
-        merged.extend(rep_result)
-    return merged
+    return np.concatenate(results, axis=1)
 
 
-def aggregate(breakdowns: list[LatencyBreakdown]) -> dict[str, AggregateStats]:
-    """Unweighted mean, sample std, and 95% CI half-width per component."""
-    if not breakdowns:
-        raise AggregationError("cannot aggregate an empty breakdown list")
-    n = len(breakdowns)
+def aggregate(samples: np.ndarray) -> dict[str, AggregateStats]:
+    """Unweighted mean, sample std, and 95% CI half-width per component row."""
+    n = samples.shape[1]
+    if n == 0:
+        raise AggregationError("cannot aggregate an empty sample set")
     stats: dict[str, AggregateStats] = {}
-    for key, attr in _COMPONENT_ATTRS.items():
-        values = np.fromiter((getattr(b, attr) for b in breakdowns), dtype=float, count=n)
+    for key, values in zip(COMPONENT_KEYS, samples):
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1)) if n > 1 else 0.0
         stats[key] = AggregateStats(

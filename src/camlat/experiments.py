@@ -10,27 +10,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine
 from .config import SimulationPlan, load_config, override_parameter
 from .errors import CamlatError, ConfigurationError
-from .engine import AggregateStats
+from .engine import COMPONENT_KEYS, AggregateStats
 
 __all__ = [
+    "SWEEPS",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
     "run_sweep",
     "emit_csv",
     "emit_plot",
+    "gain_pct",
     "load_config",
 ]
 
-SWEEP_PARAMETERS = ("vru_count", "vehicle_intensity", "cluster_size")
 
-_CSV_COMPONENTS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
+class SweepParameter(NamedTuple):
+    values: tuple  # default sweep values; their type parses --values
+    command: str  # CLI subcommand
+    basename: str  # output file name without extension
+
+
+# The canonical sweeps, in `reproduce` order.
+SWEEPS = {
+    "vru_count": SweepParameter((50, 70, 90, 110, 130), "sweep-vru", "vru_sweep"),
+    "vehicle_intensity": SweepParameter(
+        (0.01, 0.03, 0.05, 0.07, 0.09), "sweep-density", "density_sweep"
+    ),
+    "cluster_size": SweepParameter((1, 3, 5, 7, 9), "sweep-cluster", "cluster_sweep"),
+}
+
 CSV_HEADER = "parameter," + ",".join(
-    f"{key}_ms,{key}_ci_ms" for key in _CSV_COMPONENTS
+    f"{key}_ms,{key}_ci_ms" for key in COMPONENT_KEYS
 ) + ",gain_pct"
 
 
@@ -41,9 +57,9 @@ class SweepSpec:
     base_plan: SimulationPlan
 
     def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
+        if self.parameter not in SWEEPS:
             raise ConfigurationError(
-                f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEP_PARAMETERS}"
+                f"unknown sweep parameter {self.parameter!r}; expected one of {tuple(SWEEPS)}"
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
@@ -65,6 +81,11 @@ class SweepResult:
     failures: tuple[tuple[float, str], ...] = ()
 
 
+def gain_pct(stats: dict[str, AggregateStats]) -> float:
+    """Edge-processing gain: the share of the mean cloud E2E latency saved, in %."""
+    return 100.0 * (1.0 - stats["e2e_mec"].mean_s / stats["e2e_cloud"].mean_s)
+
+
 def run_point(plan: SimulationPlan) -> dict[str, AggregateStats]:
     """Simulate one configuration and aggregate it."""
     return engine.aggregate(engine.run_plan(plan))
@@ -81,8 +102,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except CamlatError as exc:
             failures.append((value, str(exc)))
             continue
-        gain = 100.0 * (1.0 - stats["e2e_mec"].mean_s / stats["e2e_cloud"].mean_s)
-        rows.append(SweepRow(value=value, stats=stats, gain_pct=gain))
+        rows.append(SweepRow(value=value, stats=stats, gain_pct=gain_pct(stats)))
     return SweepResult(parameter=spec.parameter, rows=tuple(rows), failures=tuple(failures))
 
 
@@ -96,7 +116,7 @@ def csv_lines(result: SweepResult) -> list[str]:
     lines = [CSV_HEADER]
     for row in result.rows:
         cells = [_format_value(row.value)]
-        for key in _CSV_COMPONENTS:
+        for key in COMPONENT_KEYS:
             stats = row.stats[key]
             cells.append(f"{stats.mean_s * 1e3:.4f}")
             cells.append(f"{stats.ci95_half_width_s * 1e3:.4f}")

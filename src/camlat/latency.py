@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-ARCHITECTURES = ("cloud", "mec")
+# Rows of every per-packet latency array, in this order.
+COMPONENT_KEYS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
 
 
 @dataclass(frozen=True)
@@ -78,57 +79,18 @@ def sample_tn_cn(dist: TnCnDistribution, rng: np.random.Generator, size=None):
     return draw if size is not None else float(draw)
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Per-VRU one-way component latencies and E2E figures, in seconds."""
+def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
+    """Stack one period's per-packet components and both architectures' E2E figures.
 
-    vru_id: int
-    t_ul: float
-    t_bh: float
-    t_tn_cn: float
-    t_exc: float
-    t_dl: float
-    e2e_cloud: float
-    e2e_mec: float
-
-    @property
-    def one_way_cloud(self) -> float:
-        """Diagnostic: uplink-to-processing one-way time in the cloud case."""
-        return self.t_ul + self.t_bh + self.t_tn_cn + self.t_exc
-
-    def e2e(self, architecture: str) -> float:
-        if architecture == "cloud":
-            return self.e2e_cloud
-        if architecture == "mec":
-            return self.e2e_mec
-        raise ValueError(f"unknown architecture {architecture!r}")
-
-
-def compose_e2e(
-    vru_id: int,
-    t_ul: float,
-    t_bh: float,
-    t_tn_cn: float,
-    t_exc: float,
-    t_dl: float,
-) -> LatencyBreakdown:
-    """Combine one packet's components into both architectures' E2E figures.
-
-    The edge-host path skips backhaul and transport/core entirely, so
-    e2e_cloud == e2e_mec + 2*(t_bh + t_tn_cn) holds exactly by construction.
+    Takes five equal-length 1-D arrays and returns a (7, n) array whose rows
+    follow ``COMPONENT_KEYS``. The edge-host path skips backhaul and
+    transport/core entirely, so e2e_cloud == e2e_mec + 2*(t_bh + t_tn_cn)
+    holds exactly by construction.
     """
-    components = (t_ul, t_bh, t_tn_cn, t_exc, t_dl)
-    if any(c < 0 for c in components):
+    components = np.array([t_ul, t_bh, t_tn_cn, t_exc, t_dl], dtype=float)
+    if np.any(components < 0):
         raise ValueError("latency components must be non-negative")
-    e2e_mec = t_ul + t_exc + t_dl
-    e2e_cloud = e2e_mec + 2.0 * (t_bh + t_tn_cn)
-    return LatencyBreakdown(
-        vru_id=vru_id,
-        t_ul=t_ul,
-        t_bh=t_bh,
-        t_tn_cn=t_tn_cn,
-        t_exc=t_exc,
-        t_dl=t_dl,
-        e2e_cloud=e2e_cloud,
-        e2e_mec=e2e_mec,
-    )
+    ul, bh, tn_cn, exc, dl = components
+    e2e_mec = ul + exc + dl
+    e2e_cloud = e2e_mec + 2.0 * (bh + tn_cn)
+    return np.vstack((components, e2e_cloud, e2e_mec))

@@ -12,13 +12,10 @@ vehicle cluster completes when the slowest member has received the packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, UnreachableLinkError
-from .scenario import Vehicle, Vru
-from .traffic import CamJob
 
 
 @dataclass(frozen=True)
@@ -35,18 +32,6 @@ class PrbPool:
     @property
     def total_prbs(self) -> int:
         return int(self.bandwidth_hz // self.prb_bandwidth_hz)
-
-
-@dataclass(frozen=True)
-class VehicleCluster:
-    """The vehicles nearest a VRU, ordered by ascending distance."""
-
-    vru_id: int
-    members: tuple[Vehicle, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def nearest_member_indices(
@@ -76,25 +61,14 @@ def nearest_member_indices(
     return order[nearest]
 
 
-def select_cluster(vru: Vru, vehicles: Sequence[Vehicle], m: int) -> VehicleCluster:
-    """The m vehicles nearest to the VRU (fewer if the road holds fewer)."""
-    if not vehicles:
-        raise ScenarioError("no vehicles on the road; cannot form clusters")
-    xs = np.array([v.position[0] for v in vehicles], dtype=float)
-    ys = np.array([v.position[1] for v in vehicles], dtype=float)
-    lanes = np.array([v.lane_index for v in vehicles], dtype=np.int64)
-    idx = nearest_member_indices(
-        np.array([vru.position[0]]), np.array([vru.position[1]]), xs, ys, lanes, m
-    )[0]
-    return VehicleCluster(vru_id=vru.id, members=tuple(vehicles[i] for i in idx))
+def prb_share(pool: PrbPool, n_hat, members: int):
+    """Fractional PRBs per link when the pool splits equally over one offset bin.
 
-
-def ul_allocation(jobs: Sequence[CamJob], pool: PrbPool) -> dict[int, float]:
-    """Fractional PRBs per VRU: the pool splits equally within each offset bin."""
-    occupancy: dict[int, int] = {}
-    for job in jobs:
-        occupancy[job.offset_bin] = occupancy.get(job.offset_bin, 0) + 1
-    return {job.vru_id: pool.total_prbs / occupancy[job.offset_bin] for job in jobs}
+    Every packet of a bin is served together: ``n_hat`` packets, each sent
+    over ``members`` links (1 in the uplink, the cluster size in the
+    downlink multicast).
+    """
+    return pool.total_prbs / (np.asarray(n_hat) * members)
 
 
 def link_rate_bps(prbs, snr_db, pool: PrbPool):
@@ -113,30 +87,17 @@ def ul_latency(size_bits, prbs, snr_db, pool: PrbPool):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def dl_allocation(clusters: Sequence[VehicleCluster], pool: PrbPool) -> float:
-    """PRBs per vehicle when all clusters of one offset bin are served together."""
-    if not clusters:
-        raise ConfigurationError("at least one active cluster is required")
-    total_members = sum(c.size for c in clusters)
-    return pool.total_prbs / total_members
+def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:
+    """Multicast completion time per packet: its slowest cluster member's reception latency.
 
-
-def dl_latency(
-    job: CamJob,
-    cluster: VehicleCluster,
-    per_vehicle_prbs: float,
-    member_snr_db: np.ndarray,
-    pool: PrbPool,
-) -> float:
-    """Multicast completion time: the slowest member's reception latency."""
-    if cluster.size == 0:
-        raise ScenarioError("cannot multicast to an empty cluster")
-    if per_vehicle_prbs <= 0:
-        raise ConfigurationError("per-vehicle PRB share must be positive")
+    ``member_snr_db`` holds one row per packet and one column per cluster
+    member; ``prbs`` holds, per packet, the PRB share of each of its members.
+    """
+    sizes = np.asarray(size_bits, dtype=float)
     snr = np.asarray(member_snr_db, dtype=float)
-    if snr.shape != (cluster.size,):
-        raise ValueError("one SNR draw per cluster member is required")
-    rates = link_rate_bps(np.full(cluster.size, per_vehicle_prbs), snr, pool)
+    if snr.ndim != 2 or snr.shape[0] != sizes.size:
+        raise ValueError("one row of member SNRs per packet is required")
+    rates = link_rate_bps(np.asarray(prbs, dtype=float)[:, None], snr, pool)
     if np.any(rates <= 0) or not np.all(np.isfinite(rates)):
-        raise UnreachableLinkError(f"cluster of VRU {cluster.vru_id} has an unreachable member")
-    return float(np.max(job.size_bits / rates))
+        raise UnreachableLinkError("a downlink cluster has an unreachable member")
+    return np.max(sizes[:, None] / rates, axis=1)

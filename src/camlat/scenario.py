@@ -65,19 +65,6 @@ class HardCoreParams:
 
 
 @dataclass(frozen=True)
-class Vehicle:
-    position: tuple[float, float]
-    speed_ms: float  # signed by direction of travel
-    lane_index: int
-
-
-@dataclass(frozen=True)
-class Vru:
-    id: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ScenarioParams:
     """Everything needed to realize one scenario snapshot."""
 
@@ -138,31 +125,20 @@ def sample_vehicles(
     lane_index: int,
     speed_range_ms: tuple[float, float],
     rng: np.random.Generator,
-) -> list[Vehicle]:
-    """Drop one lane's vehicles; speeds are uniform and signed by lane direction."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop one lane's vehicles: x-positions and speeds signed by the lane direction."""
     xs = sample_hardcore_positions(params, road.lane_length_m, rng)
     speeds = rng.uniform(speed_range_ms[0], speed_range_ms[1], size=xs.size)
-    lateral = road.lane_centerlines_m[lane_index]
-    direction = road.lane_direction(lane_index)
-    return [
-        Vehicle(position=(float(x), lateral), speed_ms=direction * float(s), lane_index=lane_index)
-        for x, s in zip(xs, speeds)
-    ]
+    return xs, road.lane_direction(lane_index) * speeds
 
 
-def sample_vrus(
-    n: int,
-    strip_m: tuple[float, float],
-    lateral_offset_m: float,
-    rng: np.random.Generator,
-) -> list[Vru]:
-    """Place n VRUs i.i.d. uniform on the strip, at a fixed lateral offset."""
+def sample_vrus(n: int, strip_m: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
+    """x-positions of n VRUs placed i.i.d. uniform on the strip."""
     if n < 1:
         raise ConfigurationError("at least one VRU is required (no traffic to simulate)")
     if not strip_m[0] < strip_m[1]:
         raise ConfigurationError("VRU strip must be a non-degenerate interval")
-    xs = rng.uniform(strip_m[0], strip_m[1], size=n)
-    return [Vru(id=i, position=(float(x), lateral_offset_m)) for i, x in enumerate(xs)]
+    return rng.uniform(strip_m[0], strip_m[1], size=n)
 
 
 @dataclass(frozen=True)
@@ -181,49 +157,28 @@ class Scenario:
     def vehicle_count(self) -> int:
         return int(self.vehicle_x.size)
 
-    @property
-    def vehicles(self) -> list[Vehicle]:
-        return [
-            Vehicle(position=(float(x), float(y)), speed_ms=float(s), lane_index=int(l))
-            for x, y, s, l in zip(
-                self.vehicle_x, self.vehicle_y, self.vehicle_speed, self.vehicle_lane
-            )
-        ]
-
-    @property
-    def vrus(self) -> list[Vru]:
-        return [
-            Vru(id=i, position=(float(x), float(y)))
-            for i, (x, y) in enumerate(zip(self.vru_x, self.vru_y))
-        ]
-
-
-def build_scenario(params: ScenarioParams, vehicles: list[Vehicle], vrus: list[Vru]) -> Scenario:
-    """Assemble a Scenario from explicit entity lists (used by samplers and tests)."""
-    return Scenario(
-        road=params.road,
-        vehicle_x=np.array([v.position[0] for v in vehicles], dtype=float),
-        vehicle_y=np.array([v.position[1] for v in vehicles], dtype=float),
-        vehicle_speed=np.array([v.speed_ms for v in vehicles], dtype=float),
-        vehicle_lane=np.array([v.lane_index for v in vehicles], dtype=np.int64),
-        vru_x=np.array([v.position[0] for v in vrus], dtype=float),
-        vru_y=np.array([v.position[1] for v in vrus], dtype=float),
-    )
-
 
 def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenario:
     """Realize one scenario from the per-replication substreams."""
-    vehicles: list[Vehicle] = []
-    for lane in range(params.road.lane_count):
-        rng = streams.stream("vehicles", replication, lane)
-        vehicles.extend(sample_vehicles(params.hardcore, params.road, lane, params.speed_range_ms, rng))
-    vrus = sample_vrus(
-        params.vru_count,
-        params.vru_strip_m,
-        params.road.vru_lateral_offset_m,
-        streams.stream("vrus", replication),
+    road = params.road
+    xs, speeds = zip(*(
+        sample_vehicles(
+            params.hardcore, road, lane, params.speed_range_ms,
+            streams.stream("vehicles", replication, lane),
+        )
+        for lane in range(road.lane_count)
+    ))
+    per_lane = [x.size for x in xs]
+    vru_x = sample_vrus(params.vru_count, params.vru_strip_m, streams.stream("vrus", replication))
+    return Scenario(
+        road=road,
+        vehicle_x=np.concatenate(xs),
+        vehicle_y=np.repeat(road.lane_centerlines_m, per_lane),
+        vehicle_speed=np.concatenate(speeds),
+        vehicle_lane=np.repeat(np.arange(road.lane_count), per_lane),
+        vru_x=vru_x,
+        vru_y=np.full(vru_x.size, road.vru_lateral_offset_m),
     )
-    return build_scenario(params, vehicles, vrus)
 
 
 def advance_vehicles(scenario: Scenario, dt_s: float) -> Scenario:

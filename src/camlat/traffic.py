@@ -9,12 +9,10 @@ sharing is driven by how many VRUs land in the same bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import Vru
 
 
 @dataclass(frozen=True)
@@ -36,53 +34,26 @@ class TrafficParams:
             raise ConfigurationError("compute range must satisfy 0 <= min <= max")
 
 
-@dataclass(frozen=True)
-class CamJob:
-    """One VRU's packet in one period."""
-
-    vru_id: int
-    size_bits: float
-    offset_bin: int
-    compute_density: float  # cycles per bit
-    period_index: int
+PACKET_DTYPE = np.dtype(
+    [("offset_bin", np.int64), ("size_bits", np.float64), ("compute_density", np.float64)]
+)
 
 
-def generate_period(
-    vrus: Sequence[Vru],
-    params: TrafficParams,
-    period_index: int,
-    rng: np.random.Generator,
-) -> list[CamJob]:
-    """Draw one period's worth of jobs: exactly one per VRU, fresh randomness."""
-    if not vrus:
+def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw one period's packets, one record per VRU in VRU order, from fresh randomness.
+
+    The record fields are ``offset_bin``, ``size_bits`` and ``compute_density``
+    (cycles per bit); see ``PACKET_DTYPE``.
+    """
+    if vru_count < 1:
         raise ConfigurationError("cannot generate traffic for an empty VRU list")
-    n = len(vrus)
-    offsets = rng.integers(0, params.offset_bins, size=n)
-    sizes = rng.uniform(params.size_bits_range[0], params.size_bits_range[1], size=n)
-    densities = rng.uniform(
-        params.compute_cycles_per_bit_range[0], params.compute_cycles_per_bit_range[1], size=n
-    )
-    return [
-        CamJob(
-            vru_id=vru.id,
-            size_bits=float(sizes[i]),
-            offset_bin=int(offsets[i]),
-            compute_density=float(densities[i]),
-            period_index=period_index,
-        )
-        for i, vru in enumerate(vrus)
-    ]
+    packets = np.empty(vru_count, dtype=PACKET_DTYPE)
+    packets["offset_bin"] = rng.integers(0, params.offset_bins, size=vru_count)
+    packets["size_bits"] = rng.uniform(*params.size_bits_range, size=vru_count)
+    packets["compute_density"] = rng.uniform(*params.compute_cycles_per_bit_range, size=vru_count)
+    return packets
 
 
-def bin_occupancy(jobs: Sequence[CamJob], offset_bins: int) -> np.ndarray:
-    """Number of jobs per offset bin."""
-    offsets = np.fromiter((j.offset_bin for j in jobs), dtype=np.int64, count=len(jobs))
-    return np.bincount(offsets, minlength=offset_bins)
-
-
-def concurrent_count(jobs: Sequence[CamJob], vru_id: int) -> int:
-    """How many jobs (including VRU ``vru_id``'s own) share that VRU's offset bin."""
-    target = next((j for j in jobs if j.vru_id == vru_id), None)
-    if target is None:
-        raise LookupError(f"no job for VRU {vru_id} in this period")
-    return sum(1 for j in jobs if j.offset_bin == target.offset_bin)
+def n_hat(offsets: np.ndarray) -> np.ndarray:
+    """Per packet, how many packets (its own included) share its offset bin."""
+    return np.bincount(offsets)[offsets]

@@ -8,11 +8,11 @@ import pytest
 from camlat import engine
 from camlat.channel import ChannelParams
 from camlat.config import RadioParams, SimulationPlan, plan_from_document
-from camlat.errors import AggregationError, ScenarioError
-from camlat.latency import NetworkParams, TnCnDistribution, compose_e2e
+from camlat.errors import AggregationError, ScenarioError, UnreachableLinkError
+from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, compose_e2e
 from camlat.rng import SubstreamFactory
-from camlat.scenario import ScenarioParams, Vehicle, Vru, build_scenario
-from camlat.traffic import CamJob, TrafficParams, generate_period
+from camlat.scenario import RoadGeometry, Scenario, ScenarioParams
+from camlat.traffic import PACKET_DTYPE, TrafficParams, generate_period
 
 
 def _small_plan(**engine_overrides):
@@ -21,6 +21,23 @@ def _small_plan(**engine_overrides):
         "engine": {"replications": 3, "periods": 2, "master_seed": 77, **engine_overrides},
     }
     return plan_from_document(doc)
+
+
+def _scenario(vru_count):
+    """One vehicle at (1600, 4) on lane 0; every VRU at (1500, 0)."""
+    return Scenario(
+        road=RoadGeometry(),
+        vehicle_x=np.array([1600.0]),
+        vehicle_y=np.array([4.0]),
+        vehicle_speed=np.array([30.0]),
+        vehicle_lane=np.array([0]),
+        vru_x=np.full(vru_count, 1500.0),
+        vru_y=np.zeros(vru_count),
+    )
+
+
+def _by_key(samples):
+    return dict(zip(COMPONENT_KEYS, samples))
 
 
 def test_hand_checked_single_packet_chain():
@@ -45,15 +62,10 @@ def test_hand_checked_single_packet_chain():
         replications=1,
         periods=1,
     )
-    scn = build_scenario(
-        scenario_params,
-        [Vehicle(position=(1600.0, 4.0), speed_ms=30.0, lane_index=0)],
-        [Vru(0, (1500.0, 0.0))],
-    )
-    jobs = generate_period(scn.vrus, plan.traffic, 0, np.random.default_rng(0))
+    packets = generate_period(1, plan.traffic, np.random.default_rng(0))
     streams = SubstreamFactory(0)
-    (result,) = engine.evaluate_period(
-        scn, plan, jobs,
+    samples = engine.evaluate_period(
+        _scenario(1), plan, packets,
         ul_rng=streams.stream("ul", 0, 0),
         dl_rng=streams.stream("dl", 0, 0),
         tn_cn_rng=streams.stream("tn_cn", 0, 0),
@@ -79,13 +91,15 @@ def test_hand_checked_single_packet_chain():
     rate_dl = 50 * 180e3 * math.log2(1.0 + 10.0 ** (snr_dl / 10.0))
     t_dl = 10_000.0 / rate_dl
 
-    assert result.t_ul == pytest.approx(t_ul, rel=1e-9)
-    assert result.t_bh == pytest.approx(t_bh, rel=1e-9)
-    assert result.t_tn_cn == pytest.approx(t_tn_cn, rel=1e-9)
-    assert result.t_exc == pytest.approx(t_exc, rel=1e-9)
-    assert result.t_dl == pytest.approx(t_dl, rel=1e-9)
-    assert result.e2e_cloud == pytest.approx(t_ul + 2 * (t_bh + t_tn_cn) + t_exc + t_dl, rel=1e-9)
-    assert result.e2e_mec == pytest.approx(t_ul + t_exc + t_dl, rel=1e-9)
+    assert samples.shape == (7, 1)
+    result = _by_key(samples[:, 0])
+    assert result["ul"] == pytest.approx(t_ul, rel=1e-9)
+    assert result["bh"] == pytest.approx(t_bh, rel=1e-9)
+    assert result["tn_cn"] == pytest.approx(t_tn_cn, rel=1e-9)
+    assert result["exc"] == pytest.approx(t_exc, rel=1e-9)
+    assert result["dl"] == pytest.approx(t_dl, rel=1e-9)
+    assert result["e2e_cloud"] == pytest.approx(t_ul + 2 * (t_bh + t_tn_cn) + t_exc + t_dl, rel=1e-9)
+    assert result["e2e_mec"] == pytest.approx(t_ul + t_exc + t_dl, rel=1e-9)
 
 
 def test_resource_sharing_is_isolated_per_offset_bin():
@@ -102,16 +116,9 @@ def test_resource_sharing_is_isolated_per_offset_bin():
         replications=1,
         periods=1,
     )
-    vehicle = Vehicle(position=(1600.0, 4.0), speed_ms=30.0, lane_index=0)
-    vru_pos = (1500.0, 0.0)
-    pair = build_scenario(scenario_params, [vehicle], [Vru(0, vru_pos), Vru(1, vru_pos)])
-    solo = build_scenario(ScenarioParams(vru_count=1), [vehicle], [Vru(0, vru_pos)])
 
-    def _jobs(bins):
-        return [
-            CamJob(vru_id=i, size_bits=1e4, offset_bin=b, compute_density=200.0, period_index=0)
-            for i, b in enumerate(bins)
-        ]
+    def _packets(bins):
+        return np.array([(b, 1e4, 200.0) for b in bins], dtype=PACKET_DTYPE)
 
     streams = SubstreamFactory(0)
     rngs = dict(
@@ -119,32 +126,29 @@ def test_resource_sharing_is_isolated_per_offset_bin():
         dl_rng=streams.stream("dl", 0, 0),
         tn_cn_rng=streams.stream("tn_cn", 0, 0),
     )
-    split = engine.evaluate_period(pair, plan, _jobs([0, 1]), **rngs)
-    lone = engine.evaluate_period(solo, plan, _jobs([0]), **rngs)
-    for b in split:
-        assert b.t_ul == pytest.approx(lone[0].t_ul, rel=1e-12)
-        assert b.t_dl == pytest.approx(lone[0].t_dl, rel=1e-12)
+    split = _by_key(engine.evaluate_period(_scenario(2), plan, _packets([0, 1]), **rngs))
+    lone = _by_key(engine.evaluate_period(_scenario(1), plan, _packets([0]), **rngs))
+    for key in ("ul", "dl"):
+        assert split[key] == pytest.approx(np.repeat(lone[key], 2), rel=1e-12)
 
 
 def test_run_replication_bit_identical():
     plan = _small_plan()
-    assert engine.run_replication(plan, 1) == engine.run_replication(plan, 1)
+    assert np.array_equal(engine.run_replication(plan, 1), engine.run_replication(plan, 1))
 
 
 def test_replications_use_distinct_substreams():
     plan = _small_plan()
     a = engine.run_replication(plan, 0)
     b = engine.run_replication(plan, 1)
-    assert a != b
+    assert not np.array_equal(a, b)
 
 
 def test_aggregates_independent_of_execution_order():
     plan = _small_plan()
     sequential = engine.aggregate(engine.run_plan(plan))
-    shuffled: dict[int, list] = {rep: engine.run_replication(plan, rep) for rep in (2, 0, 1)}
-    merged = []
-    for rep in range(plan.replications):
-        merged.extend(shuffled[rep])
+    shuffled = {rep: engine.run_replication(plan, rep) for rep in (2, 0, 1)}
+    merged = np.concatenate([shuffled[rep] for rep in range(plan.replications)], axis=1)
     assert engine.aggregate(merged) == sequential
 
 
@@ -154,33 +158,35 @@ def test_workers_do_not_change_aggregates():
     assert serial == parallel
 
 
+def _constant_packets(n):
+    """n packets whose components are 1, 2, 3, 4 and 5 ms."""
+    return compose_e2e(*np.repeat([[1e-3], [2e-3], [3e-3], [4e-3], [5e-3]], n, axis=1))
+
+
 def test_aggregate_singleton_and_constant():
-    one = compose_e2e(0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3)
-    stats = engine.aggregate([one])
+    one = _constant_packets(1)
+    stats = engine.aggregate(one)
     assert stats["ul"].mean_s == 1e-3
     assert stats["ul"].sample_std_s == 0.0
     assert stats["ul"].ci95_half_width_s == 0.0
     assert stats["ul"].sample_count == 1
 
-    constant = [compose_e2e(i, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3) for i in range(40)]
-    stats = engine.aggregate(constant)
-    assert stats["e2e_cloud"].mean_s == pytest.approx(one.e2e_cloud, rel=1e-12)
+    stats = engine.aggregate(_constant_packets(40))
+    assert stats["e2e_cloud"].mean_s == pytest.approx(_by_key(one[:, 0])["e2e_cloud"], rel=1e-12)
     assert stats["e2e_cloud"].ci95_half_width_s == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aggregate_empty_is_error():
     with pytest.raises(AggregationError):
-        engine.aggregate([])
+        engine.aggregate(np.empty((7, 0)))
 
 
 def test_ci_shrinks_like_sqrt_n():
     rng = np.random.default_rng(5)
 
     def synthetic(n):
-        return [
-            compose_e2e(i, *(float(abs(x)) for x in rng.normal(1e-3, 2e-4, size=5)))
-            for i in range(n)
-        ]
+        # each row of draws is one packet's five components
+        return compose_e2e(*np.abs(rng.normal(1e-3, 2e-4, size=(n, 5))).T)
 
     small = engine.aggregate(synthetic(2000))
     large = engine.aggregate(synthetic(8000))
@@ -190,13 +196,13 @@ def test_ci_shrinks_like_sqrt_n():
 
 
 def test_identity_and_dominance_on_simulated_packets():
-    breakdowns = engine.run_plan(_small_plan())
-    assert breakdowns
-    for b in breakdowns:
-        assert b.e2e_cloud == b.e2e_mec + 2.0 * (b.t_bh + b.t_tn_cn)
-        assert b.e2e_mec <= b.e2e_cloud
-        assert min(b.t_ul, b.t_bh, b.t_tn_cn, b.t_exc, b.t_dl) >= 0
-    stats = engine.aggregate(breakdowns)
+    samples = engine.run_plan(_small_plan())
+    assert samples.shape == (7, 3 * 2 * 10)
+    b = _by_key(samples)
+    assert np.array_equal(b["e2e_cloud"], b["e2e_mec"] + 2.0 * (b["bh"] + b["tn_cn"]))
+    assert np.all(b["e2e_mec"] <= b["e2e_cloud"])
+    assert np.all(samples[:5] >= 0)
+    stats = engine.aggregate(samples)
     assert stats["e2e_cloud"].mean_s >= stats["e2e_mec"].mean_s
 
 
@@ -208,3 +214,13 @@ def test_empty_road_raises_scenario_error_with_context():
     plan = plan_from_document(doc)
     with pytest.raises(ScenarioError, match="replication 0"):
         engine.run_replication(plan, 0)
+
+
+def test_unreachable_downlink_raises_with_context():
+    # a huge DL margin drives every member's rate to zero: a typed error, not inf
+    doc = {
+        "channel": {"dl_calibration_loss_db": 1e4},
+        "engine": {"replications": 1, "periods": 1},
+    }
+    with pytest.raises(UnreachableLinkError, match="replication 0"):
+        engine.run_replication(plan_from_document(doc), 0)

@@ -265,10 +265,14 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_runtime_error_exit_code(tmp_path):
-    conf = tmp_path / "empty_road.json"
-    conf.write_text(
-        json.dumps({"scenario": {"vehicle_intensity_per_m": 1e-12},
-                    "engine": {"replications": 1, "periods": 1}}),
-        encoding="utf-8",
-    )
-    assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 2
+    # an empty road, and a DL margin so large that no cluster member is reachable
+    for name, document in (
+        ("empty_road", {"scenario": {"vehicle_intensity_per_m": 1e-12}}),
+        ("unreachable_dl", {"channel": {"dl_calibration_loss_db": 1e4}}),
+    ):
+        conf = tmp_path / f"{name}.json"
+        conf.write_text(
+            json.dumps({**document, "engine": {"replications": 1, "periods": 1}}),
+            encoding="utf-8",
+        )
+        assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 2, name

@@ -10,27 +10,23 @@ from hypothesis import strategies as st
 from camlat.errors import ConfigurationError, ScenarioError, UnreachableLinkError
 from camlat.radio import (
     PrbPool,
-    VehicleCluster,
-    dl_allocation,
     dl_latency,
     link_rate_bps,
     nearest_member_indices,
-    select_cluster,
-    ul_allocation,
+    prb_share,
     ul_latency,
 )
-from camlat.scenario import Vehicle, Vru
-from camlat.traffic import CamJob
+from camlat.traffic import n_hat
 
 POOL = PrbPool()
 
 
-def _veh(x, y=0.0, lane=0):
-    return Vehicle(position=(x, y), speed_ms=25.0, lane_index=lane)
-
-
-def _job(vru_id=0, size=1e4, offset=0):
-    return CamJob(vru_id=vru_id, size_bits=size, offset_bin=offset, compute_density=200.0, period_index=0)
+def _nearest(vru_x, xs, m, ys=None, lanes=None):
+    """Nearest-member indices of one VRU at (vru_x, 0) among vehicles at xs."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.zeros(xs.size) if ys is None else np.asarray(ys, dtype=float)
+    lanes = np.zeros(xs.size, dtype=np.int64) if lanes is None else np.asarray(lanes)
+    return nearest_member_indices(np.array([vru_x]), np.zeros(1), xs, ys, lanes, m)[0]
 
 
 def test_pool_default_prb_count():
@@ -43,37 +39,30 @@ def test_pool_must_fit_one_prb():
 
 
 def test_select_cluster_example():
-    vru = Vru(0, (1500.0, 0.0))
-    vehicles = [_veh(x) for x in (1490.0, 1510.0, 1400.0, 1600.0, 2000.0)]
-    cluster = select_cluster(vru, vehicles, 3)
-    assert [v.position[0] for v in cluster.members] == [1490.0, 1510.0, 1400.0]
+    xs = np.array([1490.0, 1510.0, 1400.0, 1600.0, 2000.0])
+    assert list(xs[_nearest(1500.0, xs, 3)]) == [1490.0, 1510.0, 1400.0]
 
 
 def test_select_cluster_saturates():
-    vru = Vru(0, (1500.0, 0.0))
-    vehicles = [_veh(x) for x in (100.0, 200.0)]
-    assert select_cluster(vru, vehicles, 10).size == 2
+    assert _nearest(1500.0, [100.0, 200.0], 10).size == 2
 
 
 def test_select_cluster_tie_breaks_toward_lower_x():
-    vru = Vru(0, (1500.0, 0.0))
-    vehicles = [_veh(1510.0), _veh(1490.0)]
-    cluster = select_cluster(vru, vehicles, 1)
-    assert cluster.members[0].position[0] == 1490.0
+    xs = np.array([1510.0, 1490.0])
+    assert xs[_nearest(1500.0, xs, 1)[0]] == 1490.0
 
 
 def test_select_cluster_empty_road():
     with pytest.raises(ScenarioError):
-        select_cluster(Vru(0, (0.0, 0.0)), [], 1)
+        _nearest(0.0, [], 1)
 
 
-def _oracle_indices(vru, vehicles, m):
+def _oracle_indices(vru_x, xs, ys, lanes, m):
     def key(i):
-        v = vehicles[i]
-        d2 = (v.position[0] - vru.position[0]) ** 2 + (v.position[1] - vru.position[1]) ** 2
-        return (d2, v.position[0], v.lane_index)
+        d2 = (xs[i] - vru_x) ** 2 + ys[i] ** 2
+        return (d2, xs[i], lanes[i])
 
-    return sorted(range(len(vehicles)), key=key)[:m]
+    return sorted(range(len(xs)), key=key)[:m]
 
 
 @settings(deadline=None, max_examples=150)
@@ -84,41 +73,26 @@ def _oracle_indices(vru, vehicles, m):
 )
 def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
     # integer coordinates force exact-distance ties, exercising the tie-break
-    vehicles = [_veh(float(x), y=4.0 * (i % 2), lane=i % 2) for i, x in enumerate(xs)]
-    vru = Vru(0, (float(vru_x), 0.0))
-    cluster = select_cluster(vru, vehicles, m)
-    expected = [vehicles[i] for i in _oracle_indices(vru, vehicles, m)]
-    assert list(cluster.members) == expected
-
-
-def test_vectorized_kernel_matches_select_cluster():
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(0, 3000, 80)
-    lanes = rng.integers(0, 2, 80)
-    ys = np.where(lanes == 0, 4.0, -4.0)
-    vehicles = [_veh(float(x), float(y), int(l)) for x, y, l in zip(xs, ys, lanes)]
-    vru_xs = rng.uniform(1200, 1800, 25)
-    idx = nearest_member_indices(vru_xs, np.zeros(25), xs, ys, lanes, 5)
-    for row, vx in enumerate(vru_xs):
-        cluster = select_cluster(Vru(row, (float(vx), 0.0)), vehicles, 5)
-        assert [vehicles[i] for i in idx[row]] == list(cluster.members)
+    xs = [float(x) for x in xs]
+    lanes = [i % 2 for i in range(len(xs))]
+    ys = [4.0 * lane for lane in lanes]
+    nearest = _nearest(float(vru_x), xs, m, ys, lanes)
+    assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, lanes, m)
 
 
 def test_ul_allocation_examples():
-    jobs = [_job(0, offset=0), _job(1, offset=0)]
-    assert ul_allocation(jobs, POOL) == {0: 25.0, 1: 25.0}
-    assert ul_allocation([_job(7, offset=2)], POOL) == {7: 50.0}
-    crowded = [_job(i, offset=0) for i in range(20)]
-    eta = ul_allocation(crowded, POOL)
-    assert all(v == pytest.approx(2.5) for v in eta.values())
+    assert list(prb_share(POOL, n_hat(np.array([0, 0])), 1)) == [25.0, 25.0]
+    assert list(prb_share(POOL, n_hat(np.array([2])), 1)) == [50.0]
+    crowded = prb_share(POOL, n_hat(np.zeros(20, dtype=np.int64)), 1)
+    assert all(v == pytest.approx(2.5) for v in crowded)
 
 
 def test_ul_allocation_conserves_pool_per_bin():
     rng = np.random.default_rng(0)
-    jobs = [_job(i, offset=int(rng.integers(0, 5))) for i in range(137)]
-    eta = ul_allocation(jobs, POOL)
+    offsets = np.array([int(rng.integers(0, 5)) for _ in range(137)])
+    eta = prb_share(POOL, n_hat(offsets), 1)
     for b in range(5):
-        share = sum(eta[j.vru_id] for j in jobs if j.offset_bin == b)
+        share = eta[offsets == b].sum()
         if share:
             assert share == pytest.approx(POOL.total_prbs, rel=1e-9)
 
@@ -157,15 +131,10 @@ def test_ul_latency_unreachable():
         ul_latency(1e4, 5.0, -np.inf, POOL)
 
 
-def _cluster(n):
-    return VehicleCluster(vru_id=0, members=tuple(_veh(1500.0 + 10 * i) for i in range(n)))
-
-
 def test_dl_allocation_examples():
-    assert dl_allocation([_cluster(5)], POOL) == pytest.approx(10.0)
-    assert dl_allocation([_cluster(5) for _ in range(20)], POOL) == pytest.approx(0.5)
-    with pytest.raises(ConfigurationError):
-        dl_allocation([], POOL)
+    # one cluster of 5 alone in its bin; 20 clusters of 5 sharing one bin
+    assert list(prb_share(POOL, n_hat(np.array([3])), 5)) == pytest.approx([10.0])
+    assert list(prb_share(POOL, n_hat(np.full(20, 3)), 5)) == pytest.approx([0.5] * 20)
 
 
 def _snr_for_rate(rate_bps, prbs):
@@ -173,18 +142,21 @@ def _snr_for_rate(rate_bps, prbs):
     return 10.0 * math.log10(2.0 ** (rate_bps / (prbs * 180e3)) - 1.0)
 
 
+def _dl_one(size, prbs, member_snrs):
+    """DL latency of a single packet whose cluster members see ``member_snrs``."""
+    (t,) = dl_latency(np.array([size]), np.array([prbs]), np.array([member_snrs]), POOL)
+    return t
+
+
 def test_dl_latency_max_rule():
-    cluster = _cluster(2)
-    snrs = np.array([_snr_for_rate(1e6, 1.0), _snr_for_rate(2e6, 1.0)])
-    t = dl_latency(_job(size=1e4), cluster, 1.0, snrs, POOL)
+    snrs = [_snr_for_rate(1e6, 1.0), _snr_for_rate(2e6, 1.0)]
+    t = _dl_one(1e4, 1.0, snrs)
     assert t == pytest.approx(10e-3, rel=1e-9)  # slowest member (1 Mbps) decides
 
 
 def test_dl_latency_singleton():
-    cluster = _cluster(1)
-    snr = np.array([12.0])
     expected = 1e4 / link_rate_bps(10.0, 12.0, POOL)
-    assert dl_latency(_job(size=1e4), cluster, 10.0, snr, POOL) == pytest.approx(expected, rel=1e-12)
+    assert _dl_one(1e4, 10.0, [12.0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dl_latency_farthest_member_dominates_without_fading():
@@ -200,10 +172,7 @@ def test_dl_latency_farthest_member_dominates_without_fading():
     snrs = sample_snr_db(budget, distances, np.random.default_rng(0))
     times = 1e4 / link_rate_bps(np.full(4, 2.0), snrs, POOL)
     assert int(np.argmax(times)) == 3
-    cluster = _cluster(4)
-    assert dl_latency(_job(size=1e4), cluster, 2.0, snrs, POOL) == pytest.approx(
-        float(np.max(times)), rel=1e-12
-    )
+    assert _dl_one(1e4, 2.0, snrs) == pytest.approx(float(np.max(times)), rel=1e-12)
 
 
 def test_dl_latency_nondecreasing_in_cluster_size():
@@ -212,16 +181,19 @@ def test_dl_latency_nondecreasing_in_cluster_size():
     snrs = rng.normal(10.0, 5.0, size=9)
     previous = 0.0
     for m in (1, 3, 5, 7, 9):
-        t = dl_latency(_job(size=1e4), _cluster(m), 0.5, snrs[:m], POOL)
+        t = _dl_one(1e4, 0.5, snrs[:m])
         assert t >= previous
         previous = t
 
 
 def test_dl_latency_unreachable_member():
     with pytest.raises(UnreachableLinkError):
-        dl_latency(_job(), _cluster(2), 1.0, np.array([10.0, -np.inf]), POOL)
+        _dl_one(1e4, 1.0, [10.0, -np.inf])
 
 
 def test_dl_latency_requires_one_snr_per_member():
+    # one row of member SNRs per packet: a flat list or a missing row is refused
     with pytest.raises(ValueError):
-        dl_latency(_job(), _cluster(3), 1.0, np.array([10.0, 12.0]), POOL)
+        dl_latency(np.array([1e4]), np.array([1.0]), np.array([10.0, 12.0]), POOL)
+    with pytest.raises(ValueError):
+        dl_latency(np.full(2, 1e4), np.ones(2), np.array([[10.0, 12.0]]), POOL)

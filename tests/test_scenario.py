@@ -12,7 +12,6 @@ from camlat.scenario import (
     ScenarioParams,
     Scenario,
     advance_vehicles,
-    build_scenario,
     sample_hardcore_positions,
     sample_scenario,
     sample_vehicles,
@@ -77,53 +76,54 @@ def test_sample_vehicles_speeds_and_lane_direction():
     params = HardCoreParams()
     speed_range = (70.0 / 3.6, 140.0 / 3.6)
     rng = np.random.default_rng(11)
-    east = sample_vehicles(params, road, 0, speed_range, rng)
-    west = sample_vehicles(params, road, 1, speed_range, rng)
-    assert all(v.speed_ms > 0 for v in east)
-    assert all(v.speed_ms < 0 for v in west)
-    for v in east + west:
-        assert speed_range[0] <= abs(v.speed_ms) <= speed_range[1]
-    assert {v.position[1] for v in east} <= {road.lane_centerlines_m[0]}
-    assert {v.position[1] for v in west} <= {road.lane_centerlines_m[1]}
+    _, east = sample_vehicles(params, road, 0, speed_range, rng)
+    _, west = sample_vehicles(params, road, 1, speed_range, rng)
+    assert np.all(east > 0)
+    assert np.all(west < 0)
+    speeds = np.abs(np.concatenate([east, west]))
+    assert np.all((speed_range[0] <= speeds) & (speeds <= speed_range[1]))
+    # the assembled scenario puts each lane's vehicles on that lane's centerline
+    scn = sample_scenario(ScenarioParams(), SubstreamFactory(11), 0)
+    for lane in (0, 1):
+        on_lane = scn.vehicle_lane == lane
+        assert set(scn.vehicle_y[on_lane]) <= {road.lane_centerlines_m[lane]}
 
 
 def test_sample_vrus_containment_and_mean():
     rng = np.random.default_rng(17)
-    vrus = sample_vrus(100, (1200.0, 1800.0), 0.0, rng)
-    xs = np.array([v.position[0] for v in vrus])
-    assert len(vrus) == 100
+    xs = sample_vrus(100, (1200.0, 1800.0), rng)
+    assert xs.shape == (100,)
     assert np.all((xs >= 1200.0) & (xs <= 1800.0))
     assert abs(np.mean(xs) - 1500.0) < 60.0  # ~3.5 standard errors
-    assert [v.id for v in vrus] == list(range(100))
 
 
 def test_sample_vrus_degenerate_strip():
     rng = np.random.default_rng(0)
-    (vru,) = sample_vrus(1, (1500.0, 1500.0 + 1e-6), 0.0, rng)
-    assert vru.position[0] == pytest.approx(1500.0, abs=1e-5)
+    (x,) = sample_vrus(1, (1500.0, 1500.0 + 1e-6), rng)
+    assert x == pytest.approx(1500.0, abs=1e-5)
 
 
 def test_sample_vrus_range_containment_wide():
     rng = np.random.default_rng(2)
-    vrus = sample_vrus(3, (0.0, 3000.0), 0.0, rng)
-    assert all(0.0 <= v.position[0] <= 3000.0 for v in vrus)
+    xs = sample_vrus(3, (0.0, 3000.0), rng)
+    assert np.all((0.0 <= xs) & (xs <= 3000.0))
 
 
 def test_sample_vrus_zero_is_error():
     with pytest.raises(ConfigurationError):
-        sample_vrus(0, (1200.0, 1800.0), 0.0, np.random.default_rng(0))
+        sample_vrus(0, (1200.0, 1800.0), np.random.default_rng(0))
 
 
 def _tiny_scenario() -> Scenario:
-    params = ScenarioParams(vru_count=1)
-    from camlat.scenario import Vehicle, Vru
-
-    vehicles = [
-        Vehicle(position=(100.0, 4.0), speed_ms=20.0, lane_index=0),
-        Vehicle(position=(2990.0, -4.0), speed_ms=20.0, lane_index=1),
-        Vehicle(position=(5.0, -4.0), speed_ms=-20.0, lane_index=1),
-    ]
-    return build_scenario(params, vehicles, [Vru(0, (1500.0, 0.0))])
+    return Scenario(
+        road=RoadGeometry(),
+        vehicle_x=np.array([100.0, 2990.0, 5.0]),
+        vehicle_y=np.array([4.0, -4.0, -4.0]),
+        vehicle_speed=np.array([20.0, 20.0, -20.0]),
+        vehicle_lane=np.array([0, 1, 1]),
+        vru_x=np.array([1500.0]),
+        vru_y=np.array([0.0]),
+    )
 
 
 def test_advance_vehicles_kinematics_and_wrap():

@@ -7,30 +7,24 @@ from hypothesis import strategies as st
 
 from camlat.errors import ConfigurationError
 from camlat.rng import SubstreamFactory
-from camlat.scenario import Vru
-from camlat.traffic import CamJob, TrafficParams, bin_occupancy, concurrent_count, generate_period
-
-
-def _vrus(n):
-    return [Vru(i, (1500.0, 0.0)) for i in range(n)]
+from camlat.traffic import TrafficParams, generate_period, n_hat
 
 
 def test_one_job_per_vru_and_ranges():
     params = TrafficParams()
-    jobs = generate_period(_vrus(100), params, 3, np.random.default_rng(0))
-    assert [j.vru_id for j in jobs] == list(range(100))
-    assert all(j.period_index == 3 for j in jobs)
-    assert all(0 <= j.offset_bin < params.offset_bins for j in jobs)
-    assert all(8000.0 <= j.size_bits <= 12000.0 for j in jobs)
-    assert all(100.0 <= j.compute_density <= 300.0 for j in jobs)
+    packets = generate_period(100, params, np.random.default_rng(0))
+    assert len(packets) == 100
+    assert np.all((0 <= packets["offset_bin"]) & (packets["offset_bin"] < params.offset_bins))
+    assert np.all((8000.0 <= packets["size_bits"]) & (packets["size_bits"] <= 12000.0))
+    assert np.all((100.0 <= packets["compute_density"]) & (packets["compute_density"] <= 300.0))
 
 
 def test_occupancy_sums_to_vru_count_every_period():
     params = TrafficParams()
     rng = np.random.default_rng(1)
-    for period in range(50):
-        jobs = generate_period(_vrus(100), params, period, rng)
-        occ = bin_occupancy(jobs, params.offset_bins)
+    for _ in range(50):
+        packets = generate_period(100, params, rng)
+        occ = np.bincount(packets["offset_bin"], minlength=params.offset_bins)
         assert occ.sum() == 100
 
 
@@ -39,64 +33,50 @@ def test_expected_bin_occupancy_is_n_over_b():
     rng = np.random.default_rng(2)
     occ = np.zeros(5)
     periods = 2000
-    for period in range(periods):
-        occ += bin_occupancy(generate_period(_vrus(100), params, period, rng), 5)
+    for _ in range(periods):
+        occ += np.bincount(generate_period(100, params, rng)["offset_bin"], minlength=5)
     assert np.allclose(occ / periods, 20.0, atol=0.5)
 
 
 def test_single_bin_degenerate():
     params = TrafficParams(offset_bins=1)
-    (job,) = generate_period(_vrus(1), params, 0, np.random.default_rng(0))
-    assert job.offset_bin == 0
+    (packet,) = generate_period(1, params, np.random.default_rng(0))
+    assert packet["offset_bin"] == 0
 
 
 def test_degenerate_size_range():
     params = TrafficParams(size_bits_range=(10_000.0, 10_000.0))
-    jobs = generate_period(_vrus(10), params, 0, np.random.default_rng(0))
-    assert all(j.size_bits == 10_000.0 for j in jobs)
+    packets = generate_period(10, params, np.random.default_rng(0))
+    assert np.all(packets["size_bits"] == 10_000.0)
 
 
 def test_empty_vru_list_rejected():
     with pytest.raises(ConfigurationError):
-        generate_period([], TrafficParams(), 0, np.random.default_rng(0))
-
-
-def _job(vru_id, offset):
-    return CamJob(vru_id=vru_id, size_bits=1e4, offset_bin=offset, compute_density=200.0, period_index=0)
+        generate_period(0, TrafficParams(), np.random.default_rng(0))
 
 
 def test_concurrent_count_examples():
-    jobs = [_job(i, o) for i, o in enumerate([3, 3, 7, 3, 9])]
-    assert concurrent_count(jobs, 0) == 3
-    assert concurrent_count(jobs, 2) == 1
-    distinct = [_job(i, i) for i in range(6)]
-    assert all(concurrent_count(distinct, k) == 1 for k in range(6))
-    shared = [_job(i, 4) for i in range(100)]
-    assert concurrent_count(shared, 42) == 100
-
-
-def test_concurrent_count_unknown_vru():
-    with pytest.raises(LookupError):
-        concurrent_count([_job(0, 1)], 99)
+    assert list(n_hat(np.array([3, 3, 7, 3, 9]))) == [3, 3, 1, 3, 1]
+    assert np.all(n_hat(np.arange(6)) == 1)
+    assert np.all(n_hat(np.full(100, 4)) == 100)
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60))
 def test_concurrent_count_matches_brute_force(offsets):
-    jobs = [_job(i, o) for i, o in enumerate(offsets)]
-    for k, job in enumerate(jobs):
-        brute = sum(1 for other in jobs if other.offset_bin == job.offset_bin)
-        assert concurrent_count(jobs, k) == brute
-        assert concurrent_count(jobs, k) >= 1
+    counts = n_hat(np.array(offsets))
+    for k, offset in enumerate(offsets):
+        brute = sum(1 for other in offsets if other == offset)
+        assert counts[k] == brute
+        assert counts[k] >= 1
 
 
 def test_offsets_independent_across_periods():
     # a VRU's bin index must decorrelate between consecutive periods
     params = TrafficParams(offset_bins=5)
     streams = SubstreamFactory(321)
-    vru = _vrus(1)
     bins = np.array(
-        [generate_period(vru, params, p, streams.stream("traffic", 0, p))[0].offset_bin
+        [generate_period(1, params, streams.stream("traffic", 0, p))[0]["offset_bin"]
          for p in range(10_000)],
         dtype=float,
     )
