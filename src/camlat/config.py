@@ -21,6 +21,7 @@ Explicit fields in the document always override the profile presets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -159,6 +160,9 @@ class _Validator:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(path, f"expected a number, got {value!r}")
             return None
+        if isinstance(value, float) and not math.isfinite(value):
+            self.fail(path, f"must be finite, got {value!r}")
+            return None
         if integer and int(value) != value:
             self.fail(path, f"expected an integer, got {value!r}")
             return None
@@ -180,6 +184,9 @@ class _Validator:
             lo, hi = float(value[0]), float(value[1])
         except (TypeError, ValueError):
             self.fail(path, f"expected numeric bounds, got {value!r}")
+            return None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            self.fail(path, f"bounds must be finite, got {value!r}")
             return None
         if minimum is not None and lo < minimum:
             self.fail(path, f"lower bound must be >= {minimum}, got {lo!r}")

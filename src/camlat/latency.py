@@ -88,8 +88,8 @@ def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
     holds exactly by construction.
     """
     components = np.array([t_ul, t_bh, t_tn_cn, t_exc, t_dl], dtype=float)
-    if np.any(components < 0):
-        raise ValueError("latency components must be non-negative")
+    if not np.all((components >= 0) & (components < np.inf)):
+        raise ValueError("latency components must be finite and non-negative")
     ul, bh, tn_cn, exc, dl = components
     e2e_mec = ul + exc + dl
     e2e_cloud = e2e_mec + 2.0 * (bh + tn_cn)

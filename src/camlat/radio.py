@@ -42,23 +42,75 @@ def nearest_member_indices(
     vehicle_lane: np.ndarray,
     m: int,
 ) -> np.ndarray:
-    """Indices of each VRU's m nearest vehicles, shape (n_vru, m).
+    """Indices of each VRU's m nearest vehicles, shape (n_vru, m) or (P, n_vru, m).
 
-    Ties on exact distance break toward the lower x-coordinate, then the
-    lower lane index: vehicles are pre-ordered by (x, lane) and a stable
-    sort on squared distance preserves that order among equals.
+    ``vehicle_x`` is one snapshot of positions, shape (V,), or one row per
+    period, shape (P, V); the lateral offsets and lanes are shared by every
+    period, and the result gains the period axis to match. At most V
+    members are returned.
+
+    Ties on exact squared distance break toward the lower x-coordinate,
+    then the lower lane index, then the lower vehicle index.
+
+    Each period's vehicles are sorted once by (x, lane, index) and each VRU
+    is placed into that order by ``searchsorted``. A contiguous window of
+    2m candidates around it is ranked by a stable sort on squared distance,
+    which keeps the (x, lane, index) order among equals. The window always
+    reaches the VRU's sorted position, so the nearest vehicle outside each
+    window edge lies on the far side of the VRU. The pick is certified when
+    that vehicle, even at the smallest lateral offset of any lane, is
+    strictly farther than the m-th pick: every vehicle beyond it is then
+    farther still, because rounded subtraction, squaring and addition are
+    monotone. Rows that fail retry with a doubled window; at window V this
+    is the full sort, which needs no certificate.
     """
     if m < 1:
         raise ConfigurationError("cluster size must be at least 1")
-    if vehicle_x.size == 0:
+    x = np.atleast_2d(vehicle_x)
+    periods, v = x.shape
+    if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
-    order = np.lexsort((vehicle_lane, vehicle_x))
-    dx = np.subtract.outer(vru_x, vehicle_x[order])
-    dy = np.subtract.outer(vru_y, vehicle_y[order])
-    d2 = dx * dx + dy * dy
-    take = min(m, vehicle_x.size)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :take]
-    return order[nearest]
+    vru_x = np.asarray(vru_x)
+    vru_y = np.asarray(vru_y)
+    # (x, lane, index) order: a stable sort on x of the vehicles taken lane by lane.
+    by_lane = np.argsort(vehicle_lane, kind="stable")
+    order = by_lane[np.argsort(x[:, by_lane], axis=1, kind="stable")]
+    xs = np.take_along_axis(x, order, axis=1)
+    # Sorted position of each VRU: vehicles before it have a smaller x.
+    start = np.concatenate([np.searchsorted(row, vru_x) for row in xs])
+    lane_dy = np.subtract.outer(vru_y, np.unique(vehicle_y))
+    min_dy2 = np.min(lane_dy * lane_dy, axis=1)
+    # Flat views: period p's sorted position i is entry p * V + i.
+    order, xs = order.ravel(), xs.ravel()
+    ys = np.asarray(vehicle_y)[order]
+
+    take = min(m, v)
+    out = np.empty((periods * vru_x.size, take), dtype=order.dtype)
+    pending = np.arange(out.shape[0])
+    width = min(2 * take, v)
+    while pending.size:
+        p, u = np.divmod(pending, vru_x.size)
+        lo = np.clip(start[pending] - width // 2, 0, v - width)
+        window = (p * v + lo)[:, None] + np.arange(width)
+        dx = vru_x[u, None] - xs[window]
+        dy = vru_y[u, None] - ys[window]
+        d2 = dx * dx + dy * dy
+        rank = np.argsort(d2, axis=1, kind="stable")[:, :take]
+        out[pending] = order[np.take_along_axis(window, rank, axis=1)]
+        if width == v:
+            break
+        # Certificate: the first vehicle past each window edge, at the
+        # smallest lateral offset of any lane, is farther than the m-th pick.
+        # lo <= start <= lo + width, so that vehicle is on the VRU's far side.
+        mth = d2[np.arange(len(d2)), rank[:, -1]]
+        left_gap = vru_x[u] - xs[p * v + np.maximum(lo - 1, 0)]
+        right_gap = vru_x[u] - xs[p * v + np.minimum(lo + width, v - 1)]
+        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2[u] > mth)
+        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2[u] > mth)
+        pending = pending[~(left_ok & right_ok)]
+        width = min(2 * width, v)
+    out = out.reshape(periods, vru_x.size, take)
+    return out if np.ndim(vehicle_x) == 2 else out[0]
 
 
 def prb_share(pool: PrbPool, n_hat, members: int):

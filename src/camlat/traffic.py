@@ -55,5 +55,11 @@ def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Genera
 
 
 def n_hat(offsets: np.ndarray) -> np.ndarray:
-    """Per packet, how many packets (its own included) share its offset bin."""
-    return np.bincount(offsets)[offsets]
+    """Per packet, how many packets (its own included) share its offset bin.
+
+    ``offsets`` is one period's bins, shape (n,), or one row per period,
+    shape (P, n); bins are counted within each row.
+    """
+    rows = np.atleast_2d(offsets)
+    keys = rows + (rows.max() + 1) * np.arange(len(rows))[:, None]
+    return np.bincount(keys.ravel())[keys].reshape(np.shape(offsets))

@@ -11,7 +11,7 @@ from camlat.config import RadioParams, SimulationPlan, plan_from_document
 from camlat.errors import AggregationError, ScenarioError, UnreachableLinkError
 from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, compose_e2e
 from camlat.rng import SubstreamFactory
-from camlat.scenario import RoadGeometry, Scenario, ScenarioParams
+from camlat.scenario import RoadGeometry, Scenario, ScenarioParams, sample_scenario
 from camlat.traffic import PACKET_DTYPE, TrafficParams, generate_period
 
 
@@ -40,6 +40,16 @@ def _by_key(samples):
     return dict(zip(COMPONENT_KEYS, samples))
 
 
+def _one_period(scn, plan, packets, streams):
+    """``evaluate_period`` on a block of one period: replication 0, period 0."""
+    return engine.evaluate_period(
+        scn, plan, scn.vehicle_x[None], packets[None],
+        ul_rngs=[streams.stream("ul", 0, 0)],
+        dl_rngs=[streams.stream("dl", 0, 0)],
+        tn_cn_rngs=[streams.stream("tn_cn", 0, 0)],
+    )
+
+
 def test_hand_checked_single_packet_chain():
     # one VRU, one vehicle, every random range degenerate: the whole pipeline
     # must equal an independently computed arithmetic chain
@@ -63,13 +73,7 @@ def test_hand_checked_single_packet_chain():
         periods=1,
     )
     packets = generate_period(1, plan.traffic, np.random.default_rng(0))
-    streams = SubstreamFactory(0)
-    samples = engine.evaluate_period(
-        _scenario(1), plan, packets,
-        ul_rng=streams.stream("ul", 0, 0),
-        dl_rng=streams.stream("dl", 0, 0),
-        tn_cn_rng=streams.stream("tn_cn", 0, 0),
-    )
+    samples = _one_period(_scenario(1), plan, packets, SubstreamFactory(0))
 
     height_terms = (
         -17.3 * math.log10(10.0 - 1.0)
@@ -121,13 +125,8 @@ def test_resource_sharing_is_isolated_per_offset_bin():
         return np.array([(b, 1e4, 200.0) for b in bins], dtype=PACKET_DTYPE)
 
     streams = SubstreamFactory(0)
-    rngs = dict(
-        ul_rng=streams.stream("ul", 0, 0),
-        dl_rng=streams.stream("dl", 0, 0),
-        tn_cn_rng=streams.stream("tn_cn", 0, 0),
-    )
-    split = _by_key(engine.evaluate_period(_scenario(2), plan, _packets([0, 1]), **rngs))
-    lone = _by_key(engine.evaluate_period(_scenario(1), plan, _packets([0]), **rngs))
+    split = _by_key(_one_period(_scenario(2), plan, _packets([0, 1]), streams))
+    lone = _by_key(_one_period(_scenario(1), plan, _packets([0]), streams))
     for key in ("ul", "dl"):
         assert split[key] == pytest.approx(np.repeat(lone[key], 2), rel=1e-12)
 
@@ -224,3 +223,42 @@ def test_unreachable_downlink_raises_with_context():
     }
     with pytest.raises(UnreachableLinkError, match="replication 0"):
         engine.run_replication(plan_from_document(doc), 0)
+
+
+def test_non_finite_component_fails_loudly():
+    # a library-built plan can carry NaN past NetworkParams' `<= 0` check
+    plan = SimulationPlan(
+        network=NetworkParams(backhaul_bps=float("nan")), replications=1, periods=2
+    )
+    with pytest.raises(ValueError, match="finite"):
+        engine.run_replication(plan, 0)
+
+
+def test_period_block_matches_period_by_period():
+    # one block of periods equals the periods evaluated one at a time with
+    # the same streams and positions, column for column
+    plan = plan_from_document({"scenario": {"vru_count": 12}, "radio": {"cluster_size": 4},
+                               "engine": {"periods": 3, "master_seed": 11}})
+    streams = SubstreamFactory(plan.master_seed)
+    scn = sample_scenario(plan.scenario, streams, 0)
+    vehicle_x = np.stack([scn.vehicle_x + 25.0 * p for p in range(3)]) % 3000.0
+    packets = np.stack([
+        generate_period(12, plan.traffic, streams.stream("traffic", 0, p)) for p in range(3)
+    ])
+
+    def rngs(purpose, periods):
+        return [streams.stream(purpose, 0, p) for p in periods]
+
+    block = engine.evaluate_period(
+        scn, plan, vehicle_x, packets,
+        ul_rngs=rngs("ul", range(3)), dl_rngs=rngs("dl", range(3)),
+        tn_cn_rngs=rngs("tn_cn", range(3)),
+    )
+    single = [
+        engine.evaluate_period(
+            scn, plan, vehicle_x[p : p + 1], packets[p : p + 1],
+            ul_rngs=rngs("ul", [p]), dl_rngs=rngs("dl", [p]), tn_cn_rngs=rngs("tn_cn", [p]),
+        )
+        for p in range(3)
+    ]
+    assert np.array_equal(block, np.concatenate(single, axis=1))

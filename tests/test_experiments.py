@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -78,6 +79,26 @@ def test_all_violations_reported_together():
     message = str(err.value)
     for path in ("scenario.vru_count", "scenario.lane_length_km", "radio.cluster_size"):
         assert path in message
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"radio": {"cluster_size": NaN}}', "radio.cluster_size"),
+        ('{"radio": {"cluster_size": Infinity}}', "radio.cluster_size"),
+        ('{"network": {"backhaul_mbps": NaN}}', "network.backhaul_mbps"),
+        ('{"network": {"backhaul_mbps": Infinity}}', "network.backhaul_mbps"),
+        ('{"channel": {"thermal_noise_dbm": -Infinity}}', "channel.thermal_noise_dbm"),
+        ('{"traffic": {"packet_kbits": [NaN, 12]}}', "traffic.packet_kbits"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_field_path(tmp_path, text, path):
+    # json.load accepts NaN and Infinity, so a config file can carry them
+    conf = tmp_path / "conf.json"
+    conf.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: ")):
+        load_config(str(conf))
+    assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 1
 
 
 def test_unknown_fields_and_sections_rejected():

@@ -102,3 +102,10 @@ def test_decomposition_identity_is_exact():
 def test_compose_rejects_negative_components():
     with pytest.raises(ValueError):
         _compose(-1e-3, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_compose_rejects_non_finite_components(bad):
+    # NaN passes a plain `< 0` test, so finiteness is checked explicitly
+    with pytest.raises(ValueError, match="finite"):
+        _compose(1e-3, bad, 0.0, 0.0, 0.0)

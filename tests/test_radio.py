@@ -80,6 +80,90 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
     assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, lanes, m)
 
 
+# --- windowed search on (periods, vehicles) stacks ------------------------------
+# Coordinates sit on a lattice, so every squared distance is exact in floating
+# point and the oracle's ties are the search's ties.
+
+
+def _check_block(vru_x, x, ys, lanes, m):
+    """The (P, V) search equals the 1-D search and the brute-force oracle, row by row."""
+    vru_x = np.asarray(vru_x, dtype=float)
+    vru_y = np.zeros(vru_x.size)
+    block = nearest_member_indices(vru_x, vru_y, x, ys, lanes, m)
+    assert block.shape == (x.shape[0], vru_x.size, min(m, x.shape[1]))
+    for p, row in enumerate(x):
+        single = nearest_member_indices(vru_x, vru_y, row, ys, lanes, m)
+        assert single.dtype == np.intp
+        assert np.array_equal(single, block[p])
+        for i, q in enumerate(vru_x):
+            assert list(block[p, i]) == _oracle_indices(q, row, ys, lanes, m), (p, i)
+    return block
+
+
+def _lanes(v, rng):
+    lanes = rng.integers(0, 2, v)
+    return lanes, np.where(lanes == 0, 4.0, -4.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
+def test_windowed_search_lattice_ties(m):
+    # 300 vehicles on 120 integer x-values: many share an x, and integer VRUs
+    # see equal squared distances on both sides of every window edge
+    rng = np.random.default_rng(m)
+    x = rng.integers(0, 120, (4, 300)).astype(float)
+    lanes, ys = _lanes(300, rng)
+    vru_x = np.concatenate([np.arange(-3.0, 124.0, 3.0), rng.integers(0, 240, 20) / 2.0])
+    _check_block(vru_x, x, ys, lanes, m)
+
+
+def test_windowed_search_vrus_beyond_every_vehicle():
+    rng = np.random.default_rng(1)
+    x = rng.integers(100, 400, (3, 250)).astype(float)
+    lanes, ys = _lanes(250, rng)
+    vru_x = [-1000.0, 0.0, 99.0, 100.0, 399.0, 400.0, 401.0, 5000.0]
+    block = _check_block(vru_x, x, ys, lanes, 7)
+    assert np.all(x[0][block[0, 0]] == np.sort(x[0])[:7])
+    assert np.all(x[0][block[0, -1]] == np.sort(x[0])[::-1][:7])
+
+
+def test_windowed_search_sparse_and_empty_lanes():
+    rng = np.random.default_rng(2)
+    x = rng.integers(0, 200, (3, 200)).astype(float)
+    vru_x = np.arange(-5.0, 210.0, 7.0)
+    # lane 1 holds three vehicles, fewer than m
+    lanes = np.zeros(200, dtype=np.int64)
+    lanes[[17, 80, 151]] = 1
+    ys = np.where(lanes == 0, 4.0, -4.0)
+    _check_block(vru_x, x, ys, lanes, 9)
+    # lane 1 is empty
+    _check_block(vru_x, x, np.full(200, 4.0), np.zeros(200, dtype=np.int64), 9)
+
+
+@pytest.mark.parametrize("m", [150, 151, 400])
+def test_windowed_search_cluster_covers_every_vehicle(m):
+    rng = np.random.default_rng(m)
+    x = rng.integers(0, 100, (2, 150)).astype(float)
+    lanes, ys = _lanes(150, rng)
+    block = _check_block(np.arange(-10.0, 120.0, 13.0), x, ys, lanes, m)
+    assert block.shape[-1] == 150
+
+
+def test_windowed_search_retries_past_a_stacked_lane():
+    # lane 1, 40 m off the strip, has 200 vehicles stacked at the VRU's x;
+    # lane 0 has one vehicle per metre around it. The members are lane-0
+    # vehicles on both sides of the stack, and those past it lie 200 sorted
+    # positions away, out of reach of any 2m window around the VRU: only the
+    # retry with wider windows finds them.
+    lane0 = np.arange(1400.0, 1601.0)
+    x = np.stack([np.concatenate([lane0, np.full(200, c)]) for c in (1500.0, 1450.5)])
+    lanes = np.repeat([0, 1], [lane0.size, 200])
+    ys = np.where(lanes == 0, 4.0, 40.0)
+    block = _check_block([1500.0, 1450.5, 1499.5], x, ys, lanes, 5)
+    # 1501 and 1451 lie past the 200 stacked vehicles in sorted order
+    assert sorted(x[0][block[0, 0]]) == [1498.0, 1499.0, 1500.0, 1501.0, 1502.0]
+    assert sorted(x[1][block[1, 1]]) == [1448.0, 1449.0, 1450.0, 1451.0, 1452.0]
+
+
 def test_ul_allocation_examples():
     assert list(prb_share(POOL, n_hat(np.array([0, 0])), 1)) == [25.0, 25.0]
     assert list(prb_share(POOL, n_hat(np.array([2])), 1)) == [50.0]

@@ -1,0 +1,40 @@
+"""The benchmark's tracer still finds every layer it patches.
+
+``perfbench/tracer.py`` wraps module attributes of camlat (``engine.evaluate_period``,
+``radio.nearest_member_indices``, ``channel.sample_snr_db``,
+``scenario.advance_vehicles`` and others). A refactor that renames one of them,
+or stops calling it through its module, would silently zero a layer. A short
+traced run in a fresh interpreter, so the patches stay out of this process,
+must still see every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_run_sees_every_patched_layer(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "one_run.py"), "--workload", "point_default",
+         "--seed", "1729", "--mode", "traced", "--replications", "2",
+         "--work-dir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert Path(result["camlat_file"]).resolve().is_relative_to(ROOT / "src")
+    assert result["problems"] == []
+    assert result["failed"] == 0
+    layers = result["layers"]
+    # 2 replications x 10 periods x 100 VRUs, cluster size 5
+    assert layers["traffic.jobs"] == 2000
+    assert layers["rng.streams"] == 86  # per replication: 2 lanes, VRUs, 4 per period
+    assert layers["channel.links"] == 2 * 10 * (100 + 100 * 5)
+    assert layers["latency.compose_calls"] == 2  # one block of periods per replication
+    assert layers["radio.cluster_search_s"] > 0
