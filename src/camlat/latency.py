@@ -80,7 +80,7 @@ def sample_tn_cn(dist: TnCnDistribution, rng: np.random.Generator, size=None):
 
 
 def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
-    """Stack one period's per-packet components and both architectures' E2E figures.
+    """Stack per-packet components and both architectures' E2E figures.
 
     Takes five equal-length 1-D arrays and returns a (7, n) array whose rows
     follow ``COMPONENT_KEYS``. The edge-host path skips backhaul and

@@ -78,8 +78,12 @@ def nearest_member_indices(
     xs = np.take_along_axis(x, order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
     start = np.concatenate([np.searchsorted(row, vru_x) for row in xs])
-    lane_dy = np.subtract.outer(vru_y, np.unique(vehicle_y))
-    min_dy2 = np.min(lane_dy * lane_dy, axis=1)
+    # Smallest squared lateral offset to any vehicle: it is reached at the
+    # lateral position just below or just above the VRU's.
+    lateral = np.sort(vehicle_y)
+    near = np.searchsorted(lateral, vru_y)
+    lane_dy = vru_y - lateral[np.clip([near - 1, near], 0, v - 1)]
+    min_dy2 = np.min(lane_dy * lane_dy, axis=0)
     # Flat views: period p's sorted position i is entry p * V + i.
     order, xs = order.ravel(), xs.ravel()
     ys = np.asarray(vehicle_y)[order]

@@ -61,5 +61,5 @@ def n_hat(offsets: np.ndarray) -> np.ndarray:
     shape (P, n); bins are counted within each row.
     """
     rows = np.atleast_2d(offsets)
-    keys = rows + (rows.max() + 1) * np.arange(len(rows))[:, None]
+    keys = rows + (rows.max(initial=0) + 1) * np.arange(len(rows))[:, None]
     return np.bincount(keys.ravel())[keys].reshape(np.shape(offsets))

@@ -149,15 +149,15 @@ def test_windowed_search_cluster_covers_every_vehicle(m):
 
 
 def test_windowed_search_retries_past_a_stacked_lane():
-    # lane 1, 40 m off the strip, has 200 vehicles stacked at the VRU's x;
-    # lane 0 has one vehicle per metre around it. The members are lane-0
-    # vehicles on both sides of the stack, and those past it lie 200 sorted
-    # positions away, out of reach of any 2m window around the VRU: only the
-    # retry with wider windows finds them.
+    # lane 1, 40 m off the strip on the far side, has 200 vehicles stacked
+    # at the VRU's x; lane 0 has one vehicle per metre around it. The
+    # members are lane-0 vehicles on both sides of the stack, and those past
+    # it lie 200 sorted positions away, out of reach of any 2m window around
+    # the VRU: only the retry with wider windows finds them.
     lane0 = np.arange(1400.0, 1601.0)
     x = np.stack([np.concatenate([lane0, np.full(200, c)]) for c in (1500.0, 1450.5)])
     lanes = np.repeat([0, 1], [lane0.size, 200])
-    ys = np.where(lanes == 0, 4.0, 40.0)
+    ys = np.where(lanes == 0, 4.0, -40.0)
     block = _check_block([1500.0, 1450.5, 1499.5], x, ys, lanes, 5)
     # 1501 and 1451 lie past the 200 stacked vehicles in sorted order
     assert sorted(x[0][block[0, 0]]) == [1498.0, 1499.0, 1500.0, 1501.0, 1502.0]

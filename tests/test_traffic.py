@@ -59,6 +59,8 @@ def test_concurrent_count_examples():
     assert list(n_hat(np.array([3, 3, 7, 3, 9]))) == [3, 3, 1, 3, 1]
     assert np.all(n_hat(np.arange(6)) == 1)
     assert np.all(n_hat(np.full(100, 4)) == 100)
+    # one row per period: bins are counted within each row only
+    assert n_hat(np.array([[3, 3, 7], [7, 1, 7]])).tolist() == [[2, 2, 1], [2, 1, 2]]
 
 
 @settings(deadline=None)
