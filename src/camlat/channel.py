@@ -29,17 +29,11 @@ PATHLOSS_MODELS = ("winner-plus", "log-distance")
 
 def pathloss_db(d_m, h_enb_m: float, h_ue_m: float, fc_ghz: float):
     """Default pathloss in dB; distances below 1 m are clamped to 1 m."""
-    h_enb_eff = h_enb_m - 1.0
-    h_ue_eff = h_ue_m - 1.0
-    if h_enb_eff <= 0 or h_ue_eff <= 0:
-        raise ConfigurationError("effective antenna heights (h - 1 m) must be positive")
-    if fc_ghz <= 0:
-        raise ConfigurationError("carrier frequency must be positive")
     d = np.maximum(d_m, 1.0)
     pl = (
         22.7 * np.log10(d)
-        - 17.3 * np.log10(h_enb_eff)
-        - 17.3 * np.log10(h_ue_eff)
+        - 17.3 * np.log10(h_enb_m - 1.0)
+        - 17.3 * np.log10(h_ue_m - 1.0)
         + 2.7 * np.log10(fc_ghz)
         - 7.56
     )
@@ -48,8 +42,6 @@ def pathloss_db(d_m, h_enb_m: float, h_ue_m: float, fc_ghz: float):
 
 def log_distance_pathloss_db(d_m, exponent: float, offset_db: float):
     """Sensitivity-study alternative: PL = 10 * n * log10(d) + offset."""
-    if exponent <= 0:
-        raise ConfigurationError("pathloss exponent must be positive")
     d = np.maximum(d_m, 1.0)
     pl = 10.0 * exponent * np.log10(d) + offset_db
     return pl if isinstance(d_m, np.ndarray) else float(pl)
@@ -72,6 +64,10 @@ class LinkBudget:
     log_distance_offset_db: float = 47.86
 
     def __post_init__(self):
+        if self.carrier_freq_ghz <= 0:
+            raise ConfigurationError("carrier frequency must be positive")
+        if self.pathloss_exponent <= 0:
+            raise ConfigurationError("pathloss exponent must be positive")
         if self.shadow_std_db < 0 or self.fast_fade_std_db < 0:
             raise ConfigurationError("fading standard deviations must be non-negative")
         if self.pathloss_model not in PATHLOSS_MODELS:
@@ -110,8 +106,8 @@ class ChannelParams:
     """Directional budgets built from one shared set of channel knobs.
 
     ``dl_calibration_loss_db`` is an extra downlink-only loss margin, the
-    declared calibration parameter of the "figure-calibrated" profile
-    (0 dB in the "table-literal" profile).
+    declared calibration parameter of the "figure-calibrated" profile, whose
+    90 dB is the default here (0 dB in the "table-literal" profile).
     """
 
     ul_tx_power_dbm: float = 23.0
@@ -123,7 +119,7 @@ class ChannelParams:
     shadow_std_db: float = 3.0
     fast_fade_std_db: float = 4.0
     additional_losses_db: float = 15.0
-    dl_calibration_loss_db: float = 0.0
+    dl_calibration_loss_db: float = 90.0
     noise_power_dbm: float = -110.0
     pathloss_model: str = "winner-plus"
     pathloss_exponent: float = 3.0

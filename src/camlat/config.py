@@ -29,10 +29,8 @@ from .channel import PATHLOSS_MODELS, ChannelParams
 from .errors import ConfigurationError
 from .latency import NetworkParams, TnCnDistribution
 from .radio import PrbPool
-from .scenario import HardCoreParams, RoadGeometry, ScenarioParams
+from .scenario import KMH_TO_MS, HardCoreParams, RoadGeometry, ScenarioParams
 from .traffic import TrafficParams
-
-KMH_TO_MS = 1.0 / 3.6
 
 PROFILES = {
     "figure-calibrated": {
@@ -72,62 +70,70 @@ class SimulationPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ConfigurationError("master seed must be non-negative")
         if self.replications < 1 or self.periods < 1:
             raise ConfigurationError("replications and periods must be at least 1")
         if self.workers < 1:
             raise ConfigurationError("worker count must be at least 1")
 
 
-# Section -> field -> default, in document (human) units.
-_DEFAULT_DOCUMENT: dict[str, dict[str, Any]] = {
+_POSITIVE = {"positive": True}
+_NON_NEGATIVE = {"minimum": 0.0}
+_AT_LEAST_ONE = {"minimum": 1}
+
+# Section -> field -> (default in document units, validation rule). The
+# default's type picks the check: bool -> true/false, tuple -> [low, high]
+# pair, str -> one of the rule's options, int -> integer, float -> number.
+_FIELDS: dict[str, dict[str, tuple[Any, dict]]] = {
     "scenario": {
-        "lane_length_km": 3.0,
-        "lane_width_m": 4.0,
-        "vehicle_intensity_per_m": 0.01,
-        "inter_vehicle_distance_m": 10.0,
-        "speed_kmh": (70.0, 140.0),
-        "vru_count": 100,
-        "vru_strip_m": (1200.0, 1800.0),
-        "enb_position_m": (1500.0, 10.0),
-        "mobility": True,
+        "lane_length_km": (3.0, _POSITIVE),
+        "lane_width_m": (4.0, _POSITIVE),
+        "vehicle_intensity_per_m": (0.01, _POSITIVE),
+        "inter_vehicle_distance_m": (10.0, _NON_NEGATIVE),
+        "speed_kmh": ((70.0, 140.0), _NON_NEGATIVE),
+        "vru_count": (100, _AT_LEAST_ONE),
+        "vru_strip_m": ((1200.0, 1800.0), {"strict": True}),
+        "enb_position_m": ((1500.0, 10.0), {"ordered": False}),
+        "mobility": (True, {}),
     },
     "traffic": {
-        "period_ms": 100.0,
-        "offset_bins": 5,
-        "packet_kbits": (8.0, 12.0),
-        "compute_cycles_per_bit": (100.0, 300.0),
+        "period_ms": (100.0, _POSITIVE),
+        "offset_bins": (5, _AT_LEAST_ONE),
+        "packet_kbits": ((8.0, 12.0), {}),
+        "compute_cycles_per_bit": ((100.0, 300.0), _NON_NEGATIVE),
     },
     "channel": {
-        "ul_tx_power_dbm": 23.0,
-        "dl_tx_power_dbm": 46.0,
-        "frequency_ghz": 5.9,
-        "enb_height_m": 10.0,
-        "vru_height_m": 1.5,
-        "vehicle_height_m": 1.5,
-        "shadowing_std_db": 3.0,
-        "fast_fading_std_db": 4.0,
-        "thermal_noise_dbm": -110.0,
-        "additional_losses_db": 15.0,
-        "dl_calibration_loss_db": 0.0,
-        "pathloss_model": "winner-plus",
-        "pathloss_exponent": 3.0,
-        "log_distance_offset_db": 47.86,
+        "ul_tx_power_dbm": (23.0, {}),
+        "dl_tx_power_dbm": (46.0, {}),
+        "frequency_ghz": (5.9, _POSITIVE),
+        "enb_height_m": (10.0, _POSITIVE),
+        "vru_height_m": (1.5, _POSITIVE),
+        "vehicle_height_m": (1.5, _POSITIVE),
+        "shadowing_std_db": (3.0, _NON_NEGATIVE),
+        "fast_fading_std_db": (4.0, _NON_NEGATIVE),
+        "thermal_noise_dbm": (-110.0, {}),
+        "additional_losses_db": (15.0, _NON_NEGATIVE),
+        "dl_calibration_loss_db": (0.0, _NON_NEGATIVE),
+        "pathloss_model": ("winner-plus", {"options": PATHLOSS_MODELS}),
+        "pathloss_exponent": (3.0, _POSITIVE),
+        "log_distance_offset_db": (47.86, {}),
     },
     "radio": {
-        "bandwidth_mhz": 9.0,
-        "prb_bandwidth_khz": 180.0,
-        "cluster_size": 5,
+        "bandwidth_mhz": (9.0, _POSITIVE),
+        "prb_bandwidth_khz": (180.0, _POSITIVE),
+        "cluster_size": (5, _AT_LEAST_ONE),
     },
     "network": {
-        "backhaul_mbps": 10.0,
-        "server_gcycles_per_s": 9.0,
-        "tn_cn_one_way_ms": (15.0, 35.0),
+        "backhaul_mbps": (10.0, _POSITIVE),
+        "server_gcycles_per_s": (9.0, _POSITIVE),
+        "tn_cn_one_way_ms": ((15.0, 35.0), _NON_NEGATIVE),
     },
     "engine": {
-        "master_seed": 1729,
-        "replications": 200,
-        "periods": 10,
-        "workers": 1,
+        "master_seed": (1729, {"minimum": 0}),
+        "replications": (200, _AT_LEAST_ONE),
+        "periods": (10, _AT_LEAST_ONE),
+        "workers": (1, _AT_LEAST_ONE),
     },
 }
 
@@ -138,11 +144,22 @@ def default_document(profile: str = DEFAULT_PROFILE) -> dict[str, dict[str, Any]
         raise ConfigurationError(
             f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}"
         )
-    doc = {section: dict(fields) for section, fields in _DEFAULT_DOCUMENT.items()}
+    doc = {
+        section: {key: default for key, (default, _) in fields.items()}
+        for section, fields in _FIELDS.items()
+    }
     for dotted, value in PROFILES[profile].items():
         section, key = dotted.split(".")
         doc[section][key] = value
     return doc
+
+
+def _to_float(value) -> float:
+    """``float(value)``, reading an integer beyond the float range as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class _Validator:
@@ -154,14 +171,23 @@ class _Validator:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def number(self, doc, section, key, *, minimum=None, positive=False, integer=False):
-        value = doc[section][key]
-        path = f"{section}.{key}"
+    def field(self, path: str, value, default, rule: dict):
+        """Check one document value by the kind of its default; None if invalid."""
+        if isinstance(default, bool):
+            return self.boolean(path, value)
+        if isinstance(default, tuple):
+            return self.pair(path, value, **rule)
+        if isinstance(default, str):
+            return self.choice(path, value, **rule)
+        return self.number(path, value, integer=isinstance(default, int), **rule)
+
+    def number(self, path, value, *, minimum=None, positive=False, integer=False):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(path, f"expected a number, got {value!r}")
             return None
-        if isinstance(value, float) and not math.isfinite(value):
-            self.fail(path, f"must be finite, got {value!r}")
+        number = _to_float(value)
+        if not math.isfinite(number):
+            self.fail(path, f"must be finite, got {number!r}")
             return None
         if integer and int(value) != value:
             self.fail(path, f"expected an integer, got {value!r}")
@@ -172,21 +198,19 @@ class _Validator:
         if minimum is not None and value < minimum:
             self.fail(path, f"must be >= {minimum}, got {value!r}")
             return None
-        return int(value) if integer else float(value)
+        return int(value) if integer else number
 
-    def pair(self, doc, section, key, *, minimum=None, ordered=True, strict=False):
-        value = doc[section][key]
-        path = f"{section}.{key}"
+    def pair(self, path, value, *, minimum=None, ordered=True, strict=False):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             self.fail(path, f"expected a [low, high] pair, got {value!r}")
             return None
         try:
-            lo, hi = float(value[0]), float(value[1])
+            lo, hi = _to_float(value[0]), _to_float(value[1])
         except (TypeError, ValueError):
             self.fail(path, f"expected numeric bounds, got {value!r}")
             return None
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            self.fail(path, f"bounds must be finite, got {value!r}")
+            self.fail(path, f"bounds must be finite, got {[lo, hi]!r}")
             return None
         if minimum is not None and lo < minimum:
             self.fail(path, f"lower bound must be >= {minimum}, got {lo!r}")
@@ -197,17 +221,15 @@ class _Validator:
             return None
         return lo, hi
 
-    def boolean(self, doc, section, key):
-        value = doc[section][key]
+    def boolean(self, path, value):
         if not isinstance(value, bool):
-            self.fail(f"{section}.{key}", f"expected true/false, got {value!r}")
+            self.fail(path, f"expected true/false, got {value!r}")
             return None
         return value
 
-    def choice(self, doc, section, key, options):
-        value = doc[section][key]
+    def choice(self, path, value, *, options):
         if value not in options:
-            self.fail(f"{section}.{key}", f"expected one of {sorted(options)}, got {value!r}")
+            self.fail(path, f"expected one of {sorted(options)}, got {value!r}")
             return None
         return value
 
@@ -241,70 +263,38 @@ def plan_from_document(document: dict) -> SimulationPlan:
         raise ConfigurationError("config document must be a JSON object")
     v = _Validator()
     doc = _merge_document(document, v)
-
-    lane_length_km = v.number(doc, "scenario", "lane_length_km", positive=True)
-    lane_width = v.number(doc, "scenario", "lane_width_m", positive=True)
-    intensity = v.number(doc, "scenario", "vehicle_intensity_per_m", positive=True)
-    min_gap = v.number(doc, "scenario", "inter_vehicle_distance_m", minimum=0.0)
-    speed_kmh = v.pair(doc, "scenario", "speed_kmh", minimum=0.0, strict=False)
-    vru_count = v.number(doc, "scenario", "vru_count", integer=True, minimum=1)
-    vru_strip = v.pair(doc, "scenario", "vru_strip_m", strict=True)
-    enb_pos = v.pair(doc, "scenario", "enb_position_m", ordered=False)
-    mobility = v.boolean(doc, "scenario", "mobility")
-
-    period_ms = v.number(doc, "traffic", "period_ms", positive=True)
-    offset_bins = v.number(doc, "traffic", "offset_bins", integer=True, minimum=1)
-    packet_kbits = v.pair(doc, "traffic", "packet_kbits", strict=False)
-    compute_range = v.pair(doc, "traffic", "compute_cycles_per_bit", minimum=0.0)
-
-    ul_tx = v.number(doc, "channel", "ul_tx_power_dbm")
-    dl_tx = v.number(doc, "channel", "dl_tx_power_dbm")
-    freq = v.number(doc, "channel", "frequency_ghz", positive=True)
-    enb_height = v.number(doc, "channel", "enb_height_m", positive=True)
-    vru_height = v.number(doc, "channel", "vru_height_m", positive=True)
-    vehicle_height = v.number(doc, "channel", "vehicle_height_m", positive=True)
-    shadow_std = v.number(doc, "channel", "shadowing_std_db", minimum=0.0)
-    fade_std = v.number(doc, "channel", "fast_fading_std_db", minimum=0.0)
-    noise = v.number(doc, "channel", "thermal_noise_dbm")
-    losses = v.number(doc, "channel", "additional_losses_db", minimum=0.0)
-    dl_margin = v.number(doc, "channel", "dl_calibration_loss_db", minimum=0.0)
-    model = v.choice(doc, "channel", "pathloss_model", PATHLOSS_MODELS)
-    exponent = v.number(doc, "channel", "pathloss_exponent", positive=True)
-    logdist_offset = v.number(doc, "channel", "log_distance_offset_db")
-
-    bandwidth_mhz = v.number(doc, "radio", "bandwidth_mhz", positive=True)
-    prb_khz = v.number(doc, "radio", "prb_bandwidth_khz", positive=True)
-    cluster_size = v.number(doc, "radio", "cluster_size", integer=True, minimum=1)
-
-    backhaul_mbps = v.number(doc, "network", "backhaul_mbps", positive=True)
-    server_gcps = v.number(doc, "network", "server_gcycles_per_s", positive=True)
-    tn_cn_ms = v.pair(doc, "network", "tn_cn_one_way_ms", minimum=0.0)
-
-    master_seed = v.number(doc, "engine", "master_seed", integer=True, minimum=0)
-    replications = v.number(doc, "engine", "replications", integer=True, minimum=1)
-    periods = v.number(doc, "engine", "periods", integer=True, minimum=1)
-    workers = v.number(doc, "engine", "workers", integer=True, minimum=1)
+    scn, trf, chn, rad, net, eng = (
+        {
+            key: v.field(f"{section}.{key}", doc[section][key], default, rule)
+            for key, (default, rule) in _FIELDS[section].items()
+        }
+        for section in ("scenario", "traffic", "channel", "radio", "network", "engine")
+    )
 
     # Cross-field invariants that need valid pieces first.
+    intensity, min_gap = scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"]
     if intensity is not None and min_gap is not None and intensity * min_gap >= 1.0:
         v.fail(
             "scenario.vehicle_intensity_per_m",
             f"infeasible density: intensity * inter_vehicle_distance must be < 1 "
             f"(got {intensity} * {min_gap})",
         )
+    speed_kmh = scn["speed_kmh"]
     if speed_kmh is not None and speed_kmh[0] <= 0:
         v.fail("scenario.speed_kmh", "minimum speed must be positive")
+    lane_length_km, enb_pos = scn["lane_length_km"], scn["enb_position_m"]
     if lane_length_km is not None and enb_pos is not None:
         if not 0.0 <= enb_pos[0] <= lane_length_km * 1000.0:
             v.fail("scenario.enb_position_m", "x-coordinate must lie on the lane segment")
-    if model == "winner-plus":
-        for name, h in (("enb_height_m", enb_height), ("vru_height_m", vru_height),
-                        ("vehicle_height_m", vehicle_height)):
-            if h is not None and h <= 1.0:
+    if chn["pathloss_model"] == "winner-plus":
+        for name in ("enb_height_m", "vru_height_m", "vehicle_height_m"):
+            if chn[name] is not None and chn[name] <= 1.0:
                 v.fail(f"channel.{name}", "must exceed 1 m (effective height h - 1 > 0)")
+    bandwidth_mhz, prb_khz = rad["bandwidth_mhz"], rad["prb_bandwidth_khz"]
     if bandwidth_mhz is not None and prb_khz is not None:
         if int(bandwidth_mhz * 1e6 // (prb_khz * 1e3)) < 1:
             v.fail("radio.bandwidth_mhz", "bandwidth must fit at least one PRB")
+    packet_kbits = trf["packet_kbits"]
     if packet_kbits is not None and packet_kbits[0] <= 0:
         v.fail("traffic.packet_kbits", "minimum packet size must be positive")
 
@@ -313,54 +303,52 @@ def plan_from_document(document: dict) -> SimulationPlan:
             "invalid configuration:\n" + "\n".join(f"  - {e}" for e in v.errors)
         )
 
-    lane_length_m = lane_length_km * 1000.0
-    half_spacing = lane_width / 2.0 + 2.0  # lanes straddle the pedestrian strip
+    half_spacing = scn["lane_width_m"] / 2.0 + 2.0  # lanes straddle the pedestrian strip
     road = RoadGeometry(
-        lane_length_m=lane_length_m,
-        lane_width_m=lane_width,
-        lane_count=2,
+        lane_length_m=lane_length_km * 1000.0,
+        lane_width_m=scn["lane_width_m"],
         lane_centerlines_m=(half_spacing, -half_spacing),
-        vru_lateral_offset_m=0.0,
-        enb_position_m=(enb_pos[0], enb_pos[1]),
+        enb_position_m=enb_pos,
     )
     scenario = ScenarioParams(
         road=road,
         hardcore=HardCoreParams(intensity_per_m=intensity, hard_core_distance_m=min_gap),
         speed_range_ms=(speed_kmh[0] * KMH_TO_MS, speed_kmh[1] * KMH_TO_MS),
-        vru_count=vru_count,
-        vru_strip_m=vru_strip,
-        mobility=mobility,
+        vru_count=scn["vru_count"],
+        vru_strip_m=scn["vru_strip_m"],
+        mobility=scn["mobility"],
     )
     traffic = TrafficParams(
-        period_s=period_ms / 1e3,
-        offset_bins=offset_bins,
+        period_s=trf["period_ms"] / 1e3,
+        offset_bins=trf["offset_bins"],
         size_bits_range=(packet_kbits[0] * 1e3, packet_kbits[1] * 1e3),
-        compute_cycles_per_bit_range=compute_range,
+        compute_cycles_per_bit_range=trf["compute_cycles_per_bit"],
     )
     channel = ChannelParams(
-        ul_tx_power_dbm=ul_tx,
-        dl_tx_power_dbm=dl_tx,
-        carrier_freq_ghz=freq,
-        enb_height_m=enb_height,
-        vru_height_m=vru_height,
-        vehicle_height_m=vehicle_height,
-        shadow_std_db=shadow_std,
-        fast_fade_std_db=fade_std,
-        additional_losses_db=losses,
-        dl_calibration_loss_db=dl_margin,
-        noise_power_dbm=noise,
-        pathloss_model=model,
-        pathloss_exponent=exponent,
-        log_distance_offset_db=logdist_offset,
+        ul_tx_power_dbm=chn["ul_tx_power_dbm"],
+        dl_tx_power_dbm=chn["dl_tx_power_dbm"],
+        carrier_freq_ghz=chn["frequency_ghz"],
+        enb_height_m=chn["enb_height_m"],
+        vru_height_m=chn["vru_height_m"],
+        vehicle_height_m=chn["vehicle_height_m"],
+        shadow_std_db=chn["shadowing_std_db"],
+        fast_fade_std_db=chn["fast_fading_std_db"],
+        additional_losses_db=chn["additional_losses_db"],
+        dl_calibration_loss_db=chn["dl_calibration_loss_db"],
+        noise_power_dbm=chn["thermal_noise_dbm"],
+        pathloss_model=chn["pathloss_model"],
+        pathloss_exponent=chn["pathloss_exponent"],
+        log_distance_offset_db=chn["log_distance_offset_db"],
     )
     radio = RadioParams(
         pool=PrbPool(bandwidth_hz=bandwidth_mhz * 1e6, prb_bandwidth_hz=prb_khz * 1e3),
-        cluster_size=cluster_size,
+        cluster_size=rad["cluster_size"],
     )
+    tn_cn_ms = net["tn_cn_one_way_ms"]
     network = NetworkParams(
-        backhaul_bps=backhaul_mbps * 1e6,
+        backhaul_bps=net["backhaul_mbps"] * 1e6,
         tn_cn=TnCnDistribution(tn_cn_ms[0] / 1e3, tn_cn_ms[1] / 1e3),
-        server_cycles_per_s=server_gcps * 1e9,
+        server_cycles_per_s=net["server_gcycles_per_s"] * 1e9,
     )
     return SimulationPlan(
         scenario=scenario,
@@ -368,10 +356,10 @@ def plan_from_document(document: dict) -> SimulationPlan:
         channel=channel,
         radio=radio,
         network=network,
-        master_seed=master_seed,
-        replications=replications,
-        periods=periods,
-        workers=workers,
+        master_seed=eng["master_seed"],
+        replications=eng["replications"],
+        periods=eng["periods"],
+        workers=eng["workers"],
     )
 
 

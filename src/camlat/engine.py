@@ -32,7 +32,7 @@ import numpy as np
 
 from . import channel, latency, radio, scenario, traffic
 from .config import SimulationPlan
-from .errors import AggregationError, CamlatError, ScenarioError
+from .errors import AggregationError, CamlatError
 from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
 
@@ -79,8 +79,6 @@ def evaluate_period(
         latency.sample_tn_cn(plan.network.tn_cn, rng, size=packets.shape[1]) for rng in tn_cn_rngs
     ])
 
-    if scn.vehicle_count == 0:
-        raise ScenarioError("no vehicles on the road; cannot form clusters")
     m = min(plan.radio.cluster_size, scn.vehicle_count)
     members = radio.nearest_member_indices(
         scn.vru_x, scn.vru_y, vehicle_x, scn.vehicle_y, scn.vehicle_lane, m

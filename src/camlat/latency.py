@@ -54,16 +54,12 @@ class NetworkParams:
 
 def backhaul_latency(size_bits, n_hat, backhaul_bps: float):
     """Routing time through the shared finite-capacity backhaul."""
-    if backhaul_bps <= 0:
-        raise ConfigurationError("backhaul capacity must be positive")
     out = np.asarray(size_bits, dtype=float) * np.asarray(n_hat, dtype=float) / backhaul_bps
     return out if out.ndim else float(out)
 
 
 def execution_latency(size_bits, cycles_per_bit, n_hat, server_cycles_per_s: float):
     """Processing time when the server's capacity is split over the bin."""
-    if server_cycles_per_s <= 0:
-        raise ConfigurationError("server capacity must be positive")
     out = (
         np.asarray(n_hat, dtype=float)
         * np.asarray(size_bits, dtype=float)

@@ -64,8 +64,6 @@ def nearest_member_indices(
     monotone. Rows that fail retry with a doubled window; at window V this
     is the full sort, which needs no certificate.
     """
-    if m < 1:
-        raise ConfigurationError("cluster size must be at least 1")
     x = np.atleast_2d(vehicle_x)
     periods, v = x.shape
     if v == 0:

@@ -28,8 +28,6 @@ class SubstreamFactory:
     """Spawns independent generators from one 64-bit master seed."""
 
     def __init__(self, master_seed: int):
-        if master_seed < 0:
-            raise ValueError("master seed must be non-negative")
         self.master_seed = int(master_seed)
 
     def stream(self, purpose: str, *indices: int) -> np.random.Generator:

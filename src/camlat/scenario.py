@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+KMH_TO_MS = 1.0 / 3.6
+
 
 @dataclass(frozen=True)
 class RoadGeometry:
@@ -25,9 +27,7 @@ class RoadGeometry:
 
     lane_length_m: float = 3000.0
     lane_width_m: float = 4.0
-    lane_count: int = 2
     lane_centerlines_m: tuple[float, ...] = (4.0, -4.0)
-    vru_lateral_offset_m: float = 0.0
     enb_position_m: tuple[float, float] = (1500.0, 10.0)
 
     def __post_init__(self):
@@ -35,14 +35,16 @@ class RoadGeometry:
             raise ConfigurationError("lane length must be positive")
         if self.lane_count != 2:
             raise ConfigurationError("exactly two lanes are supported")
-        if len(self.lane_centerlines_m) != self.lane_count:
-            raise ConfigurationError("one centerline offset per lane is required")
         if not 0.0 <= self.enb_position_m[0] <= self.lane_length_m:
             raise ConfigurationError("base-station x-coordinate must lie on the segment")
 
     def lane_direction(self, lane_index: int) -> int:
         """Direction of travel: +x on even lanes, -x on odd lanes."""
         return 1 if lane_index % 2 == 0 else -1
+
+    @property
+    def lane_count(self) -> int:
+        return len(self.lane_centerlines_m)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class ScenarioParams:
 
     road: RoadGeometry = RoadGeometry()
     hardcore: HardCoreParams = HardCoreParams()
-    speed_range_ms: tuple[float, float] = (70.0 / 3.6, 140.0 / 3.6)
+    speed_range_ms: tuple[float, float] = (70.0 * KMH_TO_MS, 140.0 * KMH_TO_MS)
     vru_count: int = 100
     vru_strip_m: tuple[float, float] = (1200.0, 1800.0)
     mobility: bool = True
@@ -89,8 +91,6 @@ def sample_hardcore_positions(
     params: HardCoreParams, length_m: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample ordered point positions of the hard-core process on [0, length)."""
-    if length_m <= 0:
-        raise ConfigurationError("lane length must be positive")
     lam = params.intensity_per_m
     delta = params.hard_core_distance_m
     tail_scale = 1.0 / lam - delta  # mean of the exponential part of each gap
@@ -134,10 +134,6 @@ def sample_vehicles(
 
 def sample_vrus(n: int, strip_m: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
     """x-positions of n VRUs placed i.i.d. uniform on the strip."""
-    if n < 1:
-        raise ConfigurationError("at least one VRU is required (no traffic to simulate)")
-    if not strip_m[0] < strip_m[1]:
-        raise ConfigurationError("VRU strip must be a non-degenerate interval")
     return rng.uniform(strip_m[0], strip_m[1], size=n)
 
 
@@ -177,13 +173,11 @@ def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenar
         vehicle_speed=np.concatenate(speeds),
         vehicle_lane=np.repeat(np.arange(road.lane_count), per_lane),
         vru_x=vru_x,
-        vru_y=np.full(vru_x.size, road.vru_lateral_offset_m),
+        vru_y=np.zeros(vru_x.size),  # VRUs walk the strip's center line
     )
 
 
 def advance_vehicles(scenario: Scenario, dt_s: float) -> Scenario:
     """Move every vehicle by speed*dt along its lane, wrapping at the segment ends."""
-    if dt_s < 0:
-        raise ConfigurationError("time step must be non-negative")
     new_x = np.mod(scenario.vehicle_x + scenario.vehicle_speed * dt_s, scenario.road.lane_length_m)
     return replace(scenario, vehicle_x=new_x)

@@ -45,8 +45,6 @@ def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Genera
     The record fields are ``offset_bin``, ``size_bits`` and ``compute_density``
     (cycles per bit); see ``PACKET_DTYPE``.
     """
-    if vru_count < 1:
-        raise ConfigurationError("cannot generate traffic for an empty VRU list")
     packets = np.empty(vru_count, dtype=PACKET_DTYPE)
     packets["offset_bin"] = rng.integers(0, params.offset_bins, size=vru_count)
     packets["size_bits"] = rng.uniform(*params.size_bits_range, size=vru_count)

@@ -1,6 +1,7 @@
 """Link-budget unit oracles and SNR sampling properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,12 +49,6 @@ def test_pathloss_strictly_increasing_in_distance():
 
 def test_pathloss_clamps_short_distances():
     assert pathloss_db(0.2, H_ENB, H_UE, FC) == pathloss_db(1.0, H_ENB, H_UE, FC)
-
-
-@pytest.mark.parametrize("h_enb, h_ue", [(1.0, 1.5), (10.0, 1.0), (0.5, 0.5)])
-def test_pathloss_rejects_nonpositive_effective_heights(h_enb, h_ue):
-    with pytest.raises(ConfigurationError):
-        pathloss_db(100.0, h_enb, h_ue, FC)
 
 
 def test_log_distance_model():
@@ -122,3 +117,8 @@ def test_dl_budget_includes_calibration_margin():
 def test_negative_std_rejected():
     with pytest.raises(ConfigurationError):
         _budget(shadow=-1.0)
+    # the budget also holds the pathloss inputs' rules
+    for bad in ({"h_enb_m": 1.0}, {"h_ue_m": 1.0}, {"carrier_freq_ghz": 0.0},
+                {"pathloss_exponent": 0.0}):
+        with pytest.raises(ConfigurationError):
+            replace(_budget(), **bad)

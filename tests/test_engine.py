@@ -8,7 +8,12 @@ import pytest
 from camlat import engine
 from camlat.channel import ChannelParams
 from camlat.config import RadioParams, SimulationPlan, plan_from_document
-from camlat.errors import AggregationError, ScenarioError, UnreachableLinkError
+from camlat.errors import (
+    AggregationError,
+    ConfigurationError,
+    ScenarioError,
+    UnreachableLinkError,
+)
 from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, compose_e2e
 from camlat.rng import SubstreamFactory
 from camlat.scenario import RoadGeometry, Scenario, ScenarioParams, sample_scenario
@@ -141,6 +146,8 @@ def test_replications_use_distinct_substreams():
     a = engine.run_replication(plan, 0)
     b = engine.run_replication(plan, 1)
     assert not np.array_equal(a, b)
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimulationPlan(master_seed=-1)
 
 
 def test_aggregates_independent_of_execution_order():

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from camlat import cli
-from camlat.config import load_config, plan_from_document
+from camlat.config import SimulationPlan, load_config, plan_from_document
 from camlat.engine import AggregateStats
 from camlat.errors import ConfigurationError
 from camlat.experiments import (
@@ -49,6 +49,8 @@ def test_empty_document_yields_full_default_plan():
     assert plan.channel.dl_tx_power_dbm == 46.0
     assert plan.channel.noise_power_dbm == -110.0
     assert plan.channel.pathloss_exponent == 3.0  # parsed and stored, unused by default
+    # the dataclass defaults are the default profile's values, to the last bit
+    assert plan == SimulationPlan()
 
 
 def test_table_literal_profile():
@@ -71,14 +73,19 @@ def test_infeasible_density_rejected_with_field_path():
 
 def test_all_violations_reported_together():
     doc = {
-        "scenario": {"vru_count": 0, "lane_length_km": -3},
+        "scenario": {"vru_count": 0, "lane_length_km": -3, "vru_strip_m": [1500, 1500]},
+        "traffic": {"period_ms": 0},
+        "channel": {"vru_height_m": 1.0, "frequency_ghz": 0, "pathloss_exponent": 0},
         "radio": {"cluster_size": 0},
+        "network": {"backhaul_mbps": 0, "server_gcycles_per_s": 0},
+        "engine": {"master_seed": -1},
     }
     with pytest.raises(ConfigurationError) as err:
         plan_from_document(doc)
     message = str(err.value)
-    for path in ("scenario.vru_count", "scenario.lane_length_km", "radio.cluster_size"):
-        assert path in message
+    for section, fields in doc.items():
+        for key in fields:
+            assert f"{section}.{key}: " in message
 
 
 @pytest.mark.parametrize(
@@ -90,6 +97,11 @@ def test_all_violations_reported_together():
         ('{"network": {"backhaul_mbps": Infinity}}', "network.backhaul_mbps"),
         ('{"channel": {"thermal_noise_dbm": -Infinity}}', "channel.thermal_noise_dbm"),
         ('{"traffic": {"packet_kbits": [NaN, 12]}}', "traffic.packet_kbits"),
+        # JSON integers beyond the float range
+        pytest.param('{"network": {"backhaul_mbps": 1%s}}' % ("0" * 400),
+                     "network.backhaul_mbps", id="backhaul_mbps-1e400-integer"),
+        pytest.param('{"traffic": {"packet_kbits": [8, 1%s]}}' % ("0" * 400),
+                     "traffic.packet_kbits", id="packet_kbits-1e400-integer"),
     ],
 )
 def test_non_finite_numbers_rejected_with_field_path(tmp_path, text, path):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from camlat.errors import ConfigurationError
 from camlat.latency import (
     COMPONENT_KEYS,
+    NetworkParams,
     TnCnDistribution,
     backhaul_latency,
     compose_e2e,
@@ -72,6 +74,10 @@ def test_tn_cn_sample_means(low_ms, high_ms, mean_ms):
 def test_tn_cn_rejects_negative_support():
     with pytest.raises(Exception):
         TnCnDistribution(-0.01, 0.02)
+    with pytest.raises(ConfigurationError):
+        NetworkParams(backhaul_bps=0.0)
+    with pytest.raises(ConfigurationError):
+        NetworkParams(server_cycles_per_s=0.0)
 
 
 def _compose(t_ul, t_bh, t_tn_cn, t_exc, t_dl):

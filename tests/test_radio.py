@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camlat.config import RadioParams
 from camlat.errors import ConfigurationError, ScenarioError, UnreachableLinkError
 from camlat.radio import (
     PrbPool,
@@ -36,6 +37,8 @@ def test_pool_default_prb_count():
 def test_pool_must_fit_one_prb():
     with pytest.raises(ConfigurationError):
         PrbPool(bandwidth_hz=100.0, prb_bandwidth_hz=180e3)
+    with pytest.raises(ConfigurationError):
+        RadioParams(cluster_size=0)
 
 
 def test_select_cluster_example():

@@ -50,11 +50,6 @@ def test_degenerate_size_range():
     assert np.all(packets["size_bits"] == 10_000.0)
 
 
-def test_empty_vru_list_rejected():
-    with pytest.raises(ConfigurationError):
-        generate_period(0, TrafficParams(), np.random.default_rng(0))
-
-
 def test_concurrent_count_examples():
     assert list(n_hat(np.array([3, 3, 7, 3, 9]))) == [3, 3, 1, 3, 1]
     assert np.all(n_hat(np.arange(6)) == 1)
