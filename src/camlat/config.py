@@ -154,6 +154,11 @@ def default_document(profile: str = DEFAULT_PROFILE) -> dict[str, dict[str, Any]
     return doc
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool (which is an int in Python)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _to_float(value) -> float:
     """``float(value)``, reading an integer beyond the float range as an infinity."""
     try:
@@ -182,7 +187,7 @@ class _Validator:
         return self.number(path, value, integer=isinstance(default, int), **rule)
 
     def number(self, path, value, *, minimum=None, positive=False, integer=False):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             self.fail(path, f"expected a number, got {value!r}")
             return None
         number = _to_float(value)
@@ -204,11 +209,10 @@ class _Validator:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             self.fail(path, f"expected a [low, high] pair, got {value!r}")
             return None
-        try:
-            lo, hi = _to_float(value[0]), _to_float(value[1])
-        except (TypeError, ValueError):
+        if not all(_is_number(bound) for bound in value):
             self.fail(path, f"expected numeric bounds, got {value!r}")
             return None
+        lo, hi = _to_float(value[0]), _to_float(value[1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             self.fail(path, f"bounds must be finite, got {[lo, hi]!r}")
             return None
@@ -388,6 +392,8 @@ def load_config(
             raise ConfigurationError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise ConfigurationError(f"{path}: unreadable JSON ({exc})") from exc
         if not isinstance(document, dict):
             raise ConfigurationError(f"{path}: top-level value must be a JSON object")
     if profile is not None:

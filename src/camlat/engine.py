@@ -1,30 +1,28 @@
 """Monte-Carlo orchestration: replications, the period pipeline, statistics.
 
 A run is ``replications`` independent scenario realizations, each simulated
-for ``periods`` message cycles. Every (replication, period) consumes its own
-random substreams, so a replication's output depends only on
+for ``periods`` message cycles. Every replication consumes its own random
+substreams, one per purpose, so a replication's output depends only on
 (master_seed, replication_index): replications can run in any order, on any
 number of workers, and aggregates come out bit-identical because per-packet
-results are merged in replication order before any reduction.
+results are written in replication order before any reduction.
 
 A replication is evaluated as one block with a leading period axis: the
 vehicle positions of every period form a (periods, vehicles) array, the
 packets a (periods, VRUs) array, and one ``evaluate_period`` call computes
 bin counts, uplink, downlink, backhaul, execution and composition for all of
-them. Random draws still come period by period from each period's own
-streams, in the same shapes, so the block gives the same numbers as
-evaluating the periods one at a time. Each VRU's downlink cluster comes from
-``radio.nearest_member_indices``, which ranks a certified window of
-candidates around the VRU instead of sorting every vehicle.
+them. Each purpose draws its whole block in one call, in (periods, VRUs) or,
+for the downlink members, (periods, VRUs, m) shape. Each VRU's downlink
+cluster comes from ``radio.nearest_member_indices``, which ranks a certified
+window of candidates around the VRU instead of sorting every vehicle.
 
 Per-packet results travel as one float array of shape (7, packets) whose
 rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
-then periods, then replications, concatenated in order.
+then periods, then replications, in order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -50,16 +48,17 @@ def evaluate_period(
     plan: SimulationPlan,
     vehicle_x: np.ndarray,
     packets: np.ndarray,
-    ul_rngs: Sequence[np.random.Generator],
-    dl_rngs: Sequence[np.random.Generator],
-    tn_cn_rngs: Sequence[np.random.Generator],
+    ul_rng: np.random.Generator,
+    dl_rng: np.random.Generator,
+    tn_cn_rng: np.random.Generator,
 ) -> np.ndarray:
     """All latency components of a block of periods, shape (7, P * n) (pure given the streams).
 
     ``vehicle_x`` holds the vehicle positions of each period, shape (P, V);
     ``packets[p, i]`` is the p-th period's packet of the i-th VRU of the
-    scenario arrays, and the p-th generator of each sequence is that
-    period's stream. Columns run over VRUs within a period, then periods.
+    scenario arrays. Each generator draws its purpose's whole block in one
+    call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
+    in shape (P, n, m). Columns run over VRUs within a period, then periods.
     """
     pool = plan.radio.pool
     sizes = packets["size_bits"]
@@ -67,17 +66,16 @@ def evaluate_period(
 
     enb_x, enb_y = plan.scenario.road.enb_position_m
     d_ul = np.hypot(scn.vru_x - enb_x, scn.vru_y - enb_y)
-    ul_budget = plan.channel.ul_budget()
-    snr_ul = np.stack([channel.sample_snr_db(ul_budget, d_ul, rng) for rng in ul_rngs])
+    snr_ul = channel.sample_snr_db(
+        plan.channel.ul_budget(), np.broadcast_to(d_ul, sizes.shape), ul_rng
+    )
     t_ul = radio.ul_latency(sizes, radio.prb_share(pool, n_hat, 1), snr_ul, pool)
 
     t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
     t_exc = latency.execution_latency(
         sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
     )
-    t_tn_cn = np.stack([
-        latency.sample_tn_cn(plan.network.tn_cn, rng, size=packets.shape[1]) for rng in tn_cn_rngs
-    ])
+    t_tn_cn = latency.sample_tn_cn(plan.network.tn_cn, tn_cn_rng, size=sizes.shape)
 
     m = min(plan.radio.cluster_size, scn.vehicle_count)
     members = radio.nearest_member_indices(
@@ -85,8 +83,7 @@ def evaluate_period(
     )
     member_x = np.take_along_axis(vehicle_x, members.reshape(len(members), -1), axis=1)
     d_dl = np.hypot(member_x.reshape(members.shape) - enb_x, scn.vehicle_y[members] - enb_y)
-    dl_budget = plan.channel.dl_budget()
-    snr_dl = np.stack([channel.sample_snr_db(dl_budget, d, rng) for d, rng in zip(d_dl, dl_rngs)])
+    snr_dl = channel.sample_snr_db(plan.channel.dl_budget(), d_dl, dl_rng)
     t_dl = radio.dl_latency(
         sizes.ravel(), radio.prb_share(pool, n_hat, m).ravel(), snr_dl.reshape(-1, m), pool
     )
@@ -99,31 +96,27 @@ def run_replication(plan: SimulationPlan, replication_index: int) -> np.ndarray:
     streams = SubstreamFactory(plan.master_seed)
     try:
         scn = scenario.sample_scenario(plan.scenario, streams, replication_index)
-        periods = range(plan.periods)
         # Step the positions period by period: the closed form (x0 + v*t) mod L
         # rounds differently and would change the sample path.
         snapshots = [scn]
-        for _ in periods[1:]:
+        for _ in range(plan.periods - 1):
             last = snapshots[-1]
             if plan.scenario.mobility:
                 last = scenario.advance_vehicles(last, plan.traffic.period_s)
             snapshots.append(last)
-        packets = np.stack([
-            traffic.generate_period(
-                plan.scenario.vru_count,
-                plan.traffic,
-                streams.stream("traffic", replication_index, period),
-            )
-            for period in periods
-        ])
+        packets = traffic.generate_period(
+            plan.periods * plan.scenario.vru_count,
+            plan.traffic,
+            streams.stream("traffic", replication_index),
+        ).reshape(plan.periods, plan.scenario.vru_count)
         return evaluate_period(
             scn,
             plan,
             np.stack([snapshot.vehicle_x for snapshot in snapshots]),
             packets,
-            ul_rngs=[streams.stream("ul", replication_index, period) for period in periods],
-            dl_rngs=[streams.stream("dl", replication_index, period) for period in periods],
-            tn_cn_rngs=[streams.stream("tn_cn", replication_index, period) for period in periods],
+            ul_rng=streams.stream("ul", replication_index),
+            dl_rng=streams.stream("dl", replication_index),
+            tn_cn_rng=streams.stream("tn_cn", replication_index),
         )
     except CamlatError as exc:
         raise type(exc)(f"replication {replication_index}: {exc}") from exc
@@ -134,15 +127,20 @@ def _replication_task(args: tuple[SimulationPlan, int]) -> np.ndarray:
 
 
 def run_plan(plan: SimulationPlan) -> np.ndarray:
-    """All replications, merged in replication order regardless of worker count."""
+    """All replications, written in replication order regardless of worker count."""
+    width = plan.periods * plan.scenario.vru_count
+    samples = np.empty((len(COMPONENT_KEYS), plan.replications * width))
+
+    def fill(results):
+        for rep, result in enumerate(results):
+            samples[:, rep * width : (rep + 1) * width] = result
+
     if plan.workers == 1:
-        results = [run_replication(plan, rep) for rep in range(plan.replications)]
+        fill(run_replication(plan, rep) for rep in range(plan.replications))
     else:
         with ProcessPoolExecutor(max_workers=plan.workers) as executor:
-            results = list(
-                executor.map(_replication_task, ((plan, rep) for rep in range(plan.replications)))
-            )
-    return np.concatenate(results, axis=1)
+            fill(executor.map(_replication_task, ((plan, rep) for rep in range(plan.replications))))
+    return samples
 
 
 def aggregate(samples: np.ndarray) -> dict[str, AggregateStats]:

@@ -46,12 +46,12 @@ def _by_key(samples):
 
 
 def _one_period(scn, plan, packets, streams):
-    """``evaluate_period`` on a block of one period: replication 0, period 0."""
+    """``evaluate_period`` on a block of one period with replication 0's streams."""
     return engine.evaluate_period(
         scn, plan, scn.vehicle_x[None], packets[None],
-        ul_rngs=[streams.stream("ul", 0, 0)],
-        dl_rngs=[streams.stream("dl", 0, 0)],
-        tn_cn_rngs=[streams.stream("tn_cn", 0, 0)],
+        ul_rng=streams.stream("ul", 0),
+        dl_rng=streams.stream("dl", 0),
+        tn_cn_rng=streams.stream("tn_cn", 0),
     )
 
 
@@ -242,30 +242,48 @@ def test_non_finite_component_fails_loudly():
 
 
 def test_period_block_matches_period_by_period():
-    # one block of periods equals the periods evaluated one at a time with
-    # the same streams and positions, column for column
-    plan = plan_from_document({"scenario": {"vru_count": 12}, "radio": {"cluster_size": 4},
-                               "engine": {"periods": 3, "master_seed": 11}})
+    # with the fading stds at zero and a degenerate transport+core range no
+    # draw depends on its position in a block, so one block of periods must
+    # equal the periods evaluated one at a time, column for column: the
+    # period axis of the bin counts, the cluster search and the DL
+    plan = plan_from_document({
+        "scenario": {"vru_count": 12},
+        "channel": {"shadowing_std_db": 0.0, "fast_fading_std_db": 0.0},
+        "radio": {"cluster_size": 4},
+        "network": {"tn_cn_one_way_ms": [45.0, 45.0]},
+        "engine": {"periods": 3, "master_seed": 11},
+    })
     streams = SubstreamFactory(plan.master_seed)
     scn = sample_scenario(plan.scenario, streams, 0)
     vehicle_x = np.stack([scn.vehicle_x + 25.0 * p for p in range(3)]) % 3000.0
-    packets = np.stack([
-        generate_period(12, plan.traffic, streams.stream("traffic", 0, p)) for p in range(3)
-    ])
+    packets = generate_period(36, plan.traffic, streams.stream("traffic", 0)).reshape(3, 12)
 
-    def rngs(purpose, periods):
-        return [streams.stream(purpose, 0, p) for p in periods]
-
-    block = engine.evaluate_period(
-        scn, plan, vehicle_x, packets,
-        ul_rngs=rngs("ul", range(3)), dl_rngs=rngs("dl", range(3)),
-        tn_cn_rngs=rngs("tn_cn", range(3)),
-    )
-    single = [
-        engine.evaluate_period(
-            scn, plan, vehicle_x[p : p + 1], packets[p : p + 1],
-            ul_rngs=rngs("ul", [p]), dl_rngs=rngs("dl", [p]), tn_cn_rngs=rngs("tn_cn", [p]),
+    def evaluate(rows):
+        return engine.evaluate_period(
+            scn, plan, vehicle_x[rows], packets[rows],
+            ul_rng=streams.stream("ul", 0), dl_rng=streams.stream("dl", 0),
+            tn_cn_rng=streams.stream("tn_cn", 0),
         )
-        for p in range(3)
-    ]
+
+    block = evaluate(slice(0, 3))
+    single = [evaluate(slice(p, p + 1)) for p in range(3)]
     assert np.array_equal(block, np.concatenate(single, axis=1))
+    assert not np.array_equal(packets[0]["offset_bin"], packets[1]["offset_bin"])
+
+
+def test_replication_draws_one_stream_per_purpose(monkeypatch):
+    # 7 streams per replication: 2 lanes, the VRUs and one per draw purpose,
+    # none of them keyed by a period
+    keys = []
+    stream = SubstreamFactory.stream
+
+    def recording(self, purpose, *indices):
+        keys.append((purpose, *indices))
+        return stream(self, purpose, *indices)
+
+    monkeypatch.setattr(SubstreamFactory, "stream", recording)
+    engine.run_replication(_small_plan(periods=4), 2)
+    assert sorted(keys) == sorted([
+        ("vehicles", 2, 0), ("vehicles", 2, 1), ("vrus", 2),
+        ("traffic", 2), ("ul", 2), ("dl", 2), ("tn_cn", 2),
+    ])

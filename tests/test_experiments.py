@@ -113,6 +113,43 @@ def test_non_finite_numbers_rejected_with_field_path(tmp_path, text, path):
     assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"traffic": {"packet_kbits": ["8", "12"]}}', "traffic.packet_kbits"),
+        ('{"scenario": {"speed_kmh": [true, 140]}}', "scenario.speed_kmh"),
+        ('{"network": {"tn_cn_one_way_ms": [15, null]}}', "network.tn_cn_one_way_ms"),
+    ],
+)
+def test_non_numeric_bounds_rejected_with_field_path(tmp_path, text, path):
+    # strings and booleans convert with float(), but are no JSON numbers
+    conf = tmp_path / "conf.json"
+    conf.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: expected numeric bounds")):
+        load_config(str(conf))
+    assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.load raises a bare ValueError for an integer of more than 4300 digits
+        pytest.param('{"network": {"backhaul_mbps": 1%s}}' % ("0" * 5000), id="5001-digits"),
+        # and a RecursionError for nesting deeper than the interpreter's stack
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    ],
+)
+def test_unreadable_json_is_a_config_error(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{conf}: ")):
+        load_config(str(conf))
+    assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {conf}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_fields_and_sections_rejected():
     with pytest.raises(ConfigurationError, match="scenario.bogus"):
         plan_from_document({"scenario": {"bogus": 1}})

@@ -34,7 +34,7 @@ def test_traced_run_sees_every_patched_layer(tmp_path):
     layers = result["layers"]
     # 2 replications x 10 periods x 100 VRUs, cluster size 5
     assert layers["traffic.jobs"] == 2000
-    assert layers["rng.streams"] == 86  # per replication: 2 lanes, VRUs, 4 per period
+    assert layers["rng.streams"] == 14  # per replication: 2 lanes, VRUs, traffic, ul, dl, tn_cn
     assert layers["channel.links"] == 2 * 10 * (100 + 100 * 5)
     assert layers["latency.compose_calls"] == 2  # one block of periods per replication
     assert layers["radio.cluster_search_s"] > 0
