@@ -2,7 +2,12 @@
 
 Subcommands map onto the three canonical experiments plus a single-point
 run; ``reproduce`` executes all three sweeps and writes their CSV tables
-and SVG charts. Exit codes: 0 success, 1 config error, 2 runtime error.
+and SVG charts. With ``--workers N > 1`` one process pool serves the whole
+invocation and is shut down before ``main`` returns.
+
+Exit codes: 0 success, 1 config error, 2 runtime error. A sweep point that
+fails is not fatal: its failure goes to stderr, the rows that succeeded are
+still written, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import os
 import sys
 
+from . import engine
 from .config import DEFAULT_PROFILE, PROFILES, load_config
 from .engine import COMPONENT_KEYS
 from .errors import CamlatError, ConfigurationError
@@ -85,6 +91,32 @@ def _run_sweep_command(plan, parameter: str, values: tuple, out_dir: str) -> Swe
     return result
 
 
+def _dispatch(args, plan) -> list[SweepResult]:
+    """Run the subcommand; the results of the sweeps it ran."""
+    if args.command == "run":
+        stats = run_point(plan)
+        print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
+        for key in COMPONENT_KEYS:
+            s = stats[key]
+            print(
+                f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
+                f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
+            )
+        print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
+        return []
+    if args.command == "reproduce":
+        return [
+            _run_sweep_command(plan, parameter, values, args.out_dir)
+            for parameter, values in DEFAULT_SWEEPS.items()
+        ]
+    values = (
+        _parse_values(args.values, args.parameter)
+        if args.values
+        else DEFAULT_SWEEPS[args.parameter]
+    )
+    return [_run_sweep_command(plan, args.parameter, values, args.out_dir)]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -101,33 +133,15 @@ def main(argv: list[str] | None = None) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     try:
-        if args.command == "run":
-            stats = run_point(plan)
-            print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
-            for key in COMPONENT_KEYS:
-                s = stats[key]
-                print(
-                    f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
-                    f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
-                )
-            print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
-        elif args.command == "reproduce":
-            for parameter, values in DEFAULT_SWEEPS.items():
-                _run_sweep_command(plan, parameter, values, args.out_dir)
-        else:
-            values = (
-                _parse_values(args.values, args.parameter)
-                if args.values
-                else DEFAULT_SWEEPS[args.parameter]
-            )
-            _run_sweep_command(plan, args.parameter, values, args.out_dir)
+        with engine.pool(plan.workers):
+            results = _dispatch(args, plan)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except CamlatError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 2 if any(result.failures for result in results) else 0
 
 
 if __name__ == "__main__":

@@ -310,7 +310,6 @@ def plan_from_document(document: dict) -> SimulationPlan:
     half_spacing = scn["lane_width_m"] / 2.0 + 2.0  # lanes straddle the pedestrian strip
     road = RoadGeometry(
         lane_length_m=lane_length_km * 1000.0,
-        lane_width_m=scn["lane_width_m"],
         lane_centerlines_m=(half_spacing, -half_spacing),
         enb_position_m=enb_pos,
     )

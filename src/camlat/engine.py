@@ -19,11 +19,20 @@ window of candidates around the VRU instead of sorting every vehicle.
 Per-packet results travel as one float array of shape (7, packets) whose
 rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
 then periods, then replications, in order.
+
+With several workers, replications run on a process pool. ``pool`` opens it
+lazily and lets callers share it: the CLI holds one pool for the whole
+invocation, so every sweep point of ``reproduce`` reuses the same workers.
+Each pool task is a chunk of about R / (2 * workers) replications, which
+keeps the IPC round trips few while both workers stay busy to the end, and
+the results are merged in replication order as they would be serially.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +135,33 @@ def _replication_task(args: tuple[SimulationPlan, int]) -> np.ndarray:
     return run_replication(*args)
 
 
+# The innermost open pool and its worker count, shared by nested ``pool`` blocks.
+_open_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+@contextmanager
+def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
+    """A process pool of ``workers`` workers, or None for a serial run.
+
+    Reentrant: inside a block that already holds a pool of the same size,
+    that pool is reused; otherwise a new one is opened here and shut down,
+    its workers joined, when the block exits.
+    """
+    global _open_pool
+    if workers == 1:
+        yield None
+    elif _open_pool is not None and _open_pool[0] == workers:
+        yield _open_pool[1]
+    else:
+        outer = _open_pool
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            _open_pool = (workers, executor)
+            try:
+                yield executor
+            finally:
+                _open_pool = outer
+
+
 def run_plan(plan: SimulationPlan) -> np.ndarray:
     """All replications, written in replication order regardless of worker count."""
     width = plan.periods * plan.scenario.vru_count
@@ -135,11 +171,14 @@ def run_plan(plan: SimulationPlan) -> np.ndarray:
         for rep, result in enumerate(results):
             samples[:, rep * width : (rep + 1) * width] = result
 
-    if plan.workers == 1:
-        fill(run_replication(plan, rep) for rep in range(plan.replications))
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as executor:
-            fill(executor.map(_replication_task, ((plan, rep) for rep in range(plan.replications))))
+    reps = range(plan.replications)
+    with pool(plan.workers) as executor:
+        if executor is None:
+            fill(run_replication(plan, rep) for rep in reps)
+        else:
+            tasks = ((plan, rep) for rep in reps)
+            chunksize = max(1, plan.replications // (2 * plan.workers))
+            fill(executor.map(_replication_task, tasks, chunksize=chunksize))
     return samples
 
 

@@ -95,14 +95,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """One aggregated row per swept value; infeasible points are reported, not fatal."""
     rows: list[SweepRow] = []
     failures: list[tuple[float, str]] = []
-    for value in spec.values:
-        try:
-            plan = override_parameter(spec.base_plan, spec.parameter, value)
-            stats = run_point(plan)
-        except CamlatError as exc:
-            failures.append((value, str(exc)))
-            continue
-        rows.append(SweepRow(value=value, stats=stats, gain_pct=gain_pct(stats)))
+    with engine.pool(spec.base_plan.workers):  # one pool for every point
+        for value in spec.values:
+            try:
+                plan = override_parameter(spec.base_plan, spec.parameter, value)
+                stats = run_point(plan)
+            except CamlatError as exc:
+                failures.append((value, str(exc)))
+                continue
+            rows.append(SweepRow(value=value, stats=stats, gain_pct=gain_pct(stats)))
     return SweepResult(parameter=spec.parameter, rows=tuple(rows), failures=tuple(failures))
 
 

@@ -26,7 +26,6 @@ class RoadGeometry:
     """Two-lane freeway segment with a pedestrian strip between the lanes."""
 
     lane_length_m: float = 3000.0
-    lane_width_m: float = 4.0
     lane_centerlines_m: tuple[float, ...] = (4.0, -4.0)
     enb_position_m: tuple[float, float] = (1500.0, 10.0)
 

@@ -111,10 +111,11 @@ def test_criterion_4_density_sweep_trend(density_sweep):
     assert [row.value for row in rows] == list(DENSITY_VALUES)
     dl = [row.stats["dl"].mean_s for row in rows]
     assert _strictly_decreasing(dl)
+    # Common random numbers: only the vehicle draws depend on the density, so
+    # the components that never see a vehicle are identical at every point.
     for key in ("ul", "bh", "tn_cn", "exc"):
-        means = np.array([row.stats[key].mean_s for row in rows])
-        deviation = np.max(np.abs(means - means.mean())) / means.mean()
-        assert deviation < 0.10, f"{key} not flat across densities: {deviation:.3%}"
+        means = [row.stats[key].mean_s for row in rows]
+        assert means == [means[0]] * len(means), f"{key} differs across densities: {means}"
     print(
         "ACCEPTANCE 4 (density sweep: DL falls, others flat): PASS  "
         f"DL={[round(v * 1e3, 1) for v in dl]} ms"

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import multiprocessing
 import re
 
 import pytest
 
-from camlat import cli
+from camlat import cli, engine
 from camlat.config import SimulationPlan, load_config, plan_from_document
 from camlat.engine import AggregateStats
 from camlat.errors import ConfigurationError
@@ -346,3 +347,52 @@ def test_cli_runtime_error_exit_code(tmp_path):
             encoding="utf-8",
         )
         assert cli.main(["--config", str(conf), "--out-dir", str(tmp_path / "r"), "run"]) == 2, name
+
+
+def test_cli_partial_sweep_writes_good_rows_and_exits_2(tmp_path, capsys):
+    # 0.2 /m is infeasible with the 10 m hard-core gap; 0.05 /m is fine
+    argv = ["--replications", "4", "--out-dir", str(tmp_path)]
+    rc = cli.main(argv + ["sweep-density", "--values", "0.05,0.2"])
+    assert rc == 2
+    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2 and lines[1].startswith("0.05,")
+    assert (tmp_path / "density_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
+    assert "vehicle_intensity=0.2: FAILED" in capsys.readouterr().err
+
+
+def test_pool_is_reentrant_per_worker_count():
+    with engine.pool(1) as serial:
+        assert serial is None
+    with engine.pool(2) as outer:
+        with engine.pool(2) as inner:
+            assert inner is outer
+        with engine.pool(3) as other:
+            assert other is not outer
+        with engine.pool(2) as again:
+            assert again is outer
+
+
+def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    def reproduce(workers):
+        out = str(tmp_path / f"w{workers}")
+        argv = ["--replications", "4", "--seed", "3", "--workers", str(workers), "--out-dir", out]
+        return cli.main(argv + ["reproduce"])
+
+    assert reproduce(1) == 0
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    assert reproduce(2) == 0
+    assert started == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+    names = sorted(path.name for path in (tmp_path / "w1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "w2").iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
