@@ -30,21 +30,18 @@ PATHLOSS_MODELS = ("winner-plus", "log-distance")
 def pathloss_db(d_m, h_enb_m: float, h_ue_m: float, fc_ghz: float):
     """Default pathloss in dB; distances below 1 m are clamped to 1 m."""
     d = np.maximum(d_m, 1.0)
-    pl = (
+    return (
         22.7 * np.log10(d)
         - 17.3 * np.log10(h_enb_m - 1.0)
         - 17.3 * np.log10(h_ue_m - 1.0)
         + 2.7 * np.log10(fc_ghz)
         - 7.56
     )
-    return pl if isinstance(d_m, np.ndarray) else float(pl)
 
 
 def log_distance_pathloss_db(d_m, exponent: float, offset_db: float):
     """Sensitivity-study alternative: PL = 10 * n * log10(d) + offset."""
-    d = np.maximum(d_m, 1.0)
-    pl = 10.0 * exponent * np.log10(d) + offset_db
-    return pl if isinstance(d_m, np.ndarray) else float(pl)
+    return 10.0 * exponent * np.log10(np.maximum(d_m, 1.0)) + offset_db
 
 
 @dataclass(frozen=True)
@@ -87,18 +84,16 @@ def sample_snr_db(budget: LinkBudget, d_m, rng: np.random.Generator):
     Shadowing and fading are always drawn (a zero std yields exactly 0.0),
     so stream consumption does not depend on the configuration.
     """
-    size = None if np.isscalar(d_m) else np.shape(d_m)
-    shadow = rng.normal(0.0, budget.shadow_std_db, size=size)
-    fade = rng.normal(0.0, budget.fast_fade_std_db, size=size)
-    snr = (
+    shadow = rng.normal(0.0, budget.shadow_std_db, size=np.shape(d_m))
+    fade = rng.normal(0.0, budget.fast_fade_std_db, size=np.shape(d_m))
+    return (
         budget.tx_power_dbm
-        - budget.pathloss(np.asarray(d_m) if size else d_m)
+        - budget.pathloss(d_m)
         - shadow
         - fade
         - budget.additional_losses_db
         - budget.noise_power_dbm
     )
-    return snr if size else float(snr)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,28 @@ substreams, one per purpose, so a replication's output depends only on
 number of workers, and aggregates come out bit-identical because per-packet
 results are written in replication order before any reduction.
 
-A replication is evaluated as one block with a leading period axis: the
-vehicle positions of every period form a (periods, vehicles) array, the
-packets a (periods, VRUs) array, and one ``evaluate_period`` call computes
-bin counts, uplink, downlink, backhaul, execution and composition for all of
-them. Each purpose draws its whole block in one call, in (periods, VRUs) or,
-for the downlink members, (periods, VRUs, m) shape. Each VRU's downlink
-cluster comes from ``radio.nearest_member_indices``, which ranks a certified
-window of candidates around the VRU instead of sorting every vehicle.
+Replications are evaluated in blocks. ``run_replication(plan, replications)``
+takes a ``range`` of replication indices; for each one it builds the
+replication's own streams, samples its scenario and draws its packets. The
+rest runs once per block: the vehicles of every replication are stepped
+together as a (replications, periods, vehicles) position array, padded with
++inf to the block's largest vehicle count after stepping, and one
+``evaluate_period`` call computes bin counts, uplink, downlink, backhaul,
+execution and composition for every packet of the block. Only the random
+draws stay per replication: each purpose draws its replication's whole block
+in one call, in (periods, VRUs) or, for the downlink members, (periods,
+VRUs, m) shape. Each VRU's downlink cluster comes from
+``radio.nearest_member_indices``, which ranks a certified window of
+candidates around the VRU over all (replication, period) rows at once.
+
+The input sets the block size: a block holds as many replications as fit
+``BLOCK_WINDOW_ENTRIES`` cluster-search window entries (periods * VRUs * 2 *
+cluster_size per replication), which bounds its working memory. A
+replication with fewer vehicles than ``cluster_size`` is evaluated as a
+block of one, since its clusters are smaller. Outputs do not depend on the
+blocking: a block's columns equal those of its replications run one by one.
+An error in a block is raised again naming the lowest failing replication,
+as a serial run would.
 
 Per-packet results travel as one float array of shape (7, packets) whose
 rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
@@ -23,14 +37,15 @@ then periods, then replications, in order.
 With several workers, replications run on a process pool. ``pool`` opens it
 lazily and lets callers share it: the CLI holds one pool for the whole
 invocation, so every sweep point of ``reproduce`` reuses the same workers.
-Each pool task is a chunk of about R / (2 * workers) replications, which
-keeps the IPC round trips few while both workers stay busy to the end, and
-the results are merged in replication order as they would be serially.
+Each pool task is a chunk of about R / (2 * workers) replications, evaluated
+in blocks as above and returned as one array, which keeps the IPC round
+trips few while both workers stay busy to the end; the results are merged in
+replication order as they would be serially.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,6 +58,10 @@ from .errors import AggregationError, CamlatError
 from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
 
+# Cluster-search window entries (replications * periods * VRUs * 2 * cluster_size)
+# that one block of replications may hold; it bounds the block's working memory.
+BLOCK_WINDOW_ENTRIES = 60_000
+
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -53,46 +72,72 @@ class AggregateStats:
 
 
 def evaluate_period(
-    scn: scenario.Scenario,
     plan: SimulationPlan,
+    scenarios: Sequence[scenario.Scenario],
     vehicle_x: np.ndarray,
     packets: np.ndarray,
-    ul_rng: np.random.Generator,
-    dl_rng: np.random.Generator,
-    tn_cn_rng: np.random.Generator,
+    ul_rngs: Sequence[np.random.Generator],
+    dl_rngs: Sequence[np.random.Generator],
+    tn_cn_rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """All latency components of a block of periods, shape (7, P * n) (pure given the streams).
+    """All latency components of a block of replications, shape (7, B * P * n).
 
-    ``vehicle_x`` holds the vehicle positions of each period, shape (P, V);
-    ``packets[p, i]`` is the p-th period's packet of the i-th VRU of the
-    scenario arrays. Each generator draws its purpose's whole block in one
-    call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
-    in shape (P, n, m). Columns run over VRUs within a period, then periods.
+    Pure given the streams. ``scenarios`` are the block's B replications.
+    ``vehicle_x[b, p]`` holds the b-th one's vehicle positions in period p,
+    padded with +inf to the block's largest vehicle count V, shape
+    (B, P, V); ``packets[b, p, i]`` is its p-th period's packet of the i-th
+    VRU, shape (B, P, n). In a block of several replications each must hold
+    at least ``cluster_size`` vehicles. Each replication's generators draw
+    its purpose's whole block in one call: the UL SNRs and transport+core
+    delays in shape (P, n), the DL SNRs in shape (P, n, m). Columns run over
+    VRUs within a period, then periods, then replications.
     """
+    reps, periods, v = vehicle_x.shape
+    rows = reps * periods
     pool = plan.radio.pool
     sizes = packets["size_bits"]
-    n_hat = traffic.n_hat(packets["offset_bin"])
+    n = sizes.shape[-1]
+    n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
 
     enb_x, enb_y = plan.scenario.road.enb_position_m
-    d_ul = np.hypot(scn.vru_x - enb_x, scn.vru_y - enb_y)
-    snr_ul = channel.sample_snr_db(
-        plan.channel.ul_budget(), np.broadcast_to(d_ul, sizes.shape), ul_rng
-    )
+    vru_x = np.stack([scn.vru_x for scn in scenarios])
+    vru_y = np.stack([scn.vru_y for scn in scenarios])
+    d_ul = np.hypot(vru_x - enb_x, vru_y - enb_y)
+    ul_budget = plan.channel.ul_budget()
+    snr_ul = np.stack([
+        channel.sample_snr_db(ul_budget, np.broadcast_to(d, (periods, n)), rng)
+        for d, rng in zip(d_ul, ul_rngs)
+    ])
     t_ul = radio.ul_latency(sizes, radio.prb_share(pool, n_hat, 1), snr_ul, pool)
 
     t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
     t_exc = latency.execution_latency(
         sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
     )
-    t_tn_cn = latency.sample_tn_cn(plan.network.tn_cn, tn_cn_rng, size=sizes.shape)
+    t_tn_cn = np.stack([
+        latency.sample_tn_cn(plan.network.tn_cn, rng, size=(periods, n)) for rng in tn_cn_rngs
+    ])
 
-    m = min(plan.radio.cluster_size, scn.vehicle_count)
+    # Padding vehicles sit at (+inf, +inf): they sort last and are never picked.
+    vehicle_y = _padded([scn.vehicle_y for scn in scenarios], v, np.inf)
+    lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
+    m = min(plan.radio.cluster_size, v)
     members = radio.nearest_member_indices(
-        scn.vru_x, scn.vru_y, vehicle_x, scn.vehicle_y, scn.vehicle_lane, m
+        np.repeat(vru_x, periods, axis=0),
+        np.repeat(vru_y, periods, axis=0),
+        vehicle_x.reshape(rows, v),
+        np.repeat(vehicle_y, periods, axis=0),
+        np.repeat(lanes, periods, axis=0),
+        m,
     )
-    member_x = np.take_along_axis(vehicle_x, members.reshape(len(members), -1), axis=1)
-    d_dl = np.hypot(member_x.reshape(members.shape) - enb_x, scn.vehicle_y[members] - enb_y)
-    snr_dl = channel.sample_snr_db(plan.channel.dl_budget(), d_dl, dl_rng)
+    # One distance per (replication, period, vehicle), gathered for the members.
+    d_vehicle = np.hypot(vehicle_x - enb_x, vehicle_y[:, None] - enb_y).reshape(rows, v)
+    d_dl = np.take_along_axis(d_vehicle, members.reshape(rows, n * m), axis=1)
+    dl_budget = plan.channel.dl_budget()
+    snr_dl = np.stack([
+        channel.sample_snr_db(dl_budget, d, rng)
+        for d, rng in zip(d_dl.reshape(reps, periods, n, m), dl_rngs)
+    ])
     t_dl = radio.dl_latency(
         sizes.ravel(), radio.prb_share(pool, n_hat, m).ravel(), snr_dl.reshape(-1, m), pool
     )
@@ -100,39 +145,102 @@ def evaluate_period(
     return latency.compose_e2e(t_ul.ravel(), t_bh.ravel(), t_tn_cn.ravel(), t_exc.ravel(), t_dl)
 
 
-def run_replication(plan: SimulationPlan, replication_index: int) -> np.ndarray:
-    """Simulate one scenario realization for all periods of the plan, shape (7, n)."""
+def _padded(rows: Sequence[np.ndarray], width: int, fill) -> np.ndarray:
+    """The rows stacked into shape (len(rows), width), each filled up with ``fill``."""
+    out = np.full((len(rows), width), fill, dtype=np.result_type(fill, *rows))
+    for padded, row in zip(out, rows):
+        padded[: row.size] = row
+    return out
+
+
+def _vehicle_positions(plan: SimulationPlan, scenarios: Sequence[scenario.Scenario]) -> np.ndarray:
+    """Every period's vehicle positions, shape (B, P, V), padded with +inf to the largest count."""
+    counts = np.array([scn.vehicle_count for scn in scenarios])
+    x = _padded([scn.vehicle_x for scn in scenarios], counts.max(initial=0), 0.0)
+    speed = _padded([scn.vehicle_speed for scn in scenarios], x.shape[1], 0.0)
+    positions = np.empty((len(scenarios), plan.periods, x.shape[1]))
+    positions[:, 0] = x
+    # Step the positions period by period: the closed form (x0 + v*t) mod L
+    # rounds differently and would change the sample path.
+    for p in range(1, plan.periods):
+        if plan.scenario.mobility:
+            x = scenario.advance_vehicles(
+                x, speed, plan.traffic.period_s, plan.scenario.road.lane_length_m
+            )
+        positions[:, p] = x
+    # Pad after stepping, so every real vehicle sorts before the padding.
+    padding = np.arange(x.shape[1]) >= counts[:, None]
+    np.copyto(positions, np.inf, where=padding[:, None])
+    return positions
+
+
+def _evaluate_block(plan: SimulationPlan, replications: range) -> np.ndarray:
     streams = SubstreamFactory(plan.master_seed)
-    try:
-        scn = scenario.sample_scenario(plan.scenario, streams, replication_index)
-        # Step the positions period by period: the closed form (x0 + v*t) mod L
-        # rounds differently and would change the sample path.
-        snapshots = [scn]
-        for _ in range(plan.periods - 1):
-            last = snapshots[-1]
-            if plan.scenario.mobility:
-                last = scenario.advance_vehicles(last, plan.traffic.period_s)
-            snapshots.append(last)
-        packets = traffic.generate_period(
+    scenarios = [scenario.sample_scenario(plan.scenario, streams, rep) for rep in replications]
+    shape = (plan.periods, plan.scenario.vru_count)
+    packets = np.stack([
+        traffic.generate_period(
             plan.periods * plan.scenario.vru_count,
             plan.traffic,
-            streams.stream("traffic", replication_index),
-        ).reshape(plan.periods, plan.scenario.vru_count)
-        return evaluate_period(
-            scn,
+            streams.stream("traffic", rep),
+        ).reshape(shape)
+        for rep in replications
+    ])
+    # Replications with a full cluster share one evaluation; a road with
+    # fewer vehicles than cluster_size is a block of its own.
+    full = [i for i, scn in enumerate(scenarios) if scn.vehicle_count >= plan.radio.cluster_size]
+    groups = ([full] if full else []) + [[i] for i in range(len(scenarios)) if i not in full]
+    samples = np.empty((len(COMPONENT_KEYS), len(scenarios), shape[0] * shape[1]))
+    for group in groups:
+        members = [scenarios[i] for i in group]
+        reps = [replications[i] for i in group]
+        samples[:, group] = evaluate_period(
             plan,
-            np.stack([snapshot.vehicle_x for snapshot in snapshots]),
-            packets,
-            ul_rng=streams.stream("ul", replication_index),
-            dl_rng=streams.stream("dl", replication_index),
-            tn_cn_rng=streams.stream("tn_cn", replication_index),
-        )
+            members,
+            _vehicle_positions(plan, members),
+            packets[group],
+            ul_rngs=[streams.stream("ul", rep) for rep in reps],
+            dl_rngs=[streams.stream("dl", rep) for rep in reps],
+            tn_cn_rngs=[streams.stream("tn_cn", rep) for rep in reps],
+        ).reshape(len(COMPONENT_KEYS), len(group), -1)
+    return samples.reshape(len(COMPONENT_KEYS), -1)
+
+
+def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
+    """Simulate a block of replications for all periods of the plan, shape (7, n).
+
+    The columns equal those of the replications run one by one, in order.
+    An error names the lowest failing replication, as a serial run would.
+    """
+    try:
+        return _evaluate_block(plan, replications)
     except CamlatError as exc:
-        raise type(exc)(f"replication {replication_index}: {exc}") from exc
+        if len(replications) > 1:
+            for rep in replications:
+                run_replication(plan, range(rep, rep + 1))
+        raise type(exc)(f"replication {replications[0]}: {exc}") from exc
 
 
-def _replication_task(args: tuple[SimulationPlan, int]) -> np.ndarray:
-    return run_replication(*args)
+def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
+    """``replications`` cut into blocks of at most ``BLOCK_WINDOW_ENTRIES`` window entries."""
+    entries = plan.periods * plan.scenario.vru_count * 2 * plan.radio.cluster_size
+    size = max(1, BLOCK_WINDOW_ENTRIES // entries)
+    return [replications[i : i + size] for i in range(0, len(replications), size)]
+
+
+def _run_replications(plan: SimulationPlan, replications: range) -> np.ndarray:
+    """The columns of ``replications``, evaluated block by block."""
+    width = plan.periods * plan.scenario.vru_count
+    samples = np.empty((len(COMPONENT_KEYS), len(replications) * width))
+    for block in _blocks(plan, replications):
+        # Assigned straight away: no block's result outlives its copy.
+        start = (block.start - replications.start) * width
+        samples[:, start : start + len(block) * width] = run_replication(plan, block)
+    return samples
+
+
+def _replication_task(args: tuple[SimulationPlan, range]) -> np.ndarray:
+    return _run_replications(*args)
 
 
 # The innermost open pool and its worker count, shared by nested ``pool`` blocks.
@@ -164,21 +272,17 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
 
 def run_plan(plan: SimulationPlan) -> np.ndarray:
     """All replications, written in replication order regardless of worker count."""
-    width = plan.periods * plan.scenario.vru_count
-    samples = np.empty((len(COMPONENT_KEYS), plan.replications * width))
-
-    def fill(results):
-        for rep, result in enumerate(results):
-            samples[:, rep * width : (rep + 1) * width] = result
-
     reps = range(plan.replications)
     with pool(plan.workers) as executor:
         if executor is None:
-            fill(run_replication(plan, rep) for rep in reps)
-        else:
-            tasks = ((plan, rep) for rep in reps)
-            chunksize = max(1, plan.replications // (2 * plan.workers))
-            fill(executor.map(_replication_task, tasks, chunksize=chunksize))
+            return _run_replications(plan, reps)
+        size = max(1, plan.replications // (2 * plan.workers))
+        chunks = [reps[i : i + size] for i in range(0, plan.replications, size)]
+        width = plan.periods * plan.scenario.vru_count
+        samples = np.empty((len(COMPONENT_KEYS), plan.replications * width))
+        tasks = ((plan, chunk) for chunk in chunks)
+        for chunk, result in zip(chunks, executor.map(_replication_task, tasks)):
+            samples[:, chunk.start * width : chunk.stop * width] = result
     return samples
 
 

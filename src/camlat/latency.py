@@ -54,25 +54,22 @@ class NetworkParams:
 
 def backhaul_latency(size_bits, n_hat, backhaul_bps: float):
     """Routing time through the shared finite-capacity backhaul."""
-    out = np.asarray(size_bits, dtype=float) * np.asarray(n_hat, dtype=float) / backhaul_bps
-    return out if out.ndim else float(out)
+    return np.asarray(size_bits, dtype=float) * np.asarray(n_hat, dtype=float) / backhaul_bps
 
 
 def execution_latency(size_bits, cycles_per_bit, n_hat, server_cycles_per_s: float):
     """Processing time when the server's capacity is split over the bin."""
-    out = (
+    return (
         np.asarray(n_hat, dtype=float)
         * np.asarray(size_bits, dtype=float)
         * np.asarray(cycles_per_bit, dtype=float)
         / server_cycles_per_s
     )
-    return out if out.ndim else float(out)
 
 
 def sample_tn_cn(dist: TnCnDistribution, rng: np.random.Generator, size=None):
     """One combined transport+core one-way delay draw per packet."""
-    draw = rng.uniform(dist.low_s, dist.high_s, size=size)
-    return draw if size is not None else float(draw)
+    return rng.uniform(dist.low_s, dist.high_s, size=size)
 
 
 def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
@@ -83,10 +80,13 @@ def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
     transport/core entirely, so e2e_cloud == e2e_mec + 2*(t_bh + t_tn_cn)
     holds exactly by construction.
     """
-    components = np.array([t_ul, t_bh, t_tn_cn, t_exc, t_dl], dtype=float)
+    # Written in place: one call composes a whole block of replications.
+    out = np.empty((len(COMPONENT_KEYS), len(t_ul)))
+    components = out[:5]
+    components[:] = (t_ul, t_bh, t_tn_cn, t_exc, t_dl)
     if not np.all((components >= 0) & (components < np.inf)):
         raise ValueError("latency components must be finite and non-negative")
     ul, bh, tn_cn, exc, dl = components
-    e2e_mec = ul + exc + dl
-    e2e_cloud = e2e_mec + 2.0 * (bh + tn_cn)
-    return np.vstack((components, e2e_cloud, e2e_mec))
+    np.add(ul + exc, dl, out=out[6])
+    np.add(out[6], 2.0 * (bh + tn_cn), out=out[5])
+    return out

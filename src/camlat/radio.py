@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ScenarioError, UnreachableLinkError
 
@@ -42,17 +43,23 @@ def nearest_member_indices(
     vehicle_lane: np.ndarray,
     m: int,
 ) -> np.ndarray:
-    """Indices of each VRU's m nearest vehicles, shape (n_vru, m) or (P, n_vru, m).
+    """Indices of each VRU's m nearest vehicles, shape (n_vru, m) or (R, n_vru, m).
 
-    ``vehicle_x`` is one snapshot of positions, shape (V,), or one row per
-    period, shape (P, V); the lateral offsets and lanes are shared by every
-    period, and the result gains the period axis to match. At most V
-    members are returned.
+    ``vehicle_x`` is one snapshot of positions, shape (V,), or R rows of
+    them, shape (R, V): one per period, or one per (replication, period)
+    of a block of replications. The VRU coordinates (shape (n_vru,) or
+    (R, n_vru)) and the vehicles' lateral offsets and lanes (shape (V,) or
+    (R, V)) are either shared by every row or given per row, and the result
+    gains the row axis to match. At most V members are returned.
+
+    A row may end in padding vehicles at x = +inf (and y = +inf), which
+    sort after every real vehicle and are never picked while the row holds
+    at least m real ones; their indices follow the real vehicles'.
 
     Ties on exact squared distance break toward the lower x-coordinate,
     then the lower lane index, then the lower vehicle index.
 
-    Each period's vehicles are sorted once by (x, lane, index) and each VRU
+    Each row's vehicles are sorted once by (x, lane, index) and each VRU
     is placed into that order by ``searchsorted``. A contiguous window of
     2m candidates around it is ranked by a stable sort on squared distance,
     which keeps the (x, lane, index) order among equals. The window always
@@ -65,53 +72,67 @@ def nearest_member_indices(
     is the full sort, which needs no certificate.
     """
     x = np.atleast_2d(vehicle_x)
-    periods, v = x.shape
+    rows, v = x.shape
     if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
-    vru_x = np.asarray(vru_x)
-    vru_y = np.asarray(vru_y)
+    n = np.shape(vru_x)[-1]
+    vru_x = np.broadcast_to(vru_x, (rows, n))
+    vru_y = np.broadcast_to(vru_y, (rows, n))
     # (x, lane, index) order: a stable sort on x of the vehicles taken lane by lane.
-    by_lane = np.argsort(vehicle_lane, kind="stable")
-    order = by_lane[np.argsort(x[:, by_lane], axis=1, kind="stable")]
+    by_lane = np.broadcast_to(np.argsort(vehicle_lane, axis=-1, kind="stable"), (rows, v))
+    by_x = np.argsort(np.take_along_axis(x, by_lane, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(by_lane, by_x, axis=1)
     xs = np.take_along_axis(x, order, axis=1)
+    ys = np.take_along_axis(np.broadcast_to(vehicle_y, (rows, v)), order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
-    start = np.concatenate([np.searchsorted(row, vru_x) for row in xs])
-    # Smallest squared lateral offset to any vehicle: it is reached at the
-    # lateral position just below or just above the VRU's.
-    lateral = np.sort(vehicle_y)
+    start = np.concatenate([np.searchsorted(row, q) for row, q in zip(xs, vru_x)])
+    # Smallest squared lateral offset to any vehicle of any row: it is reached
+    # at the lateral position just below or just above the VRU's.
+    lateral = np.sort(np.ravel(vehicle_y))
     near = np.searchsorted(lateral, vru_y)
-    lane_dy = vru_y - lateral[np.clip([near - 1, near], 0, v - 1)]
-    min_dy2 = np.min(lane_dy * lane_dy, axis=0)
-    # Flat views: period p's sorted position i is entry p * V + i.
-    order, xs = order.ravel(), xs.ravel()
-    ys = np.asarray(vehicle_y)[order]
+    lane_dy = vru_y - lateral[np.clip([near - 1, near], 0, lateral.size - 1)]
+    min_dy2 = np.min(lane_dy * lane_dy, axis=0).ravel()
+    # Flat views: row r's sorted position i is entry r * V + i, and its
+    # VRU u is entry r * n_vru + u.
+    order, xs, ys = order.ravel(), xs.ravel(), ys.ravel()
+    vru_x, vru_y = vru_x.ravel(), vru_y.ravel()
 
     take = min(m, v)
-    out = np.empty((periods * vru_x.size, take), dtype=order.dtype)
+    out = np.empty((rows * n, take), dtype=order.dtype)
     pending = np.arange(out.shape[0])
     width = min(2 * take, v)
     while pending.size:
-        p, u = np.divmod(pending, vru_x.size)
+        row = pending // n
         lo = np.clip(start[pending] - width // 2, 0, v - width)
-        window = (p * v + lo)[:, None] + np.arange(width)
-        dx = vru_x[u, None] - xs[window]
-        dy = vru_y[u, None] - ys[window]
-        d2 = dx * dx + dy * dy
-        rank = np.argsort(d2, axis=1, kind="stable")[:, :take]
-        out[pending] = order[np.take_along_axis(window, rank, axis=1)]
+        first = row * v + lo
+        # d2 = dx * dx + dy * dy over each window, in place. The (rows, width)
+        # arrays set a block's peak memory, so each is freed once used.
+        d2 = sliding_window_view(xs, width)[first]
+        np.subtract(vru_x[pending, None], d2, out=d2)
+        d2 *= d2
+        dy = sliding_window_view(ys, width)[first]
+        np.subtract(vru_y[pending, None], dy, out=dy)
+        dy *= dy
+        d2 += dy
+        del dy
+        picks = np.argsort(d2, axis=1, kind="stable")[:, :take]
+        mth = np.take_along_axis(d2, picks[:, -1:], axis=1)[:, 0]
+        del d2
+        picks += first[:, None]
+        out[pending] = order[picks]
+        del picks
         if width == v:
             break
         # Certificate: the first vehicle past each window edge, at the
         # smallest lateral offset of any lane, is farther than the m-th pick.
         # lo <= start <= lo + width, so that vehicle is on the VRU's far side.
-        mth = d2[np.arange(len(d2)), rank[:, -1]]
-        left_gap = vru_x[u] - xs[p * v + np.maximum(lo - 1, 0)]
-        right_gap = vru_x[u] - xs[p * v + np.minimum(lo + width, v - 1)]
-        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2[u] > mth)
-        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2[u] > mth)
+        left_gap = vru_x[pending] - xs[row * v + np.maximum(lo - 1, 0)]
+        right_gap = vru_x[pending] - xs[row * v + np.minimum(lo + width, v - 1)]
+        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2[pending] > mth)
+        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2[pending] > mth)
         pending = pending[~(left_ok & right_ok)]
         width = min(2 * width, v)
-    out = out.reshape(periods, vru_x.size, take)
+    out = out.reshape(rows, n, take)
     return out if np.ndim(vehicle_x) == 2 else out[0]
 
 
@@ -128,17 +149,15 @@ def prb_share(pool: PrbPool, n_hat, members: int):
 def link_rate_bps(prbs, snr_db, pool: PrbPool):
     """Achievable rate of a link holding ``prbs`` (possibly fractional) PRBs."""
     snr_linear = np.power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
-    rate = np.asarray(prbs, dtype=float) * pool.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
-    return rate if rate.ndim else float(rate)
+    return np.asarray(prbs, dtype=float) * pool.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
 def ul_latency(size_bits, prbs, snr_db, pool: PrbPool):
     """Uplink transmission time size / rate; a zero-rate link is an error."""
     rate = link_rate_bps(prbs, snr_db, pool)
-    if np.any(np.asarray(rate) <= 0) or not np.all(np.isfinite(np.asarray(rate))):
+    if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise UnreachableLinkError("uplink has zero achievable rate")
-    out = np.asarray(size_bits, dtype=float) / rate
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return np.asarray(size_bits, dtype=float) / rate
 
 
 def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:

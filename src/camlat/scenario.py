@@ -12,7 +12,7 @@ is lambda * L with no edge bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +176,12 @@ def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenar
     )
 
 
-def advance_vehicles(scenario: Scenario, dt_s: float) -> Scenario:
-    """Move every vehicle by speed*dt along its lane, wrapping at the segment ends."""
-    new_x = np.mod(scenario.vehicle_x + scenario.vehicle_speed * dt_s, scenario.road.lane_length_m)
-    return replace(scenario, vehicle_x=new_x)
+def advance_vehicles(
+    vehicle_x: np.ndarray, vehicle_speed: np.ndarray, dt_s: float, lane_length_m: float
+) -> np.ndarray:
+    """Positions after moving every vehicle by speed*dt along its lane, wrapping at the ends.
+
+    Takes position and signed-speed arrays of any one shape, such as one
+    row of vehicles per replication of a block.
+    """
+    return np.mod(vehicle_x + vehicle_speed * dt_s, lane_length_m)

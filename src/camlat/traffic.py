@@ -55,8 +55,9 @@ def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Genera
 def n_hat(offsets: np.ndarray) -> np.ndarray:
     """Per packet, how many packets (its own included) share its offset bin.
 
-    ``offsets`` is one period's bins, shape (n,), or one row per period,
-    shape (P, n); bins are counted within each row.
+    ``offsets`` is one period's bins, shape (n,), or one row per period (of
+    each replication of a block), shape (R, n); bins are counted within each
+    row.
     """
     rows = np.atleast_2d(offsets)
     keys = rows + (rows.max(initial=0) + 1) * np.arange(len(rows))[:, None]

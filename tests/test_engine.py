@@ -1,11 +1,12 @@
 """Replication pipeline: determinism, substreams, aggregation, hand-checked chain."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from camlat import engine
+from camlat import engine, scenario
 from camlat.channel import ChannelParams
 from camlat.config import RadioParams, SimulationPlan, plan_from_document
 from camlat.errors import (
@@ -46,12 +47,12 @@ def _by_key(samples):
 
 
 def _one_period(scn, plan, packets, streams):
-    """``evaluate_period`` on a block of one period with replication 0's streams."""
+    """``evaluate_period`` on one replication of one period, with replication 0's streams."""
     return engine.evaluate_period(
-        scn, plan, scn.vehicle_x[None], packets[None],
-        ul_rng=streams.stream("ul", 0),
-        dl_rng=streams.stream("dl", 0),
-        tn_cn_rng=streams.stream("tn_cn", 0),
+        plan, [scn], scn.vehicle_x[None, None], packets[None, None],
+        ul_rngs=[streams.stream("ul", 0)],
+        dl_rngs=[streams.stream("dl", 0)],
+        tn_cn_rngs=[streams.stream("tn_cn", 0)],
     )
 
 
@@ -138,13 +139,15 @@ def test_resource_sharing_is_isolated_per_offset_bin():
 
 def test_run_replication_bit_identical():
     plan = _small_plan()
-    assert np.array_equal(engine.run_replication(plan, 1), engine.run_replication(plan, 1))
+    assert np.array_equal(
+        engine.run_replication(plan, range(1, 2)), engine.run_replication(plan, range(1, 2))
+    )
 
 
 def test_replications_use_distinct_substreams():
     plan = _small_plan()
-    a = engine.run_replication(plan, 0)
-    b = engine.run_replication(plan, 1)
+    a = engine.run_replication(plan, range(0, 1))
+    b = engine.run_replication(plan, range(1, 2))
     assert not np.array_equal(a, b)
     with pytest.raises(ConfigurationError, match="seed"):
         SimulationPlan(master_seed=-1)
@@ -153,7 +156,7 @@ def test_replications_use_distinct_substreams():
 def test_aggregates_independent_of_execution_order():
     plan = _small_plan()
     sequential = engine.aggregate(engine.run_plan(plan))
-    shuffled = {rep: engine.run_replication(plan, rep) for rep in (2, 0, 1)}
+    shuffled = {rep: engine.run_replication(plan, range(rep, rep + 1)) for rep in (2, 0, 1)}
     merged = np.concatenate([shuffled[rep] for rep in range(plan.replications)], axis=1)
     assert engine.aggregate(merged) == sequential
 
@@ -219,7 +222,7 @@ def test_empty_road_raises_scenario_error_with_context():
     }
     plan = plan_from_document(doc)
     with pytest.raises(ScenarioError, match="replication 0"):
-        engine.run_replication(plan, 0)
+        engine.run_replication(plan, range(0, 1))
 
 
 def test_unreachable_downlink_raises_with_context():
@@ -229,7 +232,7 @@ def test_unreachable_downlink_raises_with_context():
         "engine": {"replications": 1, "periods": 1},
     }
     with pytest.raises(UnreachableLinkError, match="replication 0"):
-        engine.run_replication(plan_from_document(doc), 0)
+        engine.run_replication(plan_from_document(doc), range(0, 1))
 
 
 def test_non_finite_component_fails_loudly():
@@ -238,7 +241,7 @@ def test_non_finite_component_fails_loudly():
         network=NetworkParams(backhaul_bps=float("nan")), replications=1, periods=2
     )
     with pytest.raises(ValueError, match="finite"):
-        engine.run_replication(plan, 0)
+        engine.run_replication(plan, range(0, 1))
 
 
 def test_period_block_matches_period_by_period():
@@ -260,9 +263,9 @@ def test_period_block_matches_period_by_period():
 
     def evaluate(rows):
         return engine.evaluate_period(
-            scn, plan, vehicle_x[rows], packets[rows],
-            ul_rng=streams.stream("ul", 0), dl_rng=streams.stream("dl", 0),
-            tn_cn_rng=streams.stream("tn_cn", 0),
+            plan, [scn], vehicle_x[None, rows], packets[None, rows],
+            ul_rngs=[streams.stream("ul", 0)], dl_rngs=[streams.stream("dl", 0)],
+            tn_cn_rngs=[streams.stream("tn_cn", 0)],
         )
 
     block = evaluate(slice(0, 3))
@@ -282,8 +285,66 @@ def test_replication_draws_one_stream_per_purpose(monkeypatch):
         return stream(self, purpose, *indices)
 
     monkeypatch.setattr(SubstreamFactory, "stream", recording)
-    engine.run_replication(_small_plan(periods=4), 2)
+    engine.run_replication(_small_plan(periods=4), range(2, 3))
     assert sorted(keys) == sorted([
         ("vehicles", 2, 0), ("vehicles", 2, 1), ("vrus", 2),
         ("traffic", 2), ("ul", 2), ("dl", 2), ("tn_cn", 2),
     ])
+
+
+def _scenarios(plan):
+    streams = SubstreamFactory(plan.master_seed)
+    return [sample_scenario(plan.scenario, streams, rep) for rep in range(plan.replications)]
+
+
+@pytest.mark.parametrize("window_entries", [engine.BLOCK_WINDOW_ENTRIES, 5 * 3 * 10 * 2 * 9])
+def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
+    # at 0.002 vehicles/m some roads hold fewer vehicles than the cluster size
+    # of 9, so a block mixes its shared evaluation with single-replication
+    # ones, and replication 5 shares it with an empty lane; the second budget
+    # cuts the 16 replications into blocks of 5
+    monkeypatch.setattr(engine, "BLOCK_WINDOW_ENTRIES", window_entries)
+    plan = plan_from_document({
+        "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002},
+        "radio": {"cluster_size": 9},
+        "engine": {"replications": 16, "periods": 3, "master_seed": 24},
+    })
+    scenarios = _scenarios(plan)
+    assert min(scn.vehicle_count for scn in scenarios) < 9 <= scenarios[0].vehicle_count
+    assert scenarios[5].vehicle_count == 9 and np.all(scenarios[5].vehicle_lane == 1)
+    blocks = engine._blocks(plan, range(plan.replications))
+    assert [len(block) for block in blocks] == ([16] if len(blocks) == 1 else [5, 5, 5, 1])
+    one_by_one = [engine.run_replication(plan, range(r, r + 1)) for r in range(plan.replications)]
+    assert np.array_equal(engine.run_plan(plan), np.concatenate(one_by_one, axis=1))
+
+
+def test_empty_road_inside_a_block_names_its_replication():
+    plan = plan_from_document({
+        "scenario": {"vehicle_intensity_per_m": 2e-4},
+        "radio": {"cluster_size": 1},
+        "engine": {"replications": 8, "periods": 1, "master_seed": 4},
+    })
+    counts = [scn.vehicle_count for scn in _scenarios(plan)]
+    assert counts[0] > 0 and counts.index(0) == 2
+    assert len(engine._blocks(plan, range(plan.replications))) == 1
+    with pytest.raises(ScenarioError, match="^replication 2: "):
+        engine.run_plan(plan)
+
+
+def test_unreachable_link_inside_a_block_names_its_replication(monkeypatch):
+    # replication 2's vehicles are moved 1e12 m off the road: no DL member
+    # of its VRUs can be reached, while its block-mates are unaffected
+    sample = scenario.sample_scenario
+
+    def far_road(params, streams, replication):
+        scn = sample(params, streams, replication)
+        if replication == 2:
+            scn = replace(scn, vehicle_y=np.full(scn.vehicle_count, 1e12))
+        return scn
+
+    monkeypatch.setattr(scenario, "sample_scenario", far_road)
+    plan = _small_plan(replications=4)
+    assert len(engine._blocks(plan, range(plan.replications))) == 1
+    engine.run_replication(plan, range(0, 2))
+    with pytest.raises(UnreachableLinkError, match="^replication 2: "):
+        engine.run_plan(plan)

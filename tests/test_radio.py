@@ -284,3 +284,39 @@ def test_dl_latency_requires_one_snr_per_member():
         dl_latency(np.array([1e4]), np.array([1.0]), np.array([10.0, 12.0]), POOL)
     with pytest.raises(ValueError):
         dl_latency(np.full(2, 1e4), np.ones(2), np.array([[10.0, 12.0]]), POOL)
+
+
+# --- padded multi-replication blocks -----------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_padded_block_search_matches_exhaustive_sort(data):
+    # each replication has its own vehicle count, lanes and VRUs; its rows are
+    # padded at (+inf, +inf) to the block's largest count, as the engine does
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    periods = data.draw(st.integers(min_value=1, max_value=3))
+    counts = data.draw(st.lists(st.integers(min_value=m, max_value=20), min_size=1, max_size=4))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    coordinates = st.integers(min_value=0, max_value=40)
+    rows, v = len(counts) * periods, max(counts)
+    x = np.full((rows, v), np.inf)
+    ys = np.full((rows, v), np.inf)
+    lanes = np.zeros((rows, v), dtype=np.int64)
+    vru_x = np.empty((rows, n))
+    for b, count in enumerate(counts):
+        lane = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        vrus = data.draw(st.lists(coordinates, min_size=n, max_size=n))
+        for r in range(b * periods, (b + 1) * periods):
+            x[r, :count] = data.draw(st.lists(coordinates, min_size=count, max_size=count))
+            ys[r, :count] = [4.0 * k for k in lane]
+            lanes[r, :count] = lane
+            vru_x[r] = vrus
+    block = nearest_member_indices(vru_x, np.zeros((rows, n)), x, ys, lanes, m)
+    assert block.shape == (rows, n, m)
+    for r in range(rows):
+        count = counts[r // periods]
+        for i in range(n):
+            real = slice(0, count)
+            expected = _oracle_indices(vru_x[r, i], x[r, real], ys[r, real], lanes[r, real], m)
+            assert list(block[r, i]) == expected, (r, i)

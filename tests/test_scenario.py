@@ -123,18 +123,17 @@ def _tiny_scenario() -> Scenario:
 
 def test_advance_vehicles_kinematics_and_wrap():
     scn = _tiny_scenario()
-    moved = advance_vehicles(scn, 1.0)
-    assert moved.vehicle_x[0] == pytest.approx(120.0)
-    assert moved.vehicle_x[1] == pytest.approx(10.0)  # wraps past the end
-    assert moved.vehicle_x[2] == pytest.approx(2985.0)  # wraps below zero
-    assert moved.vehicle_count == scn.vehicle_count
+    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, scn.road.lane_length_m)
+    assert moved[0] == pytest.approx(120.0)
+    assert moved[1] == pytest.approx(10.0)  # wraps past the end
+    assert moved[2] == pytest.approx(2985.0)  # wraps below zero
+    assert moved.size == scn.vehicle_count
 
 
 def test_advance_vehicles_zero_dt_is_identity():
     scn = _tiny_scenario()
-    same = advance_vehicles(scn, 0.0)
-    assert np.array_equal(same.vehicle_x, scn.vehicle_x)
-    assert np.array_equal(same.vehicle_speed, scn.vehicle_speed)
+    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, scn.road.lane_length_m)
+    assert np.array_equal(same, scn.vehicle_x)
 
 
 def test_sample_scenario_is_deterministic_per_replication():

@@ -36,5 +36,7 @@ def test_traced_run_sees_every_patched_layer(tmp_path):
     assert layers["traffic.jobs"] == 2000
     assert layers["rng.streams"] == 14  # per replication: 2 lanes, VRUs, traffic, ul, dl, tn_cn
     assert layers["channel.links"] == 2 * 10 * (100 + 100 * 5)
-    assert layers["latency.compose_calls"] == 2  # one block of periods per replication
+    # both replications are evaluated as one block: one engine.replication span
+    assert layers["latency.compose_calls"] == 1
+    assert layers["engine.replication_samples"] == 1
     assert layers["radio.cluster_search_s"] > 0
