@@ -14,6 +14,12 @@ Shadowing and fast fading are zero-mean Gaussians in the dB domain,
 redrawn for every packet transmission. SNR in dB is
 
     tx_power - PL - X_shadow - X_fade - additional_losses - noise_power.
+
+``ChannelParams`` holds the knobs both directions share and checks them
+when built. A ``LinkBudget`` adds only what differs by direction: the
+transmit power, the terminal's antenna height (the VRU's in the uplink, the
+vehicle's in the downlink) and the additional losses, which in the downlink
+include the calibration margin.
 """
 
 from __future__ import annotations
@@ -46,36 +52,18 @@ def log_distance_pathloss_db(d_m, exponent: float, offset_db: float):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Deterministic and random link-budget terms for one link direction."""
+    """What one link direction adds to the shared ``channel`` knobs."""
 
+    channel: ChannelParams
     tx_power_dbm: float
-    carrier_freq_ghz: float
-    h_enb_m: float
     h_ue_m: float
-    shadow_std_db: float
-    fast_fade_std_db: float
     additional_losses_db: float
-    noise_power_dbm: float
-    pathloss_model: str = "winner-plus"
-    pathloss_exponent: float = 3.0
-    log_distance_offset_db: float = 47.86
-
-    def __post_init__(self):
-        if self.carrier_freq_ghz <= 0:
-            raise ConfigurationError("carrier frequency must be positive")
-        if self.pathloss_exponent <= 0:
-            raise ConfigurationError("pathloss exponent must be positive")
-        if self.shadow_std_db < 0 or self.fast_fade_std_db < 0:
-            raise ConfigurationError("fading standard deviations must be non-negative")
-        if self.pathloss_model not in PATHLOSS_MODELS:
-            raise ConfigurationError(f"unknown pathloss model {self.pathloss_model!r}")
-        if self.pathloss_model == "winner-plus" and (self.h_enb_m <= 1.0 or self.h_ue_m <= 1.0):
-            raise ConfigurationError("antenna heights must exceed 1 m for the default model")
 
     def pathloss(self, d_m):
-        if self.pathloss_model == "log-distance":
-            return log_distance_pathloss_db(d_m, self.pathloss_exponent, self.log_distance_offset_db)
-        return pathloss_db(d_m, self.h_enb_m, self.h_ue_m, self.carrier_freq_ghz)
+        c = self.channel
+        if c.pathloss_model == "log-distance":
+            return log_distance_pathloss_db(d_m, c.pathloss_exponent, c.log_distance_offset_db)
+        return pathloss_db(d_m, c.enb_height_m, self.h_ue_m, c.carrier_freq_ghz)
 
 
 def sample_snr_db(budget: LinkBudget, d_m, rng: np.random.Generator):
@@ -84,21 +72,21 @@ def sample_snr_db(budget: LinkBudget, d_m, rng: np.random.Generator):
     Shadowing and fading are always drawn (a zero std yields exactly 0.0),
     so stream consumption does not depend on the configuration.
     """
-    shadow = rng.normal(0.0, budget.shadow_std_db, size=np.shape(d_m))
-    fade = rng.normal(0.0, budget.fast_fade_std_db, size=np.shape(d_m))
+    shadow = rng.normal(0.0, budget.channel.shadow_std_db, size=np.shape(d_m))
+    fade = rng.normal(0.0, budget.channel.fast_fade_std_db, size=np.shape(d_m))
     return (
         budget.tx_power_dbm
         - budget.pathloss(d_m)
         - shadow
         - fade
         - budget.additional_losses_db
-        - budget.noise_power_dbm
+        - budget.channel.noise_power_dbm
     )
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Directional budgets built from one shared set of channel knobs.
+    """The channel knobs both link directions share, checked when built.
 
     ``dl_calibration_loss_db`` is an extra downlink-only loss margin, the
     declared calibration parameter of the "figure-calibrated" profile, whose
@@ -120,34 +108,28 @@ class ChannelParams:
     pathloss_exponent: float = 3.0
     log_distance_offset_db: float = 47.86
 
+    def __post_init__(self):
+        if self.carrier_freq_ghz <= 0:
+            raise ConfigurationError("carrier frequency must be positive")
+        if self.pathloss_exponent <= 0:
+            raise ConfigurationError("pathloss exponent must be positive")
+        if self.shadow_std_db < 0 or self.fast_fade_std_db < 0:
+            raise ConfigurationError("fading standard deviations must be non-negative")
+        if self.pathloss_model not in PATHLOSS_MODELS:
+            raise ConfigurationError(f"unknown pathloss model {self.pathloss_model!r}")
+        heights = (self.enb_height_m, self.vru_height_m, self.vehicle_height_m)
+        if self.pathloss_model == "winner-plus" and min(heights) <= 1.0:
+            raise ConfigurationError("antenna heights must exceed 1 m for the default model")
+
     def ul_budget(self) -> LinkBudget:
         """VRU to base station."""
-        return LinkBudget(
-            tx_power_dbm=self.ul_tx_power_dbm,
-            carrier_freq_ghz=self.carrier_freq_ghz,
-            h_enb_m=self.enb_height_m,
-            h_ue_m=self.vru_height_m,
-            shadow_std_db=self.shadow_std_db,
-            fast_fade_std_db=self.fast_fade_std_db,
-            additional_losses_db=self.additional_losses_db,
-            noise_power_dbm=self.noise_power_dbm,
-            pathloss_model=self.pathloss_model,
-            pathloss_exponent=self.pathloss_exponent,
-            log_distance_offset_db=self.log_distance_offset_db,
-        )
+        return LinkBudget(self, self.ul_tx_power_dbm, self.vru_height_m, self.additional_losses_db)
 
     def dl_budget(self) -> LinkBudget:
         """Base station to cluster vehicle."""
         return LinkBudget(
-            tx_power_dbm=self.dl_tx_power_dbm,
-            carrier_freq_ghz=self.carrier_freq_ghz,
-            h_enb_m=self.enb_height_m,
-            h_ue_m=self.vehicle_height_m,
-            shadow_std_db=self.shadow_std_db,
-            fast_fade_std_db=self.fast_fade_std_db,
-            additional_losses_db=self.additional_losses_db + self.dl_calibration_loss_db,
-            noise_power_dbm=self.noise_power_dbm,
-            pathloss_model=self.pathloss_model,
-            pathloss_exponent=self.pathloss_exponent,
-            log_distance_offset_db=self.log_distance_offset_db,
+            self,
+            self.dl_tx_power_dbm,
+            self.vehicle_height_m,
+            self.additional_losses_db + self.dl_calibration_loss_db,
         )

@@ -86,11 +86,13 @@ def evaluate_period(
     ``vehicle_x[b, p]`` holds the b-th one's vehicle positions in period p,
     padded with +inf to the block's largest vehicle count V, shape
     (B, P, V); ``packets[b, p, i]`` is its p-th period's packet of the i-th
-    VRU, shape (B, P, n). In a block of several replications each must hold
-    at least ``cluster_size`` vehicles. Each replication's generators draw
-    its purpose's whole block in one call: the UL SNRs and transport+core
-    delays in shape (P, n), the DL SNRs in shape (P, n, m). Columns run over
-    VRUs within a period, then periods, then replications.
+    VRU, shape (B, P, n). The lateral geometry comes from the road: the VRUs
+    stand at y = 0 and each vehicle on its lane's centerline. In a block of
+    several replications each must hold at least ``cluster_size`` vehicles.
+    Each replication's generators draw its purpose's whole block in one
+    call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
+    in shape (P, n, m). Columns run over VRUs within a period, then periods,
+    then replications.
     """
     reps, periods, v = vehicle_x.shape
     rows = reps * periods
@@ -99,10 +101,10 @@ def evaluate_period(
     n = sizes.shape[-1]
     n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
 
-    enb_x, enb_y = plan.scenario.road.enb_position_m
+    road = plan.scenario.road
+    enb_x, enb_y = road.enb_position_m
     vru_x = np.stack([scn.vru_x for scn in scenarios])
-    vru_y = np.stack([scn.vru_y for scn in scenarios])
-    d_ul = np.hypot(vru_x - enb_x, vru_y - enb_y)
+    d_ul = np.hypot(vru_x - enb_x, enb_y)
     ul_budget = plan.channel.ul_budget()
     snr_ul = np.stack([
         channel.sample_snr_db(ul_budget, np.broadcast_to(d, (periods, n)), rng)
@@ -118,20 +120,19 @@ def evaluate_period(
         latency.sample_tn_cn(plan.network.tn_cn, rng, size=(periods, n)) for rng in tn_cn_rngs
     ])
 
-    # Padding vehicles sit at (+inf, +inf): they sort last and are never picked.
-    vehicle_y = _padded([scn.vehicle_y for scn in scenarios], v, np.inf)
+    # Padding vehicles sit at x = +inf on lane 0: they sort last and are never picked.
     lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
     m = min(plan.radio.cluster_size, v)
     members = radio.nearest_member_indices(
         np.repeat(vru_x, periods, axis=0),
-        np.repeat(vru_y, periods, axis=0),
         vehicle_x.reshape(rows, v),
-        np.repeat(vehicle_y, periods, axis=0),
         np.repeat(lanes, periods, axis=0),
+        road.lane_centerlines_m,
         m,
     )
     # One distance per (replication, period, vehicle), gathered for the members.
-    d_vehicle = np.hypot(vehicle_x - enb_x, vehicle_y[:, None] - enb_y).reshape(rows, v)
+    lane_dy = np.subtract(road.lane_centerlines_m, enb_y)
+    d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
     d_dl = np.take_along_axis(d_vehicle, members.reshape(rows, n * m), axis=1)
     dl_budget = plan.channel.dl_budget()
     snr_dl = np.stack([

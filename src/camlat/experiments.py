@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import engine
-from .config import SimulationPlan, load_config, override_parameter
+from .config import SimulationPlan, override_parameter
 from .errors import CamlatError, ConfigurationError
 from .engine import COMPONENT_KEYS, AggregateStats
 
@@ -26,7 +26,6 @@ __all__ = [
     "emit_csv",
     "emit_plot",
     "gain_pct",
-    "load_config",
 ]
 
 

@@ -34,10 +34,6 @@ class TnCnDistribution:
         if not 0 <= self.low_s <= self.high_s:
             raise ConfigurationError("transport+core delay range must satisfy 0 <= min <= max")
 
-    @property
-    def mean_s(self) -> float:
-        return 0.5 * (self.low_s + self.high_s)
-
 
 @dataclass(frozen=True)
 class NetworkParams:

@@ -37,24 +37,24 @@ class PrbPool:
 
 def nearest_member_indices(
     vru_x: np.ndarray,
-    vru_y: np.ndarray,
     vehicle_x: np.ndarray,
-    vehicle_y: np.ndarray,
     vehicle_lane: np.ndarray,
+    lane_y: tuple[float, ...],
     m: int,
 ) -> np.ndarray:
     """Indices of each VRU's m nearest vehicles, shape (n_vru, m) or (R, n_vru, m).
 
-    ``vehicle_x`` is one snapshot of positions, shape (V,), or R rows of
-    them, shape (R, V): one per period, or one per (replication, period)
-    of a block of replications. The VRU coordinates (shape (n_vru,) or
-    (R, n_vru)) and the vehicles' lateral offsets and lanes (shape (V,) or
+    The VRUs stand at y = 0 and each vehicle on its lane's lateral offset
+    ``lane_y[lane]``. ``vehicle_x`` is one snapshot of positions, shape (V,),
+    or R rows of them, shape (R, V): one per period, or one per
+    (replication, period) of a block of replications. The VRU x-coordinates
+    (shape (n_vru,) or (R, n_vru)) and the vehicles' lanes (shape (V,) or
     (R, V)) are either shared by every row or given per row, and the result
     gains the row axis to match. At most V members are returned.
 
-    A row may end in padding vehicles at x = +inf (and y = +inf), which
-    sort after every real vehicle and are never picked while the row holds
-    at least m real ones; their indices follow the real vehicles'.
+    A row may end in padding vehicles at x = +inf, on any lane, which sort
+    after every real vehicle and are never picked while the row holds at
+    least m real ones; their indices follow the real vehicles'.
 
     Ties on exact squared distance break toward the lower x-coordinate,
     then the lower lane index, then the lower vehicle index.
@@ -62,14 +62,15 @@ def nearest_member_indices(
     Each row's vehicles are sorted once by (x, lane, index) and each VRU
     is placed into that order by ``searchsorted``. A contiguous window of
     2m candidates around it is ranked by a stable sort on squared distance,
-    which keeps the (x, lane, index) order among equals. The window always
-    reaches the VRU's sorted position, so the nearest vehicle outside each
-    window edge lies on the far side of the VRU. The pick is certified when
-    that vehicle, even at the smallest lateral offset of any lane, is
-    strictly farther than the m-th pick: every vehicle beyond it is then
-    farther still, because rounded subtraction, squaring and addition are
-    monotone. Rows that fail retry with a doubled window; at window V this
-    is the full sort, which needs no certificate.
+    which keeps the (x, lane, index) order among equals; each window gathers
+    its squared lateral offsets from ``lane_y**2`` by sorted lane. The window
+    always reaches the VRU's sorted position, so the nearest vehicle outside
+    each window edge lies on the far side of the VRU. The pick is certified
+    when that vehicle, even on the lane nearest the VRUs, is strictly farther
+    than the m-th pick: every vehicle beyond it is then farther still,
+    because rounded subtraction, squaring and addition are monotone. Rows
+    that fail retry with a doubled window; at window V this is the full
+    sort, which needs no certificate.
     """
     x = np.atleast_2d(vehicle_x)
     rows, v = x.shape
@@ -77,25 +78,19 @@ def nearest_member_indices(
         raise ScenarioError("no vehicles on the road; cannot form clusters")
     n = np.shape(vru_x)[-1]
     vru_x = np.broadcast_to(vru_x, (rows, n))
-    vru_y = np.broadcast_to(vru_y, (rows, n))
+    lane_dy2 = np.square(np.asarray(lane_y, dtype=float))
+    min_dy2 = lane_dy2.min()  # the lane nearest the VRUs
     # (x, lane, index) order: a stable sort on x of the vehicles taken lane by lane.
     by_lane = np.broadcast_to(np.argsort(vehicle_lane, axis=-1, kind="stable"), (rows, v))
     by_x = np.argsort(np.take_along_axis(x, by_lane, axis=1), axis=1, kind="stable")
     order = np.take_along_axis(by_lane, by_x, axis=1)
     xs = np.take_along_axis(x, order, axis=1)
-    ys = np.take_along_axis(np.broadcast_to(vehicle_y, (rows, v)), order, axis=1)
+    lanes = np.take_along_axis(np.broadcast_to(vehicle_lane, (rows, v)), order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
     start = np.concatenate([np.searchsorted(row, q) for row, q in zip(xs, vru_x)])
-    # Smallest squared lateral offset to any vehicle of any row: it is reached
-    # at the lateral position just below or just above the VRU's.
-    lateral = np.sort(np.ravel(vehicle_y))
-    near = np.searchsorted(lateral, vru_y)
-    lane_dy = vru_y - lateral[np.clip([near - 1, near], 0, lateral.size - 1)]
-    min_dy2 = np.min(lane_dy * lane_dy, axis=0).ravel()
     # Flat views: row r's sorted position i is entry r * V + i, and its
     # VRU u is entry r * n_vru + u.
-    order, xs, ys = order.ravel(), xs.ravel(), ys.ravel()
-    vru_x, vru_y = vru_x.ravel(), vru_y.ravel()
+    order, xs, lanes, vru_x = order.ravel(), xs.ravel(), lanes.ravel(), vru_x.ravel()
 
     take = min(m, v)
     out = np.empty((rows * n, take), dtype=order.dtype)
@@ -106,15 +101,14 @@ def nearest_member_indices(
         lo = np.clip(start[pending] - width // 2, 0, v - width)
         first = row * v + lo
         # d2 = dx * dx + dy * dy over each window, in place. The (rows, width)
-        # arrays set a block's peak memory, so each is freed once used.
+        # arrays set a block's peak memory, so each is freed once used: the
+        # lane gather's index array is gone before d2 is made.
+        dy2 = lane_dy2[sliding_window_view(lanes, width)[first]]
         d2 = sliding_window_view(xs, width)[first]
         np.subtract(vru_x[pending, None], d2, out=d2)
         d2 *= d2
-        dy = sliding_window_view(ys, width)[first]
-        np.subtract(vru_y[pending, None], dy, out=dy)
-        dy *= dy
-        d2 += dy
-        del dy
+        d2 += dy2
+        del dy2
         picks = np.argsort(d2, axis=1, kind="stable")[:, :take]
         mth = np.take_along_axis(d2, picks[:, -1:], axis=1)[:, 0]
         del d2
@@ -123,13 +117,13 @@ def nearest_member_indices(
         del picks
         if width == v:
             break
-        # Certificate: the first vehicle past each window edge, at the
-        # smallest lateral offset of any lane, is farther than the m-th pick.
-        # lo <= start <= lo + width, so that vehicle is on the VRU's far side.
+        # Certificate: the first vehicle past each window edge, on the lane
+        # nearest the VRUs, is farther than the m-th pick. lo <= start <=
+        # lo + width, so that vehicle is on the VRU's far side.
         left_gap = vru_x[pending] - xs[row * v + np.maximum(lo - 1, 0)]
         right_gap = vru_x[pending] - xs[row * v + np.minimum(lo + width, v - 1)]
-        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2[pending] > mth)
-        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2[pending] > mth)
+        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2 > mth)
+        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2 > mth)
         pending = pending[~(left_ok & right_ok)]
         width = min(2 * width, v)
     out = out.reshape(rows, n, take)

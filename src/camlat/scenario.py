@@ -138,15 +138,16 @@ def sample_vrus(n: int, strip_m: tuple[float, float], rng: np.random.Generator) 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Frozen snapshot of one realization, stored as flat arrays."""
+    """Frozen snapshot of one realization, stored as flat arrays.
 
-    road: RoadGeometry
+    Only the x-coordinates vary: the VRUs walk the strip's center line at
+    y = 0, and each vehicle drives on its lane's centerline.
+    """
+
     vehicle_x: np.ndarray
-    vehicle_y: np.ndarray
     vehicle_speed: np.ndarray
     vehicle_lane: np.ndarray
     vru_x: np.ndarray
-    vru_y: np.ndarray
 
     @property
     def vehicle_count(self) -> int:
@@ -163,16 +164,12 @@ def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenar
         )
         for lane in range(road.lane_count)
     ))
-    per_lane = [x.size for x in xs]
     vru_x = sample_vrus(params.vru_count, params.vru_strip_m, streams.stream("vrus", replication))
     return Scenario(
-        road=road,
         vehicle_x=np.concatenate(xs),
-        vehicle_y=np.repeat(road.lane_centerlines_m, per_lane),
         vehicle_speed=np.concatenate(speeds),
-        vehicle_lane=np.repeat(np.arange(road.lane_count), per_lane),
+        vehicle_lane=np.repeat(np.arange(road.lane_count), [x.size for x in xs]),
         vru_x=vru_x,
-        vru_y=np.zeros(vru_x.size),  # VRUs walk the strip's center line
     )
 
 

@@ -157,7 +157,7 @@ def test_criterion_6_oracle_equivalence():
             d2 = (xs[i] - vru_x) ** 2 + (ys[i] - 0.0) ** 2
             return (d2, xs[i], lanes[i])
 
-        nearest = nearest_member_indices(np.array([vru_x]), np.zeros(1), xs, ys, lanes, m)[0]
+        nearest = nearest_member_indices(np.array([vru_x]), xs, lanes, (4.0, -4.0), m)[0]
         assert list(nearest) == sorted(range(n), key=key)[:m]
 
     # hard-core sampler: min gap and realized intensity on the density grid

@@ -1,7 +1,6 @@
 """Link-budget unit oracles and SNR sampling properties."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,19 +57,17 @@ def test_log_distance_model():
 
 
 def _budget(tx=23.0, shadow=3.0, fade=4.0, losses=15.0, model="winner-plus"):
-    return LinkBudget(
-        tx_power_dbm=tx,
+    channel = ChannelParams(
         carrier_freq_ghz=FC,
-        h_enb_m=H_ENB,
-        h_ue_m=H_UE,
+        enb_height_m=H_ENB,
         shadow_std_db=shadow,
         fast_fade_std_db=fade,
-        additional_losses_db=losses,
         noise_power_dbm=-110.0,
         pathloss_model=model,
         pathloss_exponent=3.0,
         log_distance_offset_db=47.86,
     )
+    return LinkBudget(channel, tx_power_dbm=tx, h_ue_m=H_UE, additional_losses_db=losses)
 
 
 def test_snr_deterministic_when_stds_zero():
@@ -117,8 +114,9 @@ def test_dl_budget_includes_calibration_margin():
 def test_negative_std_rejected():
     with pytest.raises(ConfigurationError):
         _budget(shadow=-1.0)
-    # the budget also holds the pathloss inputs' rules
-    for bad in ({"h_enb_m": 1.0}, {"h_ue_m": 1.0}, {"carrier_freq_ghz": 0.0},
-                {"pathloss_exponent": 0.0}):
+    # the shared channel knobs are checked when built, pathloss inputs included
+    for bad in ({"shadow_std_db": -1.0}, {"fast_fade_std_db": -1.0}, {"enb_height_m": 1.0},
+                {"vru_height_m": 1.0}, {"vehicle_height_m": 1.0}, {"carrier_freq_ghz": 0.0},
+                {"pathloss_exponent": 0.0}, {"pathloss_model": "free-space"}):
         with pytest.raises(ConfigurationError):
-            replace(_budget(), **bad)
+            ChannelParams(**bad)

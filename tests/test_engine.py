@@ -17,7 +17,7 @@ from camlat.errors import (
 )
 from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, compose_e2e
 from camlat.rng import SubstreamFactory
-from camlat.scenario import RoadGeometry, Scenario, ScenarioParams, sample_scenario
+from camlat.scenario import Scenario, ScenarioParams, sample_scenario
 from camlat.traffic import PACKET_DTYPE, TrafficParams, generate_period
 
 
@@ -32,13 +32,10 @@ def _small_plan(**engine_overrides):
 def _scenario(vru_count):
     """One vehicle at (1600, 4) on lane 0; every VRU at (1500, 0)."""
     return Scenario(
-        road=RoadGeometry(),
         vehicle_x=np.array([1600.0]),
-        vehicle_y=np.array([4.0]),
         vehicle_speed=np.array([30.0]),
         vehicle_lane=np.array([0]),
         vru_x=np.full(vru_count, 1500.0),
-        vru_y=np.zeros(vru_count),
     )
 
 
@@ -332,14 +329,14 @@ def test_empty_road_inside_a_block_names_its_replication():
 
 
 def test_unreachable_link_inside_a_block_names_its_replication(monkeypatch):
-    # replication 2's vehicles are moved 1e12 m off the road: no DL member
-    # of its VRUs can be reached, while its block-mates are unaffected
+    # replication 2's vehicles are moved 1e12 m along x, past the road's end:
+    # no DL member of its VRUs can be reached, while its block-mates are unaffected
     sample = scenario.sample_scenario
 
     def far_road(params, streams, replication):
         scn = sample(params, streams, replication)
         if replication == 2:
-            scn = replace(scn, vehicle_y=np.full(scn.vehicle_count, 1e12))
+            scn = replace(scn, vehicle_x=scn.vehicle_x + 1e12)
         return scn
 
     monkeypatch.setattr(scenario, "sample_scenario", far_road)

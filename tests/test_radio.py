@@ -22,12 +22,11 @@ from camlat.traffic import n_hat
 POOL = PrbPool()
 
 
-def _nearest(vru_x, xs, m, ys=None, lanes=None):
+def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
     """Nearest-member indices of one VRU at (vru_x, 0) among vehicles at xs."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.zeros(xs.size) if ys is None else np.asarray(ys, dtype=float)
     lanes = np.zeros(xs.size, dtype=np.int64) if lanes is None else np.asarray(lanes)
-    return nearest_member_indices(np.array([vru_x]), np.zeros(1), xs, ys, lanes, m)[0]
+    return nearest_member_indices(np.array([vru_x]), xs, lanes, lane_y, m)[0]
 
 
 def test_pool_default_prb_count():
@@ -79,7 +78,7 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
     xs = [float(x) for x in xs]
     lanes = [i % 2 for i in range(len(xs))]
     ys = [4.0 * lane for lane in lanes]
-    nearest = _nearest(float(vru_x), xs, m, ys, lanes)
+    nearest = _nearest(float(vru_x), xs, m, lanes)
     assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, lanes, m)
 
 
@@ -88,14 +87,14 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
 # point and the oracle's ties are the search's ties.
 
 
-def _check_block(vru_x, x, ys, lanes, m):
+def _check_block(vru_x, x, lanes, lane_y, m):
     """The (P, V) search equals the 1-D search and the brute-force oracle, row by row."""
     vru_x = np.asarray(vru_x, dtype=float)
-    vru_y = np.zeros(vru_x.size)
-    block = nearest_member_indices(vru_x, vru_y, x, ys, lanes, m)
+    ys = np.asarray(lane_y)[lanes]
+    block = nearest_member_indices(vru_x, x, lanes, lane_y, m)
     assert block.shape == (x.shape[0], vru_x.size, min(m, x.shape[1]))
     for p, row in enumerate(x):
-        single = nearest_member_indices(vru_x, vru_y, row, ys, lanes, m)
+        single = nearest_member_indices(vru_x, row, lanes, lane_y, m)
         assert single.dtype == np.intp
         assert np.array_equal(single, block[p])
         for i, q in enumerate(vru_x):
@@ -103,9 +102,7 @@ def _check_block(vru_x, x, ys, lanes, m):
     return block
 
 
-def _lanes(v, rng):
-    lanes = rng.integers(0, 2, v)
-    return lanes, np.where(lanes == 0, 4.0, -4.0)
+LANE_Y = (4.0, -4.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
@@ -114,17 +111,17 @@ def test_windowed_search_lattice_ties(m):
     # see equal squared distances on both sides of every window edge
     rng = np.random.default_rng(m)
     x = rng.integers(0, 120, (4, 300)).astype(float)
-    lanes, ys = _lanes(300, rng)
+    lanes = rng.integers(0, 2, 300)
     vru_x = np.concatenate([np.arange(-3.0, 124.0, 3.0), rng.integers(0, 240, 20) / 2.0])
-    _check_block(vru_x, x, ys, lanes, m)
+    _check_block(vru_x, x, lanes, LANE_Y, m)
 
 
 def test_windowed_search_vrus_beyond_every_vehicle():
     rng = np.random.default_rng(1)
     x = rng.integers(100, 400, (3, 250)).astype(float)
-    lanes, ys = _lanes(250, rng)
+    lanes = rng.integers(0, 2, 250)
     vru_x = [-1000.0, 0.0, 99.0, 100.0, 399.0, 400.0, 401.0, 5000.0]
-    block = _check_block(vru_x, x, ys, lanes, 7)
+    block = _check_block(vru_x, x, lanes, LANE_Y, 7)
     assert np.all(x[0][block[0, 0]] == np.sort(x[0])[:7])
     assert np.all(x[0][block[0, -1]] == np.sort(x[0])[::-1][:7])
 
@@ -136,18 +133,21 @@ def test_windowed_search_sparse_and_empty_lanes():
     # lane 1 holds three vehicles, fewer than m
     lanes = np.zeros(200, dtype=np.int64)
     lanes[[17, 80, 151]] = 1
-    ys = np.where(lanes == 0, 4.0, -4.0)
-    _check_block(vru_x, x, ys, lanes, 9)
+    _check_block(vru_x, x, lanes, LANE_Y, 9)
     # lane 1 is empty
-    _check_block(vru_x, x, np.full(200, 4.0), np.zeros(200, dtype=np.int64), 9)
+    _check_block(vru_x, x, np.zeros(200, dtype=np.int64), LANE_Y, 9)
+    # lane 1 is empty and nearer the VRUs than lane 0: the certificate's
+    # lateral bound (16) lies below every real vehicle's offset (1600), so
+    # windows fail it and retry
+    _check_block(vru_x, x, np.zeros(200, dtype=np.int64), (40.0, 4.0), 9)
 
 
 @pytest.mark.parametrize("m", [150, 151, 400])
 def test_windowed_search_cluster_covers_every_vehicle(m):
     rng = np.random.default_rng(m)
     x = rng.integers(0, 100, (2, 150)).astype(float)
-    lanes, ys = _lanes(150, rng)
-    block = _check_block(np.arange(-10.0, 120.0, 13.0), x, ys, lanes, m)
+    lanes = rng.integers(0, 2, 150)
+    block = _check_block(np.arange(-10.0, 120.0, 13.0), x, lanes, LANE_Y, m)
     assert block.shape[-1] == 150
 
 
@@ -160,8 +160,7 @@ def test_windowed_search_retries_past_a_stacked_lane():
     lane0 = np.arange(1400.0, 1601.0)
     x = np.stack([np.concatenate([lane0, np.full(200, c)]) for c in (1500.0, 1450.5)])
     lanes = np.repeat([0, 1], [lane0.size, 200])
-    ys = np.where(lanes == 0, 4.0, -40.0)
-    block = _check_block([1500.0, 1450.5, 1499.5], x, ys, lanes, 5)
+    block = _check_block([1500.0, 1450.5, 1499.5], x, lanes, (4.0, -40.0), 5)
     # 1501 and 1451 lie past the 200 stacked vehicles in sorted order
     assert sorted(x[0][block[0, 0]]) == [1498.0, 1499.0, 1500.0, 1501.0, 1502.0]
     assert sorted(x[1][block[1, 1]]) == [1448.0, 1449.0, 1450.0, 1451.0, 1452.0]
@@ -248,12 +247,11 @@ def test_dl_latency_singleton():
 
 def test_dl_latency_farthest_member_dominates_without_fading():
     # deterministic SNR falls with distance, so the farthest member is slowest
-    from camlat.channel import LinkBudget, sample_snr_db
+    from camlat.channel import ChannelParams, LinkBudget, sample_snr_db
 
     budget = LinkBudget(
-        tx_power_dbm=46.0, carrier_freq_ghz=5.9, h_enb_m=10.0, h_ue_m=1.5,
-        shadow_std_db=0.0, fast_fade_std_db=0.0, additional_losses_db=15.0,
-        noise_power_dbm=-110.0,
+        ChannelParams(shadow_std_db=0.0, fast_fade_std_db=0.0),
+        tx_power_dbm=46.0, h_ue_m=1.5, additional_losses_db=15.0,
     )
     distances = np.array([50.0, 120.0, 300.0, 800.0])
     snrs = sample_snr_db(budget, distances, np.random.default_rng(0))
@@ -293,7 +291,7 @@ def test_dl_latency_requires_one_snr_per_member():
 @given(data=st.data())
 def test_padded_block_search_matches_exhaustive_sort(data):
     # each replication has its own vehicle count, lanes and VRUs; its rows are
-    # padded at (+inf, +inf) to the block's largest count, as the engine does
+    # padded at x = +inf on lane 0 to the block's largest count, as the engine does
     m = data.draw(st.integers(min_value=1, max_value=6))
     periods = data.draw(st.integers(min_value=1, max_value=3))
     counts = data.draw(st.lists(st.integers(min_value=m, max_value=20), min_size=1, max_size=4))
@@ -312,7 +310,7 @@ def test_padded_block_search_matches_exhaustive_sort(data):
             ys[r, :count] = [4.0 * k for k in lane]
             lanes[r, :count] = lane
             vru_x[r] = vrus
-    block = nearest_member_indices(vru_x, np.zeros((rows, n)), x, ys, lanes, m)
+    block = nearest_member_indices(vru_x, x, lanes, (0.0, 4.0), m)
     assert block.shape == (rows, n, m)
     for r in range(rows):
         count = counts[r // periods]

@@ -82,11 +82,13 @@ def test_sample_vehicles_speeds_and_lane_direction():
     assert np.all(west < 0)
     speeds = np.abs(np.concatenate([east, west]))
     assert np.all((speed_range[0] <= speeds) & (speeds <= speed_range[1]))
-    # the assembled scenario puts each lane's vehicles on that lane's centerline
+    # the assembled scenario tags each lane's vehicles with that lane, which
+    # places them on its centerline
     scn = sample_scenario(ScenarioParams(), SubstreamFactory(11), 0)
     for lane in (0, 1):
-        on_lane = scn.vehicle_lane == lane
-        assert set(scn.vehicle_y[on_lane]) <= {road.lane_centerlines_m[lane]}
+        stream = SubstreamFactory(11).stream("vehicles", 0, lane)
+        xs, _ = sample_vehicles(params, road, lane, speed_range, stream)
+        assert np.array_equal(scn.vehicle_x[scn.vehicle_lane == lane], xs)
 
 
 def test_sample_vrus_containment_and_mean():
@@ -111,19 +113,16 @@ def test_sample_vrus_range_containment_wide():
 
 def _tiny_scenario() -> Scenario:
     return Scenario(
-        road=RoadGeometry(),
         vehicle_x=np.array([100.0, 2990.0, 5.0]),
-        vehicle_y=np.array([4.0, -4.0, -4.0]),
         vehicle_speed=np.array([20.0, 20.0, -20.0]),
         vehicle_lane=np.array([0, 1, 1]),
         vru_x=np.array([1500.0]),
-        vru_y=np.array([0.0]),
     )
 
 
 def test_advance_vehicles_kinematics_and_wrap():
     scn = _tiny_scenario()
-    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, scn.road.lane_length_m)
+    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, RoadGeometry().lane_length_m)
     assert moved[0] == pytest.approx(120.0)
     assert moved[1] == pytest.approx(10.0)  # wraps past the end
     assert moved[2] == pytest.approx(2985.0)  # wraps below zero
@@ -132,7 +131,7 @@ def test_advance_vehicles_kinematics_and_wrap():
 
 def test_advance_vehicles_zero_dt_is_identity():
     scn = _tiny_scenario()
-    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, scn.road.lane_length_m)
+    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, RoadGeometry().lane_length_m)
     assert np.array_equal(same, scn.vehicle_x)
 
 
