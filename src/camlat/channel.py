@@ -66,22 +66,25 @@ class LinkBudget:
         return pathloss_db(d_m, c.enb_height_m, self.h_ue_m, c.carrier_freq_ghz)
 
 
-def sample_snr_db(budget: LinkBudget, d_m, rng: np.random.Generator):
-    """One fresh SNR draw per link; pure function of geometry when stds are zero.
+def mean_snr_db(budget: LinkBudget, d_m):
+    """The deterministic part of a link's SNR, tx_power - PL(d), per distance."""
+    return budget.tx_power_dbm - budget.pathloss(d_m)
+
+
+def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
+    """One fresh SNR draw per link around its ``mean_snr_db``, in the shape of ``mean_db``.
 
     Shadowing and fading are always drawn (a zero std yields exactly 0.0),
     so stream consumption does not depend on the configuration.
     """
-    shadow = rng.normal(0.0, budget.channel.shadow_std_db, size=np.shape(d_m))
-    fade = rng.normal(0.0, budget.channel.fast_fade_std_db, size=np.shape(d_m))
-    return (
-        budget.tx_power_dbm
-        - budget.pathloss(d_m)
-        - shadow
-        - fade
-        - budget.additional_losses_db
-        - budget.channel.noise_power_dbm
-    )
+    shape = np.shape(mean_db)
+    snr = rng.normal(0.0, budget.channel.shadow_std_db, size=shape)
+    fade = rng.normal(0.0, budget.channel.fast_fade_std_db, size=shape)
+    np.subtract(mean_db, snr, out=snr)
+    snr -= fade
+    snr -= budget.additional_losses_db
+    snr -= budget.channel.noise_power_dbm
+    return snr
 
 
 @dataclass(frozen=True)

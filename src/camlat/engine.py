@@ -104,11 +104,13 @@ def evaluate_period(
     road = plan.scenario.road
     enb_x, enb_y = road.enb_position_m
     vru_x = np.stack([scn.vru_x for scn in scenarios])
-    d_ul = np.hypot(vru_x - enb_x, enb_y)
+    # A VRU's eNB distance is fixed for its replication: one mean per VRU,
+    # broadcast over the periods.
     ul_budget = plan.channel.ul_budget()
+    ul_mean = channel.mean_snr_db(ul_budget, np.hypot(vru_x - enb_x, enb_y))
     snr_ul = np.stack([
-        channel.sample_snr_db(ul_budget, np.broadcast_to(d, (periods, n)), rng)
-        for d, rng in zip(d_ul, ul_rngs)
+        channel.sample_snr_db(ul_budget, np.broadcast_to(mean, (periods, n)), rng)
+        for mean, rng in zip(ul_mean, ul_rngs)
     ])
     t_ul = radio.ul_latency(sizes, radio.prb_share(pool, n_hat, 1), snr_ul, pool)
 
@@ -130,14 +132,16 @@ def evaluate_period(
         road.lane_centerlines_m,
         m,
     )
-    # One distance per (replication, period, vehicle), gathered for the members.
+    # One mean SNR per (replication, period, vehicle), gathered for the members.
     lane_dy = np.subtract(road.lane_centerlines_m, enb_y)
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
-    d_dl = np.take_along_axis(d_vehicle, members.reshape(rows, n * m), axis=1)
     dl_budget = plan.channel.dl_budget()
+    dl_mean = np.take_along_axis(
+        channel.mean_snr_db(dl_budget, d_vehicle), members.reshape(rows, n * m), axis=1
+    )
     snr_dl = np.stack([
-        channel.sample_snr_db(dl_budget, d, rng)
-        for d, rng in zip(d_dl.reshape(reps, periods, n, m), dl_rngs)
+        channel.sample_snr_db(dl_budget, mean, rng)
+        for mean, rng in zip(dl_mean.reshape(reps, periods, n, m), dl_rngs)
     ])
     t_dl = radio.dl_latency(
         sizes.ravel(), radio.prb_share(pool, n_hat, m).ravel(), snr_dl.reshape(-1, m), pool

@@ -159,12 +159,15 @@ def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:
 
     ``member_snr_db`` holds one row per packet and one column per cluster
     member; ``prbs`` holds, per packet, the PRB share of each of its members.
+    The members share the PRB share and the rate rises with the SNR, so the
+    slowest member is the one with the lowest SNR, and only its rate is
+    computed. A NaN SNR makes its packet's rate NaN, which is an error.
     """
     sizes = np.asarray(size_bits, dtype=float)
     snr = np.asarray(member_snr_db, dtype=float)
     if snr.ndim != 2 or snr.shape[0] != sizes.size:
         raise ValueError("one row of member SNRs per packet is required")
-    rates = link_rate_bps(np.asarray(prbs, dtype=float)[:, None], snr, pool)
-    if np.any(rates <= 0) or not np.all(np.isfinite(rates)):
+    rate = link_rate_bps(prbs, np.min(snr, axis=1), pool)
+    if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise UnreachableLinkError("a downlink cluster has an unreachable member")
-    return np.max(sizes[:, None] / rates, axis=1)
+    return sizes / rate

@@ -9,6 +9,7 @@ from camlat.channel import (
     ChannelParams,
     LinkBudget,
     log_distance_pathloss_db,
+    mean_snr_db,
     pathloss_db,
     sample_snr_db,
 )
@@ -72,22 +73,24 @@ def _budget(tx=23.0, shadow=3.0, fade=4.0, losses=15.0, model="winner-plus"):
 
 def test_snr_deterministic_when_stds_zero():
     rng = np.random.default_rng(0)
-    snr = sample_snr_db(_budget(shadow=0.0, fade=0.0), 1000.0, rng)
+    budget = _budget(shadow=0.0, fade=0.0)
+    snr = sample_snr_db(budget, mean_snr_db(budget, 1000.0), rng)
     expected = 23.0 - reference_pathloss(1000.0) - 15.0 + 110.0
     assert round(expected, 2) == 66.68
     assert snr == pytest.approx(expected, rel=1e-9)
 
 
 def test_snr_linear_in_tx_power():
-    a = sample_snr_db(_budget(tx=23.0, shadow=0.0, fade=0.0), 500.0, np.random.default_rng(1))
-    b = sample_snr_db(_budget(tx=13.0, shadow=0.0, fade=0.0), 500.0, np.random.default_rng(1))
+    loud, quiet = _budget(tx=23.0, shadow=0.0, fade=0.0), _budget(tx=13.0, shadow=0.0, fade=0.0)
+    a = sample_snr_db(loud, mean_snr_db(loud, 500.0), np.random.default_rng(1))
+    b = sample_snr_db(quiet, mean_snr_db(quiet, 500.0), np.random.default_rng(1))
     assert a - b == pytest.approx(10.0, abs=1e-12)
 
 
 def test_snr_noise_terms_have_zero_mean():
     budget = _budget()
     rng = np.random.default_rng(42)
-    draws = sample_snr_db(budget, np.full(100_000, 1000.0), rng)
+    draws = sample_snr_db(budget, np.full(100_000, mean_snr_db(budget, 1000.0)), rng)
     deterministic = 23.0 - reference_pathloss(1000.0) - 15.0 + 110.0
     assert abs(float(np.mean(draws)) - deterministic) < 0.1
 
@@ -95,7 +98,7 @@ def test_snr_noise_terms_have_zero_mean():
 def test_snr_vectorized_matches_scalar_shape():
     budget = _budget(shadow=0.0, fade=0.0)
     ds = np.array([10.0, 100.0, 1000.0])
-    out = sample_snr_db(budget, ds, np.random.default_rng(2))
+    out = sample_snr_db(budget, mean_snr_db(budget, ds), np.random.default_rng(2))
     assert out.shape == (3,)
     assert out[2] == pytest.approx(66.68, abs=0.005)
 

@@ -247,14 +247,14 @@ def test_dl_latency_singleton():
 
 def test_dl_latency_farthest_member_dominates_without_fading():
     # deterministic SNR falls with distance, so the farthest member is slowest
-    from camlat.channel import ChannelParams, LinkBudget, sample_snr_db
+    from camlat.channel import ChannelParams, LinkBudget, mean_snr_db, sample_snr_db
 
     budget = LinkBudget(
         ChannelParams(shadow_std_db=0.0, fast_fade_std_db=0.0),
         tx_power_dbm=46.0, h_ue_m=1.5, additional_losses_db=15.0,
     )
     distances = np.array([50.0, 120.0, 300.0, 800.0])
-    snrs = sample_snr_db(budget, distances, np.random.default_rng(0))
+    snrs = sample_snr_db(budget, mean_snr_db(budget, distances), np.random.default_rng(0))
     times = 1e4 / link_rate_bps(np.full(4, 2.0), snrs, POOL)
     assert int(np.argmax(times)) == 3
     assert _dl_one(1e4, 2.0, snrs) == pytest.approx(float(np.max(times)), rel=1e-12)
@@ -274,6 +274,39 @@ def test_dl_latency_nondecreasing_in_cluster_size():
 def test_dl_latency_unreachable_member():
     with pytest.raises(UnreachableLinkError):
         _dl_one(1e4, 1.0, [10.0, -np.inf])
+
+
+def _dl_oracle(sizes, prbs, member_snr_db):
+    """Per-member oracle of ``dl_latency``: every member's own rate, the slowest one decides."""
+    return np.array([
+        max(size / link_rate_bps(share, snr, POOL) for snr in row)
+        for size, share, row in zip(sizes, prbs, member_snr_db)
+    ])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_dl_latency_equals_per_member_oracle(data):
+    # only the lowest-SNR member's rate is computed: the result must equal
+    # the largest of every member's own latency exactly, ties included
+    packets = data.draw(st.integers(1, 12), label="packets")
+    m = data.draw(st.integers(1, 9), label="m")
+    snr_db = st.one_of(st.floats(-60.0, 150.0), st.sampled_from([-3.0, 0.0, 10.0]))
+    snr = np.array(data.draw(st.lists(
+        st.lists(snr_db, min_size=m, max_size=m), min_size=packets, max_size=packets
+    ), label="snr"))
+    sizes = np.array(data.draw(st.lists(
+        st.floats(1.0, 1e5), min_size=packets, max_size=packets
+    ), label="sizes"))
+    prbs = np.array(data.draw(st.lists(
+        st.floats(0.01, 50.0), min_size=packets, max_size=packets
+    ), label="prbs"))
+    assert np.array_equal(dl_latency(sizes, prbs, snr, POOL), _dl_oracle(sizes, prbs, snr))
+    # one member too weak to carry a bit makes its whole block unreachable
+    row, col = data.draw(st.integers(0, packets - 1)), data.draw(st.integers(0, m - 1))
+    snr[row, col] = -1e3
+    with pytest.raises(UnreachableLinkError):
+        dl_latency(sizes, prbs, snr, POOL)
 
 
 def test_dl_latency_requires_one_snr_per_member():
