@@ -10,10 +10,13 @@ heights minus 1 m and must stay positive. A plain log-distance model
 (10 * n * log10(d) + offset) can be substituted per config for
 sensitivity studies; the configured pathloss exponent is only used there.
 
-Shadowing and fast fading are zero-mean Gaussians in the dB domain,
-redrawn for every packet transmission. SNR in dB is
+Shadowing and fast fading are independent zero-mean Gaussians in the dB
+domain, redrawn for every packet transmission; their sum is drawn as one
+Gaussian of std sqrt(shadow_std**2 + fading_std**2). SNR in dB is
 
-    tx_power - PL - X_shadow - X_fade - additional_losses - noise_power.
+    tx_power - PL - X_shadow - X_fade - additional_losses - noise_power,
+
+whose deterministic part, all but the two Gaussians, is ``mean_snr_db``.
 
 ``ChannelParams`` holds the knobs both directions share and checks them
 when built. A ``LinkBudget`` adds only what differs by direction: the
@@ -24,6 +27,7 @@ include the calibration margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +71,26 @@ class LinkBudget:
 
 
 def mean_snr_db(budget: LinkBudget, d_m):
-    """The deterministic part of a link's SNR, tx_power - PL(d), per distance."""
-    return budget.tx_power_dbm - budget.pathloss(d_m)
+    """A link's mean SNR in dB at distance ``d_m``: its SNR without shadowing and fading."""
+    return (
+        budget.tx_power_dbm
+        - budget.pathloss(d_m)
+        - budget.additional_losses_db
+        - budget.channel.noise_power_dbm
+    )
 
 
 def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
     """One fresh SNR draw per link around its ``mean_snr_db``, in the shape of ``mean_db``.
 
-    Shadowing and fading are always drawn (a zero std yields exactly 0.0),
-    so stream consumption does not depend on the configuration.
+    Shadowing and fading are independent zero-mean normals, so their sum is
+    drawn as one normal with std hypot(shadow std, fading std). It is always
+    drawn (a zero std yields exactly 0.0), so stream consumption does not
+    depend on the configuration.
     """
-    shape = np.shape(mean_db)
-    snr = rng.normal(0.0, budget.channel.shadow_std_db, size=shape)
-    fade = rng.normal(0.0, budget.channel.fast_fade_std_db, size=shape)
+    std = math.hypot(budget.channel.shadow_std_db, budget.channel.fast_fade_std_db)
+    snr = rng.normal(0.0, std, size=np.shape(mean_db))
     np.subtract(mean_db, snr, out=snr)
-    snr -= fade
-    snr -= budget.additional_losses_db
-    snr -= budget.channel.noise_power_dbm
     return snr
 
 

@@ -1,36 +1,70 @@
 """Deterministic random-number substreams.
 
-One master seed fans out into independent streams keyed by purpose and
-index tuple. Keys are hashed through ``numpy.random.SeedSequence`` into a
-counter-based Philox generator, so every stream is reproducible in
-isolation: drawing more (or fewer) numbers from one stream never shifts any
-other stream. That is what makes replications order-independent and sweeps
-re-runnable per point.
+One master seed fans out into independent streams keyed by replication and
+purpose, and for the vehicles by lane. Every stream is a counter-based
+Philox generator, which is fixed by its 128-bit key alone: distinct keys
+give independent streams (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC'11), so no stream needs a seed hash of its own. Each
+replication hashes ``numpy.random.SeedSequence(entropy=master_seed,
+spawn_key=(replication,))`` once, and the words of its ``generate_state``
+are the keys of the replication's streams, one 128-bit key per slot. Every
+stream is reproducible in isolation: drawing more (or fewer) numbers from
+one stream never shifts any other stream. That is what makes replications
+order-independent and sweeps re-runnable per point.
 
 A replication uses one stream per lane for its vehicles, one for its VRUs,
-and one per draw purpose (traffic, ul, dl, tn_cn) keyed by the replication
+and one per draw purpose (traffic, ul, dl, tn_cn), keyed by the replication
 alone, not by period. Each purpose stream draws its whole block in one call,
 in (periods, VRUs) shape, or (periods, VRUs, m) for the downlink members, so
 changing ``periods`` or ``vru_count`` changes every draw of a replication.
+
+``numpy.random`` is imported on the first ``stream`` call, not with the
+package: the CLI's start-up does not pay for it.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-# Stable purpose ids; the integer enters the stream key, so renaming a
-# purpose string is free but renumbering breaks reproducibility. Keys are
-# (purpose,) + indices: (vehicles, replication, lane), (vrus, replication),
-# and (traffic | ul | dl | tn_cn, replication), one stream per (purpose,
-# replication) whose draws fill the (P, U[, m]) block in row-major order.
-_PURPOSE_IDS = {
-    "vehicles": 0,
-    "vrus": 1,
-    "traffic": 2,
-    "ul": 3,
-    "dl": 4,
-    "tn_cn": 5,
-}
+# Stable key slots of a replication; the slot picks the stream's key, so
+# renaming a purpose string is free but renumbering breaks reproducibility.
+# The vehicles of lane l use slot _VEHICLE_SLOT + l.
+_PURPOSE_SLOTS = {"vrus": 0, "traffic": 1, "ul": 2, "dl": 3, "tn_cn": 4}
+_VEHICLE_SLOT = 5
+# Keys hashed per replication: the purposes above and two lanes. A higher
+# lane hashes more; the first keys do not change, because generate_state's
+# words do not depend on how many are asked for.
+_SLOTS = _VEHICLE_SLOT + 2
+# Every stream starts at counter 0; given as an array, Philox copies it
+# instead of converting the integer 0 word by word.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
+def _slot(purpose: str, indices: tuple) -> int:
+    if purpose == "vehicles" and len(indices) == 1 and int(indices[0]) >= 0:
+        return _VEHICLE_SLOT + int(indices[0])
+    if purpose in _PURPOSE_SLOTS and not indices:
+        return _PURPOSE_SLOTS[purpose]
+    raise ValueError(f"no stream for purpose {purpose!r} with indices {indices}")
+
+
+@cache
+def _philox_key_type():
+    """A seed sequence that hands Philox one fixed 128-bit key, built on first use."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            return self.key
+
+    return PhiloxKey
 
 
 class SubstreamFactory:
@@ -38,8 +72,14 @@ class SubstreamFactory:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
+        self._keys: dict[int, np.ndarray] = {}  # replication -> (slots, 2) uint64 keys
 
-    def stream(self, purpose: str, *indices: int) -> np.random.Generator:
-        key = (_PURPOSE_IDS[purpose],) + tuple(int(i) for i in indices)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
-        return np.random.Generator(np.random.Philox(seq))
+    def stream(self, purpose: str, replication: int, *indices: int) -> np.random.Generator:
+        slot = _slot(purpose, indices)
+        keys = self._keys.get(replication)
+        if keys is None or slot >= len(keys):
+            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(int(replication),))
+            keys = seq.generate_state(2 * max(slot + 1, _SLOTS), np.uint64).reshape(-1, 2)
+            self._keys[replication] = keys
+        key = _philox_key_type()(keys[slot])
+        return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one printed
 PASS line per criterion (pytest's own -v status lines report the same).
-The sweeps use the default figure-calibrated profile and seed.
+The sweeps use the default figure-calibrated profile; criteria 2-5 run at
+three seeds, the others at the default seed.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from camlat import cli, engine
-from camlat.config import default_plan, plan_from_document
+from camlat.config import plan_from_document
 from camlat.experiments import SweepSpec, run_sweep
 from camlat.radio import nearest_member_indices
 from camlat.scenario import HardCoreParams, sample_hardcore_positions
@@ -26,15 +27,19 @@ CLUSTER_VALUES = (1, 3, 5, 7, 9)
 # behaviour change must reproduce these bytes exactly. Pinned on the stream
 # layout of `rng.py`: a change that moves the sample path re-pins them.
 GOLDEN_CSV_SHA256 = {
-    "vru_sweep.csv": "aea7bcdfc23ef1b80e6d07e589528f7478b37bde460120fe2e6c49a8f39d95bb",
-    "density_sweep.csv": "47f81c0e76b5f816e815a8ab89a087b259db41f41a82b9e859e77879a3b0ad28",
-    "cluster_sweep.csv": "f12fbd232727fc91669dd74933e16692874d8da65324ec50fdd7bed9d10222fe",
+    "vru_sweep.csv": "4746a2f8cf4baba1ecce71f1f74f9fa41f6463e60becd0aa37100010181b175b",
+    "density_sweep.csv": "54d85542bccbea5eadeeeb1792c43bff32db1815a2ab14616d13a9aa0824138d",
+    "cluster_sweep.csv": "4d5e2f683d1d49964025d6da12cdd64602fbdf089adcf9a1e5ee1c872f01082f",
 }
 
 
-@pytest.fixture(scope="module")
-def figure_plan():
-    return default_plan()
+# Criteria 2-5 must hold at every one of these seeds, not only at the default.
+BAND_SEEDS = (1729, 2718, 31337)
+
+
+@pytest.fixture(scope="module", params=BAND_SEEDS)
+def figure_plan(request):
+    return plan_from_document({"engine": {"master_seed": request.param}})
 
 
 @pytest.fixture(scope="module")

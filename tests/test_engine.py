@@ -291,15 +291,39 @@ def test_replication_draws_one_stream_per_purpose(monkeypatch):
 
 def _scenarios(plan):
     streams = SubstreamFactory(plan.master_seed)
-    return [sample_scenario(plan.scenario, streams, rep) for rep in range(plan.replications)]
+    return [scenario.sample_scenario(plan.scenario, streams, rep) for rep in range(plan.replications)]
+
+
+def _build_roads(monkeypatch, vehicles):
+    """Give replication r the vehicles ``vehicles(r)``, x-positions and lanes, and its own VRUs."""
+    sample = scenario.sample_scenario
+
+    def built(params, streams, replication):
+        x, lanes = vehicles(replication)
+        lanes = np.asarray(lanes, dtype=np.int64)
+        return replace(
+            sample(params, streams, replication),
+            vehicle_x=np.asarray(x, dtype=float),
+            vehicle_speed=np.where(lanes == 0, 30.0, -30.0),
+            vehicle_lane=lanes,
+        )
+
+    monkeypatch.setattr(scenario, "sample_scenario", built)
 
 
 @pytest.mark.parametrize("window_entries", [engine.BLOCK_WINDOW_ENTRIES, 5 * 3 * 10 * 2 * 9])
 def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
-    # at 0.002 vehicles/m some roads hold fewer vehicles than the cluster size
-    # of 9, so a block mixes its shared evaluation with single-replication
-    # ones, and replication 5 shares it with an empty lane; the second budget
-    # cuts the 16 replications into blocks of 5
+    # replications 1, 9 and 13 hold fewer vehicles than the cluster size of
+    # 9, so a block mixes its shared evaluation with single-replication ones,
+    # and replication 5 shares it with an empty lane; the second budget cuts
+    # the 16 replications into blocks of 5
+    def vehicles(rep):
+        if rep == 5:
+            return 320.0 * np.arange(9) + 150.0, np.ones(9)
+        count = 4 if rep % 4 == 1 else 12
+        return (240.0 * np.arange(count) + 37.0 * rep) % 3000.0, np.arange(count) % 2
+
+    _build_roads(monkeypatch, vehicles)
     monkeypatch.setattr(engine, "BLOCK_WINDOW_ENTRIES", window_entries)
     plan = plan_from_document({
         "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002},
@@ -315,7 +339,9 @@ def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
     assert np.array_equal(engine.run_plan(plan), np.concatenate(one_by_one, axis=1))
 
 
-def test_empty_road_inside_a_block_names_its_replication():
+def test_empty_road_inside_a_block_names_its_replication(monkeypatch):
+    # replication 2's road is empty; every other one holds a vehicle per lane
+    _build_roads(monkeypatch, lambda rep: ([], []) if rep == 2 else ([1400.0, 1700.0], [0, 1]))
     plan = plan_from_document({
         "scenario": {"vehicle_intensity_per_m": 2e-4},
         "radio": {"cluster_size": 1},

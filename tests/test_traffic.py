@@ -69,14 +69,13 @@ def test_concurrent_count_matches_brute_force(offsets):
 
 
 def test_offsets_independent_across_periods():
-    # a VRU's bin index must decorrelate between consecutive periods
+    # a VRU's bin index must decorrelate between consecutive periods of its
+    # replication's block draw, which fills a (periods, VRUs) block row by row
     params = TrafficParams(offset_bins=5)
     streams = SubstreamFactory(321)
-    bins = np.array(
-        [generate_period(1, params, streams.stream("traffic", 0, p))[0]["offset_bin"]
-         for p in range(10_000)],
-        dtype=float,
-    )
+    periods = 10_000
+    block = generate_period(periods, params, streams.stream("traffic", 0)).reshape(periods, 1)
+    bins = block["offset_bin"][:, 0].astype(float)
     rho = np.corrcoef(bins[:-1], bins[1:])[0, 1]
     assert abs(rho) < 0.05
 
