@@ -183,7 +183,8 @@ def _panel(
     flat = [v for group in data for v in group]
     vmax = max(flat) if flat else 1.0
     if log_scale:
-        vmin = min(flat)
+        # The lower decade comes from the positive means; a zero bar has height 0.
+        vmin = min(v for v in flat if v > 0)
         lo_exp = math.floor(math.log10(vmin))
         hi_exp = math.ceil(math.log10(vmax))
         if hi_exp == lo_exp:
@@ -191,7 +192,7 @@ def _panel(
         span = hi_exp - lo_exp
 
         def bar_h(v: float) -> float:
-            return inner_h * (math.log10(v) - lo_exp) / span
+            return inner_h * (math.log10(v) - lo_exp) / span if v > 0 else 0.0
 
         ticks = [(10.0 ** e, f"1e{e}") for e in range(lo_exp, hi_exp + 1)]
     else:
@@ -265,7 +266,9 @@ def render_svg(result: SweepResult) -> str:
     component_ms = [
         row.stats[key].mean_s * 1e3 for row in rows for key, _, _ in _COMPONENT_SERIES
     ]
-    spans_decades = bool(component_ms) and max(component_ms) / min(component_ms) > 20.0
+    # The scale is chosen from the positive means: a zero mean has no decade.
+    positive_ms = [ms for ms in component_ms if ms > 0]
+    spans_decades = bool(positive_ms) and max(positive_ms) / min(positive_ms) > 20.0
     width = 2 * _PANEL_W + _GAP
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{_PANEL_H:.0f}" '

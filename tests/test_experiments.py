@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -359,6 +360,28 @@ def test_cli_partial_sweep_writes_good_rows_and_exits_2(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("0.05,")
     assert (tmp_path / "density_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
     assert "vehicle_intensity=0.2: FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("zero, component", [
+    ({"network": {"tn_cn_one_way_ms": [0, 0]}}, "tn_cn"),
+    ({"traffic": {"compute_cycles_per_bit": [0, 0]}}, "exc"),
+], ids=["tn_cn", "exc"])
+def test_cli_sweep_plots_a_zero_component(tmp_path, zero, component):
+    # a component whose mean is 0 has no decade: the log scale is chosen from
+    # the positive means and the zero bar is drawn at height 0
+    conf = tmp_path / "zero.json"
+    conf.write_text(json.dumps(zero), encoding="utf-8")
+    argv = ["--config", str(conf), "--replications", "2", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-vru", "--values", "10,20"]) == 0
+    svg = ElementTree.parse(tmp_path / "vru_sweep.svg").getroot()
+    panel = svg.find('{http://www.w3.org/2000/svg}g[@id="panel-b"]')
+    assert panel.get("data-scale") == "log"
+    bars = [
+        (bar.get("class").split()[1], float(bar.get("height")))
+        for bar in panel.iter("{http://www.w3.org/2000/svg}rect") if bar.get("class")
+    ]
+    assert len(bars) == 2 * 5
+    assert all((height == 0.0) == (key == component) for key, height in bars)
 
 
 def test_pool_is_reentrant_per_worker_count():
