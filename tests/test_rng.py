@@ -26,6 +26,16 @@ def test_purposes_lanes_and_replications_draw_differently():
     assert not np.array_equal(_draws(streams, "ul", 0), _draws(SubstreamFactory(1730), "ul", 0))
 
 
+def test_stream_is_philox_keyed_by_the_replication_hash():
+    # slot s of replication r is the Philox generator keyed by words 2s and
+    # 2s + 1 of SeedSequence(entropy=master_seed, spawn_key=(r,))
+    words = np.random.SeedSequence(entropy=1729, spawn_key=(4,)).generate_state(14, np.uint64)
+    for (purpose, *indices), slot in [(("vrus",), 0), (("tn_cn",), 4), (("vehicles", 1), 6)]:
+        philox = np.random.Philox(key=words[2 * slot : 2 * slot + 2])
+        expected = np.random.Generator(philox).random(8)
+        assert np.array_equal(_draws(SubstreamFactory(1729), purpose, 4, *indices), expected)
+
+
 def test_stream_depends_only_on_its_key():
     # a stream is the same whether or not other streams, replications or a
     # higher lane were asked for first
