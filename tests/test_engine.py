@@ -291,7 +291,8 @@ def test_replication_draws_one_stream_per_purpose(monkeypatch):
 
 def _scenarios(plan):
     streams = SubstreamFactory(plan.master_seed)
-    return [scenario.sample_scenario(plan.scenario, streams, rep) for rep in range(plan.replications)]
+    sample = scenario.sample_scenario
+    return [sample(plan.scenario, streams, rep) for rep in range(plan.replications)]
 
 
 def _build_roads(monkeypatch, vehicles):
