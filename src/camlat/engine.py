@@ -30,6 +30,17 @@ blocking: a block's columns equal those of its replications run one by one.
 An error in a block is raised again naming the lowest failing replication,
 as a serial run would.
 
+Blocks reuse the memory earlier blocks freed. By default glibc maps every
+array above 128 KiB on its own and unmaps it when freed, and it trims its
+heap above 128 KiB free, so each block would fault its working set in again
+from zero pages. glibc raises
+both thresholds by itself only after it frees a large array, which in a CLI
+run is the output array at the very end. So before its first block each
+process, serial or pool worker, sets the mmap threshold to 32 MiB (glibc's
+own ceiling for it) and the trim threshold to 64 MiB (twice that, as glibc
+would). Where libc has no ``mallopt`` the allocator is left as it is; no
+output depends on it.
+
 Per-packet results travel as one float array of shape (7, packets) whose
 rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
 then periods, then replications, in order.
@@ -49,6 +60,7 @@ from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,6 +73,10 @@ from .rng import SubstreamFactory
 # Cluster-search window entries (replications * periods * VRUs * 2 * cluster_size)
 # that one block of replications may hold; it bounds the block's working memory.
 BLOCK_WINDOW_ENTRIES = 60_000
+
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -233,8 +249,24 @@ def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
     return [replications[i : i + size] for i in range(0, len(replications), size)]
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Keep freed block memory in the process (see the module docstring); once per process."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _run_replications(plan: SimulationPlan, replications: range) -> np.ndarray:
     """The columns of ``replications``, evaluated block by block."""
+    _keep_freed_memory()
     width = plan.periods * plan.scenario.vru_count
     samples = np.empty((len(COMPONENT_KEYS), len(replications) * width))
     for block in _blocks(plan, replications):

@@ -84,6 +84,7 @@ def nearest_member_indices(
     by_lane = np.broadcast_to(np.argsort(vehicle_lane, axis=-1, kind="stable"), (rows, v))
     by_x = np.argsort(np.take_along_axis(x, by_lane, axis=1), axis=1, kind="stable")
     order = np.take_along_axis(by_lane, by_x, axis=1)
+    del by_lane, by_x  # (rows, V) each: freed before the sorted arrays and the windows
     xs = np.take_along_axis(x, order, axis=1)
     lanes = np.take_along_axis(np.broadcast_to(vehicle_lane, (rows, v)), order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
@@ -167,7 +168,12 @@ def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:
     snr = np.asarray(member_snr_db, dtype=float)
     if snr.ndim != 2 or snr.shape[0] != sizes.size:
         raise ValueError("one row of member SNRs per packet is required")
-    rate = link_rate_bps(prbs, np.min(snr, axis=1), pool)
+    # One elementwise minimum per member column: np.min(snr, axis=1) would run
+    # one short reduction per row, in the same order and to the same values.
+    slowest = snr[:, 0].copy()
+    for column in snr.T[1:]:
+        np.minimum(slowest, column, out=slowest)
+    rate = link_rate_bps(prbs, slowest, pool)
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise UnreachableLinkError("a downlink cluster has an unreachable member")
     return sizes / rate

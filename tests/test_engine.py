@@ -1,7 +1,13 @@
 """Replication pipeline: determinism, substreams, aggregation, hand-checked chain."""
 
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,8 @@ from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, comp
 from camlat.rng import SubstreamFactory
 from camlat.scenario import Scenario, ScenarioParams, sample_scenario
 from camlat.traffic import PACKET_DTYPE, TrafficParams, generate_period
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _small_plan(**engine_overrides):
@@ -372,3 +380,60 @@ def test_unreachable_link_inside_a_block_names_its_replication(monkeypatch):
     engine.run_replication(plan, range(0, 2))
     with pytest.raises(UnreachableLinkError, match="^replication 2: "):
         engine.run_plan(plan)
+
+
+# Minor page faults of a 12- and a 72-replication default run after a
+# 1-replication warm-up, in a fresh interpreter.
+_FAULTS_SCRIPT = """
+import resource
+from camlat.config import plan_from_document
+from camlat.engine import run_plan
+
+def faults(replications):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_plan(plan_from_document({"engine": {"replications": replications}}))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(1)
+print(faults(12), faults(72))
+"""
+
+
+def test_blocks_reuse_the_memory_earlier_blocks_freed():
+    # Freed block memory stays in the process, so more replications cost
+    # page faults only for their larger output array, not for every block.
+    resource = pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt thresholds are a glibc feature")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    short, long = map(int, done.stdout.split())
+    plan = plan_from_document({})
+    extra_output_pages = (
+        len(COMPONENT_KEYS) * 60 * plan.periods * plan.scenario.vru_count * 8
+        / resource.getpagesize()
+    )
+    assert long - short < 2 * extra_output_pages, (short, long, extra_output_pages)
+
+
+def test_run_plan_without_mallopt_gives_the_same_bytes(monkeypatch):
+    # A libc without mallopt (any but glibc) leaves the allocator as it is.
+    plan = _small_plan()
+    expected = engine.run_plan(plan).tobytes()
+    opened = []
+
+    def libc_without_mallopt(name, *args, **kwargs):
+        opened.append(name)
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", libc_without_mallopt)
+    engine._keep_freed_memory.cache_clear()
+    try:
+        assert engine.run_plan(plan).tobytes() == expected
+    finally:
+        engine._keep_freed_memory.cache_clear()
+    assert opened
