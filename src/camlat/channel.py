@@ -18,11 +18,11 @@ Gaussian of std sqrt(shadow_std**2 + fading_std**2). SNR in dB is
 
 whose deterministic part, all but the two Gaussians, is ``mean_snr_db``.
 
-``ChannelParams`` holds the knobs both directions share and checks them
-when built. A ``LinkBudget`` adds only what differs by direction: the
-transmit power, the terminal's antenna height (the VRU's in the uplink, the
-vehicle's in the downlink) and the additional losses, which in the downlink
-include the calibration margin.
+``ChannelParams`` holds the knobs both directions share; the config
+document checks them. A ``LinkBudget`` adds only what differs by
+direction: the transmit power, the terminal's antenna height (the VRU's in
+the uplink, the vehicle's in the downlink) and the additional losses, which
+in the downlink include the calibration margin.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 PATHLOSS_MODELS = ("winner-plus", "log-distance")
 
@@ -96,40 +94,27 @@ def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """The channel knobs both link directions share, checked when built.
+    """The channel knobs both link directions share.
 
     ``dl_calibration_loss_db`` is an extra downlink-only loss margin, the
-    declared calibration parameter of the "figure-calibrated" profile, whose
-    90 dB is the default here (0 dB in the "table-literal" profile).
+    declared calibration parameter of the profiles: 90 dB in
+    "figure-calibrated", 0 dB in "table-literal".
     """
 
-    ul_tx_power_dbm: float = 23.0
-    dl_tx_power_dbm: float = 46.0
-    carrier_freq_ghz: float = 5.9
-    enb_height_m: float = 10.0
-    vru_height_m: float = 1.5
-    vehicle_height_m: float = 1.5
-    shadow_std_db: float = 3.0
-    fast_fade_std_db: float = 4.0
-    additional_losses_db: float = 15.0
-    dl_calibration_loss_db: float = 90.0
-    noise_power_dbm: float = -110.0
-    pathloss_model: str = "winner-plus"
-    pathloss_exponent: float = 3.0
-    log_distance_offset_db: float = 47.86
-
-    def __post_init__(self):
-        if self.carrier_freq_ghz <= 0:
-            raise ConfigurationError("carrier frequency must be positive")
-        if self.pathloss_exponent <= 0:
-            raise ConfigurationError("pathloss exponent must be positive")
-        if self.shadow_std_db < 0 or self.fast_fade_std_db < 0:
-            raise ConfigurationError("fading standard deviations must be non-negative")
-        if self.pathloss_model not in PATHLOSS_MODELS:
-            raise ConfigurationError(f"unknown pathloss model {self.pathloss_model!r}")
-        heights = (self.enb_height_m, self.vru_height_m, self.vehicle_height_m)
-        if self.pathloss_model == "winner-plus" and min(heights) <= 1.0:
-            raise ConfigurationError("antenna heights must exceed 1 m for the default model")
+    ul_tx_power_dbm: float
+    dl_tx_power_dbm: float
+    carrier_freq_ghz: float
+    enb_height_m: float
+    vru_height_m: float
+    vehicle_height_m: float
+    shadow_std_db: float
+    fast_fade_std_db: float
+    additional_losses_db: float
+    dl_calibration_loss_db: float
+    noise_power_dbm: float
+    pathloss_model: str
+    pathloss_exponent: float
+    log_distance_offset_db: float
 
     def ul_budget(self) -> LinkBudget:
         """VRU to base station."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -47,35 +48,28 @@ DEFAULT_PROFILE = "figure-calibrated"
 
 @dataclass(frozen=True)
 class RadioParams:
-    pool: PrbPool = PrbPool()
-    cluster_size: int = 5
-
-    def __post_init__(self):
-        if self.cluster_size < 1:
-            raise ConfigurationError("cluster size must be at least 1")
+    pool: PrbPool
+    cluster_size: int
 
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Fully-resolved inputs of one Monte-Carlo run, in SI units."""
+    """Fully-resolved inputs of one Monte-Carlo run, in SI units.
 
-    scenario: ScenarioParams = ScenarioParams()
-    traffic: TrafficParams = TrafficParams()
-    channel: ChannelParams = ChannelParams()
-    radio: RadioParams = RadioParams()
-    network: NetworkParams = NetworkParams()
-    master_seed: int = 1729
-    replications: int = 200
-    periods: int = 10
-    workers: int = 1
+    The plan and its parts are plain records: ``plan_from_document`` is
+    where the defaults and the rules live. Build a variant from
+    ``default_plan()`` with ``dataclasses.replace``.
+    """
 
-    def __post_init__(self):
-        if self.master_seed < 0:
-            raise ConfigurationError("master seed must be non-negative")
-        if self.replications < 1 or self.periods < 1:
-            raise ConfigurationError("replications and periods must be at least 1")
-        if self.workers < 1:
-            raise ConfigurationError("worker count must be at least 1")
+    scenario: ScenarioParams
+    traffic: TrafficParams
+    channel: ChannelParams
+    radio: RadioParams
+    network: NetworkParams
+    master_seed: int
+    replications: int
+    periods: int
+    workers: int
 
 
 _POSITIVE = {"positive": True}
@@ -155,8 +149,8 @@ def default_document(profile: str = DEFAULT_PROFILE) -> dict[str, dict[str, Any]
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool (which is an int in Python)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number, such as a JSON int or float or a numpy sweep value, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _to_float(value) -> float:
@@ -238,6 +232,16 @@ class _Validator:
         return value
 
 
+def _check_density(v: _Validator, intensity, min_gap) -> None:
+    """The hard-core process needs intensity * minimum gap < 1; skipped if either is invalid."""
+    if intensity is not None and min_gap is not None and intensity * min_gap >= 1.0:
+        v.fail(
+            "scenario.vehicle_intensity_per_m",
+            f"infeasible density: intensity * inter_vehicle_distance must be < 1 "
+            f"(got {intensity} * {min_gap})",
+        )
+
+
 def _merge_document(user: dict, validator: _Validator) -> dict:
     profile = user.get("profile", DEFAULT_PROFILE)
     if profile not in PROFILES:
@@ -277,12 +281,7 @@ def plan_from_document(document: dict) -> SimulationPlan:
 
     # Cross-field invariants that need valid pieces first.
     intensity, min_gap = scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"]
-    if intensity is not None and min_gap is not None and intensity * min_gap >= 1.0:
-        v.fail(
-            "scenario.vehicle_intensity_per_m",
-            f"infeasible density: intensity * inter_vehicle_distance must be < 1 "
-            f"(got {intensity} * {min_gap})",
-        )
+    _check_density(v, intensity, min_gap)
     speed_kmh = scn["speed_kmh"]
     if speed_kmh is not None and speed_kmh[0] <= 0:
         v.fail("scenario.speed_kmh", "minimum speed must be positive")
@@ -296,7 +295,8 @@ def plan_from_document(document: dict) -> SimulationPlan:
                 v.fail(f"channel.{name}", "must exceed 1 m (effective height h - 1 > 0)")
     bandwidth_mhz, prb_khz = rad["bandwidth_mhz"], rad["prb_bandwidth_khz"]
     if bandwidth_mhz is not None and prb_khz is not None:
-        if int(bandwidth_mhz * 1e6 // (prb_khz * 1e3)) < 1:
+        pool = PrbPool(bandwidth_hz=bandwidth_mhz * 1e6, prb_bandwidth_hz=prb_khz * 1e3)
+        if pool.total_prbs < 1:
             v.fail("radio.bandwidth_mhz", "bandwidth must fit at least one PRB")
     packet_kbits = trf["packet_kbits"]
     if packet_kbits is not None and packet_kbits[0] <= 0:
@@ -343,10 +343,7 @@ def plan_from_document(document: dict) -> SimulationPlan:
         pathloss_exponent=chn["pathloss_exponent"],
         log_distance_offset_db=chn["log_distance_offset_db"],
     )
-    radio = RadioParams(
-        pool=PrbPool(bandwidth_hz=bandwidth_mhz * 1e6, prb_bandwidth_hz=prb_khz * 1e3),
-        cluster_size=rad["cluster_size"],
-    )
+    radio = RadioParams(pool=pool, cluster_size=rad["cluster_size"])
     tn_cn_ms = net["tn_cn_one_way_ms"]
     network = NetworkParams(
         backhaul_bps=net["backhaul_mbps"] * 1e6,
@@ -367,6 +364,7 @@ def plan_from_document(document: dict) -> SimulationPlan:
 
 
 def default_plan(profile: str = DEFAULT_PROFILE) -> SimulationPlan:
+    """The plan of a document that sets nothing but the profile."""
     return plan_from_document({"profile": profile})
 
 
@@ -409,17 +407,35 @@ def load_config(
     return plan_from_document(document)
 
 
+# The document field each sweep parameter sets: (section, key).
+_SWEPT_FIELDS = {
+    "vru_count": ("scenario", "vru_count"),
+    "vehicle_intensity": ("scenario", "vehicle_intensity_per_m"),
+    "cluster_size": ("radio", "cluster_size"),
+}
+
+
 def override_parameter(plan: SimulationPlan, parameter: str, value) -> SimulationPlan:
-    """Return a plan with one swept parameter replaced (used by sweeps)."""
-    if parameter == "vru_count":
-        scenario = replace(plan.scenario, vru_count=int(value))
-        return replace(plan, scenario=scenario)
+    """Return a plan with one swept parameter replaced (used by sweeps).
+
+    The value is checked by its document field's rule, and a vehicle
+    intensity also by the density rule, so a bad point fails with a one-line
+    message that starts with the field path.
+    """
+    if parameter not in _SWEPT_FIELDS:
+        raise ConfigurationError(
+            f"unknown sweep parameter {parameter!r}; expected one of {tuple(_SWEPT_FIELDS)}"
+        )
+    section, key = _SWEPT_FIELDS[parameter]
+    v = _Validator()
+    value = v.field(f"{section}.{key}", value, *_FIELDS[section][key])
     if parameter == "vehicle_intensity":
-        hardcore = replace(plan.scenario.hardcore, intensity_per_m=float(value))
+        _check_density(v, value, plan.scenario.hardcore.hard_core_distance_m)
+    if v.errors:
+        raise ConfigurationError("; ".join(v.errors))
+    if parameter == "vru_count":
+        return replace(plan, scenario=replace(plan.scenario, vru_count=value))
+    if parameter == "vehicle_intensity":
+        hardcore = replace(plan.scenario.hardcore, intensity_per_m=value)
         return replace(plan, scenario=replace(plan.scenario, hardcore=hardcore))
-    if parameter == "cluster_size":
-        return replace(plan, radio=replace(plan.radio, cluster_size=int(value)))
-    raise ConfigurationError(
-        f"unknown sweep parameter {parameter!r}; "
-        "expected vru_count, vehicle_intensity, or cluster_size"
-    )
+    return replace(plan, radio=replace(plan.radio, cluster_size=value))

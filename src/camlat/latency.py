@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 # Rows of every per-packet latency array, in this order.
 COMPONENT_KEYS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
 
@@ -30,22 +28,12 @@ class TnCnDistribution:
     low_s: float
     high_s: float
 
-    def __post_init__(self):
-        if not 0 <= self.low_s <= self.high_s:
-            raise ConfigurationError("transport+core delay range must satisfy 0 <= min <= max")
-
 
 @dataclass(frozen=True)
 class NetworkParams:
-    backhaul_bps: float = 10e6
-    tn_cn: TnCnDistribution = TnCnDistribution(0.035, 0.055)
-    server_cycles_per_s: float = 9e9
-
-    def __post_init__(self):
-        if self.backhaul_bps <= 0:
-            raise ConfigurationError("backhaul capacity must be positive")
-        if self.server_cycles_per_s <= 0:
-            raise ConfigurationError("server capacity must be positive")
+    backhaul_bps: float
+    tn_cn: TnCnDistribution
+    server_cycles_per_s: float
 
 
 def backhaul_latency(size_bits, n_hat, backhaul_bps: float):

@@ -16,19 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ScenarioError, UnreachableLinkError
+from .errors import ScenarioError, UnreachableLinkError
 
 
 @dataclass(frozen=True)
 class PrbPool:
-    bandwidth_hz: float = 9e6
-    prb_bandwidth_hz: float = 180e3
-
-    def __post_init__(self):
-        if self.prb_bandwidth_hz <= 0:
-            raise ConfigurationError("PRB bandwidth must be positive")
-        if self.total_prbs < 1:
-            raise ConfigurationError("bandwidth must fit at least one PRB")
+    bandwidth_hz: float
+    prb_bandwidth_hz: float
 
     @property
     def total_prbs(self) -> int:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 KMH_TO_MS = 1.0 / 3.6
 
 
@@ -25,17 +23,9 @@ KMH_TO_MS = 1.0 / 3.6
 class RoadGeometry:
     """Two-lane freeway segment with a pedestrian strip between the lanes."""
 
-    lane_length_m: float = 3000.0
-    lane_centerlines_m: tuple[float, ...] = (4.0, -4.0)
-    enb_position_m: tuple[float, float] = (1500.0, 10.0)
-
-    def __post_init__(self):
-        if self.lane_length_m <= 0:
-            raise ConfigurationError("lane length must be positive")
-        if self.lane_count != 2:
-            raise ConfigurationError("exactly two lanes are supported")
-        if not 0.0 <= self.enb_position_m[0] <= self.lane_length_m:
-            raise ConfigurationError("base-station x-coordinate must lie on the segment")
+    lane_length_m: float
+    lane_centerlines_m: tuple[float, ...]
+    enb_position_m: tuple[float, float]
 
     def lane_direction(self, lane_index: int) -> int:
         """Direction of travel: +x on even lanes, -x on odd lanes."""
@@ -50,40 +40,20 @@ class RoadGeometry:
 class HardCoreParams:
     """Target intensity (vehicles/m per lane) and minimum inter-vehicle gap."""
 
-    intensity_per_m: float = 0.01
-    hard_core_distance_m: float = 10.0
-
-    def __post_init__(self):
-        if self.intensity_per_m <= 0:
-            raise ConfigurationError("vehicle intensity must be positive")
-        if self.hard_core_distance_m < 0:
-            raise ConfigurationError("hard-core distance must be non-negative")
-        if self.intensity_per_m * self.hard_core_distance_m >= 1.0:
-            raise ConfigurationError(
-                "infeasible density: intensity * hard-core distance must be < 1 "
-                f"(got {self.intensity_per_m} * {self.hard_core_distance_m})"
-            )
+    intensity_per_m: float
+    hard_core_distance_m: float
 
 
 @dataclass(frozen=True)
 class ScenarioParams:
     """Everything needed to realize one scenario snapshot."""
 
-    road: RoadGeometry = RoadGeometry()
-    hardcore: HardCoreParams = HardCoreParams()
-    speed_range_ms: tuple[float, float] = (70.0 * KMH_TO_MS, 140.0 * KMH_TO_MS)
-    vru_count: int = 100
-    vru_strip_m: tuple[float, float] = (1200.0, 1800.0)
-    mobility: bool = True
-
-    def __post_init__(self):
-        lo, hi = self.speed_range_ms
-        if not 0 < lo <= hi:
-            raise ConfigurationError("speed range must satisfy 0 < min <= max")
-        if self.vru_count < 1:
-            raise ConfigurationError("at least one VRU is required (no traffic to simulate)")
-        if not self.vru_strip_m[0] < self.vru_strip_m[1]:
-            raise ConfigurationError("VRU strip must be a non-degenerate interval")
+    road: RoadGeometry
+    hardcore: HardCoreParams
+    speed_range_ms: tuple[float, float]
+    vru_count: int
+    vru_strip_m: tuple[float, float]
+    mobility: bool
 
 
 def sample_hardcore_positions(

@@ -12,26 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class TrafficParams:
-    period_s: float = 0.1
-    offset_bins: int = 5
-    size_bits_range: tuple[float, float] = (8000.0, 12000.0)
-    compute_cycles_per_bit_range: tuple[float, float] = (100.0, 300.0)
-
-    def __post_init__(self):
-        if self.period_s <= 0:
-            raise ConfigurationError("period must be positive")
-        if self.offset_bins < 1:
-            raise ConfigurationError("at least one offset bin is required")
-        if not 0 < self.size_bits_range[0] <= self.size_bits_range[1]:
-            raise ConfigurationError("packet size range must satisfy 0 < min <= max")
-        lo, hi = self.compute_cycles_per_bit_range
-        if not 0 <= lo <= hi:
-            raise ConfigurationError("compute range must satisfy 0 <= min <= max")
+    period_s: float
+    offset_bins: int
+    size_bits_range: tuple[float, float]
+    compute_cycles_per_bit_range: tuple[float, float]
 
 
 PACKET_DTYPE = np.dtype(

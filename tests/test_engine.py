@@ -13,18 +13,16 @@ import numpy as np
 import pytest
 
 from camlat import engine, scenario
-from camlat.channel import ChannelParams
-from camlat.config import RadioParams, SimulationPlan, plan_from_document
+from camlat.config import default_plan, plan_from_document
 from camlat.errors import (
     AggregationError,
-    ConfigurationError,
     ScenarioError,
     UnreachableLinkError,
 )
-from camlat.latency import COMPONENT_KEYS, NetworkParams, TnCnDistribution, compose_e2e
+from camlat.latency import COMPONENT_KEYS, compose_e2e
 from camlat.rng import SubstreamFactory
-from camlat.scenario import Scenario, ScenarioParams, sample_scenario
-from camlat.traffic import PACKET_DTYPE, TrafficParams, generate_period
+from camlat.scenario import Scenario, sample_scenario
+from camlat.traffic import PACKET_DTYPE, generate_period
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,25 +62,16 @@ def _one_period(scn, plan, packets, streams):
 def test_hand_checked_single_packet_chain():
     # one VRU, one vehicle, every random range degenerate: the whole pipeline
     # must equal an independently computed arithmetic chain
-    scenario_params = ScenarioParams(vru_count=1)
-    plan = SimulationPlan(
-        scenario=scenario_params,
-        traffic=TrafficParams(
-            period_s=0.1,
-            offset_bins=1,
-            size_bits_range=(10_000.0, 10_000.0),
-            compute_cycles_per_bit_range=(200.0, 200.0),
-        ),
-        channel=ChannelParams(shadow_std_db=0.0, fast_fade_std_db=0.0, dl_calibration_loss_db=0.0),
-        radio=RadioParams(cluster_size=1),
-        network=NetworkParams(
-            backhaul_bps=1e7,
-            tn_cn=TnCnDistribution(0.045, 0.045),
-            server_cycles_per_s=9e9,
-        ),
-        replications=1,
-        periods=1,
-    )
+    plan = plan_from_document({
+        "scenario": {"vru_count": 1},
+        "traffic": {"period_ms": 100, "offset_bins": 1, "packet_kbits": [10, 10],
+                    "compute_cycles_per_bit": [200, 200]},
+        "channel": {"shadowing_std_db": 0, "fast_fading_std_db": 0, "dl_calibration_loss_db": 0},
+        "radio": {"cluster_size": 1},
+        "network": {"backhaul_mbps": 10, "tn_cn_one_way_ms": [45, 45],
+                    "server_gcycles_per_s": 9},
+        "engine": {"replications": 1, "periods": 1},
+    })
     packets = generate_period(1, plan.traffic, np.random.default_rng(0))
     samples = _one_period(_scenario(1), plan, packets, SubstreamFactory(0))
 
@@ -120,17 +109,15 @@ def test_hand_checked_single_packet_chain():
 def test_resource_sharing_is_isolated_per_offset_bin():
     # two VRUs in different bins must each see the whole pool, exactly like
     # a lone sender; pooling across bins would double both latencies
-    scenario_params = ScenarioParams(vru_count=2)
-    plan = SimulationPlan(
-        scenario=scenario_params,
-        traffic=TrafficParams(offset_bins=2, size_bits_range=(1e4, 1e4),
-                              compute_cycles_per_bit_range=(200.0, 200.0)),
-        channel=ChannelParams(shadow_std_db=0.0, fast_fade_std_db=0.0),
-        radio=RadioParams(cluster_size=1),
-        network=NetworkParams(tn_cn=TnCnDistribution(0.045, 0.045)),
-        replications=1,
-        periods=1,
-    )
+    plan = plan_from_document({
+        "scenario": {"vru_count": 2},
+        "traffic": {"offset_bins": 2, "packet_kbits": [10, 10],
+                    "compute_cycles_per_bit": [200, 200]},
+        "channel": {"shadowing_std_db": 0, "fast_fading_std_db": 0},
+        "radio": {"cluster_size": 1},
+        "network": {"tn_cn_one_way_ms": [45, 45]},
+        "engine": {"replications": 1, "periods": 1},
+    })
 
     def _packets(bins):
         return np.array([(b, 1e4, 200.0) for b in bins], dtype=PACKET_DTYPE)
@@ -154,8 +141,6 @@ def test_replications_use_distinct_substreams():
     a = engine.run_replication(plan, range(0, 1))
     b = engine.run_replication(plan, range(1, 2))
     assert not np.array_equal(a, b)
-    with pytest.raises(ConfigurationError, match="seed"):
-        SimulationPlan(master_seed=-1)
 
 
 def test_aggregates_independent_of_execution_order():
@@ -241,9 +226,10 @@ def test_unreachable_downlink_raises_with_context():
 
 
 def test_non_finite_component_fails_loudly():
-    # a library-built plan can carry NaN past NetworkParams' `<= 0` check
-    plan = SimulationPlan(
-        network=NetworkParams(backhaul_bps=float("nan")), replications=1, periods=2
+    # a hand-built plan is not validated, so it can carry a NaN capacity
+    plan = default_plan()
+    plan = replace(
+        plan, network=replace(plan.network, backhaul_bps=float("nan")), replications=1, periods=2
     )
     with pytest.raises(ValueError, match="finite"):
         engine.run_replication(plan, range(0, 1))

@@ -4,12 +4,20 @@ import csv
 import json
 import multiprocessing
 import re
+from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from camlat import cli, engine
-from camlat.config import SimulationPlan, load_config, plan_from_document
+from camlat.config import (
+    PROFILES,
+    default_document,
+    load_config,
+    override_parameter,
+    plan_from_document,
+)
 from camlat.engine import AggregateStats
 from camlat.errors import ConfigurationError
 from camlat.experiments import (
@@ -51,8 +59,6 @@ def test_empty_document_yields_full_default_plan():
     assert plan.channel.dl_tx_power_dbm == 46.0
     assert plan.channel.noise_power_dbm == -110.0
     assert plan.channel.pathloss_exponent == 3.0  # parsed and stored, unused by default
-    # the dataclass defaults are the default profile's values, to the last bit
-    assert plan == SimulationPlan()
 
 
 def test_table_literal_profile():
@@ -71,6 +77,104 @@ def test_explicit_fields_override_profile():
 def test_infeasible_density_rejected_with_field_path():
     with pytest.raises(ConfigurationError, match="vehicle_intensity_per_m"):
         plan_from_document({"scenario": {"vehicle_intensity_per_m": 0.2}})
+
+
+def _violation(path, value, reported=None):
+    """A document that sets one field, and the path its violation is reported under."""
+    section, key = path.split(".")
+    case = f"{path}={json.dumps(value, separators=(',', ':'))}"  # no spaces in the test id
+    return pytest.param({section: {key: value}}, reported or path, id=case)
+
+
+# One case per side of every rule: the field rules, the pair rules, the
+# density and PRB products, the winner-plus heights, the speed and packet
+# minimums and the eNB on the segment.
+@pytest.mark.parametrize("document, path", [
+    _violation("scenario.lane_length_km", 0),
+    _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
+    _violation("scenario.enb_position_m", [-1, 10]),
+    _violation("scenario.enb_position_m", [3001, 10]),
+    _violation("scenario.vehicle_intensity_per_m", 0),
+    _violation("scenario.vehicle_intensity_per_m", 0.1),
+    _violation("scenario.inter_vehicle_distance_m", -1),
+    _violation("scenario.inter_vehicle_distance_m", 100, "scenario.vehicle_intensity_per_m"),
+    _violation("scenario.speed_kmh", [0, 140]),
+    _violation("scenario.speed_kmh", [140, 70]),
+    _violation("scenario.vru_count", 0),
+    _violation("scenario.vru_strip_m", [1500, 1500]),
+    _violation("scenario.vru_strip_m", [1800, 1200]),
+    _violation("traffic.period_ms", 0),
+    _violation("traffic.offset_bins", 0),
+    _violation("traffic.packet_kbits", [0, 12]),
+    _violation("traffic.packet_kbits", [12, 8]),
+    _violation("traffic.compute_cycles_per_bit", [-1, 300]),
+    _violation("traffic.compute_cycles_per_bit", [300, 100]),
+    _violation("channel.frequency_ghz", 0),
+    _violation("channel.enb_height_m", 1),
+    _violation("channel.vru_height_m", 1),
+    _violation("channel.vehicle_height_m", 1),
+    _violation("channel.shadowing_std_db", -1),
+    _violation("channel.fast_fading_std_db", -1),
+    _violation("channel.pathloss_model", "free-space"),
+    _violation("channel.pathloss_exponent", 0),
+    _violation("radio.bandwidth_mhz", 0.17),
+    _violation("radio.prb_bandwidth_khz", 0),
+    _violation("radio.prb_bandwidth_khz", 10_000, "radio.bandwidth_mhz"),
+    _violation("radio.cluster_size", 0),
+    _violation("network.backhaul_mbps", 0),
+    _violation("network.server_gcycles_per_s", 0),
+    _violation("network.tn_cn_one_way_ms", [-1, 20]),
+    _violation("network.tn_cn_one_way_ms", [40, 20]),
+    _violation("engine.master_seed", -1),
+    _violation("engine.replications", 0),
+    _violation("engine.periods", 0),
+    _violation("engine.workers", 0),
+])
+def test_rule_violation_names_its_field_path(document, path):
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: ")):
+        plan_from_document(document)
+
+
+@pytest.mark.parametrize("parameter, value, path", [
+    ("vru_count", 0, "scenario.vru_count"),
+    ("vehicle_intensity", 0.0, "scenario.vehicle_intensity_per_m"),
+    ("vehicle_intensity", 0.2, "scenario.vehicle_intensity_per_m"),
+    ("vehicle_intensity", float("nan"), "scenario.vehicle_intensity_per_m"),
+    ("cluster_size", 0, "radio.cluster_size"),
+])
+def test_bad_sweep_value_fails_its_point_with_field_path(parameter, value, path):
+    result = run_sweep(SweepSpec(parameter, (value,), _small_plan()))
+    assert result.rows == ()
+    ((_, message),) = result.failures
+    assert message.startswith(f"{path}: ")
+    assert "\n" not in message
+
+
+def test_readme_parameter_table_matches_default_document():
+    # the README table is a third copy of the defaults: it must not drift
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    document = default_document()
+    seen = set()
+    for line in readme.splitlines():
+        if not re.match(r"\| [a-z]+\.", line):
+            continue
+        fields, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        section, keys = fields.split(".", 1)
+        keys = [key.strip() for key in keys.split("/")]
+        if default == "profile":
+            values = [default] * len(keys)
+        else:
+            values = [json.loads(cell) for cell in default.split("/")]
+        assert len(values) == len(keys), line
+        for key, value in zip(keys, values):
+            path = f"{section}.{key}"
+            seen.add(path)
+            # a "profile" row is exactly a field that every profile presets
+            assert all((path in presets) == (value == "profile") for presets in PROFILES.values())
+            if value != "profile":
+                expected = document[section][key]
+                assert (list(expected) if isinstance(expected, tuple) else expected) == value, path
+    assert seen == {f"{section}.{key}" for section, fields in document.items() for key in fields}
 
 
 def test_all_violations_reported_together():
@@ -214,6 +318,15 @@ def test_sweep_continues_past_infeasible_points():
     assert len(result.failures) == 1
     assert result.failures[0][0] == 0.2
     assert "infeasible" in result.failures[0][1]
+
+
+def test_numpy_sweep_value_sets_a_plain_number():
+    # np.arange yields np.int64, which is a real number but no Python int
+    plan = _small_plan()
+    for parameter, value in (("vru_count", 20), ("vehicle_intensity", 0.05), ("cluster_size", 3)):
+        assert override_parameter(plan, parameter, np.array(value)[()]) == override_parameter(
+            plan, parameter, value
+        )
 
 
 def test_gain_is_well_defined_and_positive():
@@ -360,6 +473,17 @@ def test_cli_partial_sweep_writes_good_rows_and_exits_2(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("0.05,")
     assert (tmp_path / "density_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
     assert "vehicle_intensity=0.2: FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_sweep_value_fails_its_point(tmp_path, capsys, bad):
+    # a non-finite density fails as its own point, with its field path
+    argv = ["--replications", "2", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-density", "--values", f"0.01,{bad}"]) == 2
+    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.01,")
+    message = f"scenario.vehicle_intensity_per_m: must be finite, got {bad}"
+    assert f"vehicle_intensity={bad}: FAILED ({message})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("zero, component", [

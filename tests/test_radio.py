@@ -1,16 +1,16 @@
 """PRB pool, scheduling, clustering, and radio latency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camlat.config import RadioParams
-from camlat.errors import ConfigurationError, ScenarioError, UnreachableLinkError
+from camlat.config import default_plan
+from camlat.errors import ScenarioError, UnreachableLinkError
 from camlat.radio import (
-    PrbPool,
     dl_latency,
     link_rate_bps,
     nearest_member_indices,
@@ -19,7 +19,7 @@ from camlat.radio import (
 )
 from camlat.traffic import n_hat
 
-POOL = PrbPool()
+POOL = default_plan().radio.pool
 
 
 def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
@@ -31,13 +31,6 @@ def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
 
 def test_pool_default_prb_count():
     assert POOL.total_prbs == 50
-
-
-def test_pool_must_fit_one_prb():
-    with pytest.raises(ConfigurationError):
-        PrbPool(bandwidth_hz=100.0, prb_bandwidth_hz=180e3)
-    with pytest.raises(ConfigurationError):
-        RadioParams(cluster_size=0)
 
 
 def test_select_cluster_example():
@@ -247,10 +240,10 @@ def test_dl_latency_singleton():
 
 def test_dl_latency_farthest_member_dominates_without_fading():
     # deterministic SNR falls with distance, so the farthest member is slowest
-    from camlat.channel import ChannelParams, LinkBudget, mean_snr_db, sample_snr_db
+    from camlat.channel import LinkBudget, mean_snr_db, sample_snr_db
 
     budget = LinkBudget(
-        ChannelParams(shadow_std_db=0.0, fast_fade_std_db=0.0),
+        replace(default_plan().channel, shadow_std_db=0.0, fast_fade_std_db=0.0),
         tx_power_dbm=46.0, h_ue_m=1.5, additional_losses_db=15.0,
     )
     distances = np.array([50.0, 120.0, 300.0, 800.0])

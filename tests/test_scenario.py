@@ -1,15 +1,15 @@
 """Vehicle point process, VRU placement, and mobility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from camlat.errors import ConfigurationError
+from camlat.config import default_plan
 from camlat.rng import SubstreamFactory
 from camlat.scenario import (
     HardCoreParams,
-    RoadGeometry,
-    ScenarioParams,
     Scenario,
     advance_vehicles,
     sample_hardcore_positions,
@@ -19,6 +19,7 @@ from camlat.scenario import (
 )
 
 LANE_LENGTH = 3000.0
+SCENARIO = default_plan().scenario
 
 
 def test_hardcore_min_gap_and_mean_count():
@@ -66,14 +67,9 @@ def test_zero_hardcore_distance_reduces_to_poisson():
     assert abs(xs.size - 4000) / 4000 < 0.05
 
 
-def test_infeasible_density_is_configuration_error():
-    with pytest.raises(ConfigurationError):
-        HardCoreParams(intensity_per_m=0.2, hard_core_distance_m=10.0)
-
-
 def test_sample_vehicles_speeds_and_lane_direction():
-    road = RoadGeometry()
-    params = HardCoreParams()
+    road = SCENARIO.road
+    params = SCENARIO.hardcore
     speed_range = (70.0 / 3.6, 140.0 / 3.6)
     rng = np.random.default_rng(11)
     _, east = sample_vehicles(params, road, 0, speed_range, rng)
@@ -84,7 +80,7 @@ def test_sample_vehicles_speeds_and_lane_direction():
     assert np.all((speed_range[0] <= speeds) & (speeds <= speed_range[1]))
     # the assembled scenario tags each lane's vehicles with that lane, which
     # places them on its centerline
-    scn = sample_scenario(ScenarioParams(), SubstreamFactory(11), 0)
+    scn = sample_scenario(SCENARIO, SubstreamFactory(11), 0)
     for lane in (0, 1):
         stream = SubstreamFactory(11).stream("vehicles", 0, lane)
         xs, _ = sample_vehicles(params, road, lane, speed_range, stream)
@@ -122,7 +118,7 @@ def _tiny_scenario() -> Scenario:
 
 def test_advance_vehicles_kinematics_and_wrap():
     scn = _tiny_scenario()
-    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, RoadGeometry().lane_length_m)
+    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, SCENARIO.road.lane_length_m)
     assert moved[0] == pytest.approx(120.0)
     assert moved[1] == pytest.approx(10.0)  # wraps past the end
     assert moved[2] == pytest.approx(2985.0)  # wraps below zero
@@ -131,26 +127,15 @@ def test_advance_vehicles_kinematics_and_wrap():
 
 def test_advance_vehicles_zero_dt_is_identity():
     scn = _tiny_scenario()
-    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, RoadGeometry().lane_length_m)
+    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, SCENARIO.road.lane_length_m)
     assert np.array_equal(same, scn.vehicle_x)
 
 
 def test_sample_scenario_is_deterministic_per_replication():
-    params = ScenarioParams(vru_count=20)
+    params = replace(SCENARIO, vru_count=20)
     a = sample_scenario(params, SubstreamFactory(7), 3)
     b = sample_scenario(params, SubstreamFactory(7), 3)
     c = sample_scenario(params, SubstreamFactory(7), 4)
     assert np.array_equal(a.vehicle_x, b.vehicle_x)
     assert np.array_equal(a.vru_x, b.vru_x)
     assert not np.array_equal(a.vru_x, c.vru_x)
-
-
-def test_road_geometry_invariants():
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(lane_length_m=-1.0)
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(enb_position_m=(5000.0, 10.0))
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(lane_centerlines_m=(4.0, 0.0, -4.0))
-    with pytest.raises(ConfigurationError):
-        ScenarioParams(vru_count=0)

@@ -1,17 +1,20 @@
 """Per-period workload generation and offset-bin concurrency."""
 
+from dataclasses import replace
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camlat.errors import ConfigurationError
+from camlat.config import default_plan
 from camlat.rng import SubstreamFactory
-from camlat.traffic import TrafficParams, generate_period, n_hat
+from camlat.traffic import generate_period, n_hat
+
+TRAFFIC = default_plan().traffic
 
 
 def test_one_job_per_vru_and_ranges():
-    params = TrafficParams()
+    params = TRAFFIC
     packets = generate_period(100, params, np.random.default_rng(0))
     assert len(packets) == 100
     assert np.all((0 <= packets["offset_bin"]) & (packets["offset_bin"] < params.offset_bins))
@@ -20,7 +23,7 @@ def test_one_job_per_vru_and_ranges():
 
 
 def test_occupancy_sums_to_vru_count_every_period():
-    params = TrafficParams()
+    params = TRAFFIC
     rng = np.random.default_rng(1)
     for _ in range(50):
         packets = generate_period(100, params, rng)
@@ -29,7 +32,7 @@ def test_occupancy_sums_to_vru_count_every_period():
 
 
 def test_expected_bin_occupancy_is_n_over_b():
-    params = TrafficParams(offset_bins=5)
+    params = replace(TRAFFIC, offset_bins=5)
     rng = np.random.default_rng(2)
     occ = np.zeros(5)
     periods = 2000
@@ -39,13 +42,13 @@ def test_expected_bin_occupancy_is_n_over_b():
 
 
 def test_single_bin_degenerate():
-    params = TrafficParams(offset_bins=1)
+    params = replace(TRAFFIC, offset_bins=1)
     (packet,) = generate_period(1, params, np.random.default_rng(0))
     assert packet["offset_bin"] == 0
 
 
 def test_degenerate_size_range():
-    params = TrafficParams(size_bits_range=(10_000.0, 10_000.0))
+    params = replace(TRAFFIC, size_bits_range=(10_000.0, 10_000.0))
     packets = generate_period(10, params, np.random.default_rng(0))
     assert np.all(packets["size_bits"] == 10_000.0)
 
@@ -71,21 +74,10 @@ def test_concurrent_count_matches_brute_force(offsets):
 def test_offsets_independent_across_periods():
     # a VRU's bin index must decorrelate between consecutive periods of its
     # replication's block draw, which fills a (periods, VRUs) block row by row
-    params = TrafficParams(offset_bins=5)
+    params = replace(TRAFFIC, offset_bins=5)
     streams = SubstreamFactory(321)
     periods = 10_000
     block = generate_period(periods, params, streams.stream("traffic", 0)).reshape(periods, 1)
     bins = block["offset_bin"][:, 0].astype(float)
     rho = np.corrcoef(bins[:-1], bins[1:])[0, 1]
     assert abs(rho) < 0.05
-
-
-def test_params_validation():
-    with pytest.raises(ConfigurationError):
-        TrafficParams(period_s=0.0)
-    with pytest.raises(ConfigurationError):
-        TrafficParams(offset_bins=0)
-    with pytest.raises(ConfigurationError):
-        TrafficParams(size_bits_range=(0.0, 100.0))
-    with pytest.raises(ConfigurationError):
-        TrafficParams(compute_cycles_per_bit_range=(300.0, 100.0))
