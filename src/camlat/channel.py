@@ -65,7 +65,7 @@ class LinkBudget:
         c = self.channel
         if c.pathloss_model == "log-distance":
             return log_distance_pathloss_db(d_m, c.pathloss_exponent, c.log_distance_offset_db)
-        return pathloss_db(d_m, c.enb_height_m, self.h_ue_m, c.carrier_freq_ghz)
+        return pathloss_db(d_m, c.enb_height_m, self.h_ue_m, c.frequency_ghz)
 
 
 def mean_snr_db(budget: LinkBudget, d_m):
@@ -74,7 +74,7 @@ def mean_snr_db(budget: LinkBudget, d_m):
         budget.tx_power_dbm
         - budget.pathloss(d_m)
         - budget.additional_losses_db
-        - budget.channel.noise_power_dbm
+        - budget.channel.thermal_noise_dbm
     )
 
 
@@ -86,7 +86,7 @@ def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
     drawn (a zero std yields exactly 0.0), so stream consumption does not
     depend on the configuration.
     """
-    std = math.hypot(budget.channel.shadow_std_db, budget.channel.fast_fade_std_db)
+    std = math.hypot(budget.channel.shadowing_std_db, budget.channel.fast_fading_std_db)
     snr = rng.normal(0.0, std, size=np.shape(mean_db))
     np.subtract(mean_db, snr, out=snr)
     return snr
@@ -94,7 +94,7 @@ def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """The channel knobs both link directions share.
+    """The config document's channel section: the knobs both link directions share.
 
     ``dl_calibration_loss_db`` is an extra downlink-only loss margin, the
     declared calibration parameter of the profiles: 90 dB in
@@ -103,15 +103,15 @@ class ChannelParams:
 
     ul_tx_power_dbm: float
     dl_tx_power_dbm: float
-    carrier_freq_ghz: float
+    frequency_ghz: float
     enb_height_m: float
     vru_height_m: float
     vehicle_height_m: float
-    shadow_std_db: float
-    fast_fade_std_db: float
+    shadowing_std_db: float
+    fast_fading_std_db: float
+    thermal_noise_dbm: float
     additional_losses_db: float
     dl_calibration_loss_db: float
-    noise_power_dbm: float
     pathloss_model: str
     pathloss_exponent: float
     log_distance_offset_db: float

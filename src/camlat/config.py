@@ -1,4 +1,4 @@
-"""Simulation plan, defaults, profiles, and config-document handling.
+"""Simulation plan, defaults, profiles, config-document handling, and the sweeps.
 
 The config document is JSON with sections scenario / traffic / channel /
 radio / network / engine, written in everyday units (km, km/h, kbits,
@@ -24,12 +24,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .channel import PATHLOSS_MODELS, ChannelParams
 from .errors import ConfigurationError
-from .latency import NetworkParams, TnCnDistribution
-from .radio import PrbPool
+from .latency import NetworkParams
+from .radio import RadioParams
 from .scenario import KMH_TO_MS, HardCoreParams, RoadGeometry, ScenarioParams
 from .traffic import TrafficParams
 
@@ -47,18 +47,13 @@ DEFAULT_PROFILE = "figure-calibrated"
 
 
 @dataclass(frozen=True)
-class RadioParams:
-    pool: PrbPool
-    cluster_size: int
-
-
-@dataclass(frozen=True)
 class SimulationPlan:
     """Fully-resolved inputs of one Monte-Carlo run, in SI units.
 
-    The plan and its parts are plain records: ``plan_from_document`` is
-    where the defaults and the rules live. Build a variant from
-    ``default_plan()`` with ``dataclasses.replace``.
+    The plan and its parts are plain records, one per document section,
+    whose fields keep the document's names wherever the unit stays the same:
+    ``plan_from_document`` is where the defaults and the rules live. Build a
+    variant from ``default_plan()`` with ``dataclasses.replace``.
     """
 
     scenario: ScenarioParams
@@ -85,7 +80,7 @@ _FIELDS: dict[str, dict[str, tuple[Any, dict]]] = {
         "lane_width_m": (4.0, _POSITIVE),
         "vehicle_intensity_per_m": (0.01, _POSITIVE),
         "inter_vehicle_distance_m": (10.0, _NON_NEGATIVE),
-        "speed_kmh": ((70.0, 140.0), _NON_NEGATIVE),
+        "speed_kmh": ((70.0, 140.0), _POSITIVE),
         "vru_count": (100, _AT_LEAST_ONE),
         "vru_strip_m": ((1200.0, 1800.0), {"strict": True}),
         "enb_position_m": ((1500.0, 10.0), {"ordered": False}),
@@ -94,7 +89,7 @@ _FIELDS: dict[str, dict[str, tuple[Any, dict]]] = {
     "traffic": {
         "period_ms": (100.0, _POSITIVE),
         "offset_bins": (5, _AT_LEAST_ONE),
-        "packet_kbits": ((8.0, 12.0), {}),
+        "packet_kbits": ((8.0, 12.0), _POSITIVE),
         "compute_cycles_per_bit": ((100.0, 300.0), _NON_NEGATIVE),
     },
     "channel": {
@@ -199,7 +194,7 @@ class _Validator:
             return None
         return int(value) if integer else number
 
-    def pair(self, path, value, *, minimum=None, ordered=True, strict=False):
+    def pair(self, path, value, *, minimum=None, positive=False, ordered=True, strict=False):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             self.fail(path, f"expected a [low, high] pair, got {value!r}")
             return None
@@ -212,6 +207,9 @@ class _Validator:
             return None
         if minimum is not None and lo < minimum:
             self.fail(path, f"lower bound must be >= {minimum}, got {lo!r}")
+            return None
+        if positive and lo <= 0:
+            self.fail(path, f"lower bound must be positive, got {lo!r}")
             return None
         if ordered and (lo > hi or (strict and lo >= hi)):
             op = "<" if strict else "<="
@@ -282,9 +280,6 @@ def plan_from_document(document: dict) -> SimulationPlan:
     # Cross-field invariants that need valid pieces first.
     intensity, min_gap = scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"]
     _check_density(v, intensity, min_gap)
-    speed_kmh = scn["speed_kmh"]
-    if speed_kmh is not None and speed_kmh[0] <= 0:
-        v.fail("scenario.speed_kmh", "minimum speed must be positive")
     lane_length_km, enb_pos = scn["lane_length_km"], scn["enb_position_m"]
     if lane_length_km is not None and enb_pos is not None:
         if not 0.0 <= enb_pos[0] <= lane_length_km * 1000.0:
@@ -295,12 +290,9 @@ def plan_from_document(document: dict) -> SimulationPlan:
                 v.fail(f"channel.{name}", "must exceed 1 m (effective height h - 1 > 0)")
     bandwidth_mhz, prb_khz = rad["bandwidth_mhz"], rad["prb_bandwidth_khz"]
     if bandwidth_mhz is not None and prb_khz is not None:
-        pool = PrbPool(bandwidth_hz=bandwidth_mhz * 1e6, prb_bandwidth_hz=prb_khz * 1e3)
-        if pool.total_prbs < 1:
+        radio = RadioParams(bandwidth_mhz * 1e6, prb_khz * 1e3, rad["cluster_size"])
+        if radio.total_prbs < 1:
             v.fail("radio.bandwidth_mhz", "bandwidth must fit at least one PRB")
-    packet_kbits = trf["packet_kbits"]
-    if packet_kbits is not None and packet_kbits[0] <= 0:
-        v.fail("traffic.packet_kbits", "minimum packet size must be positive")
 
     if v.errors:
         raise ConfigurationError(
@@ -316,7 +308,7 @@ def plan_from_document(document: dict) -> SimulationPlan:
     scenario = ScenarioParams(
         road=road,
         hardcore=HardCoreParams(intensity_per_m=intensity, hard_core_distance_m=min_gap),
-        speed_range_ms=(speed_kmh[0] * KMH_TO_MS, speed_kmh[1] * KMH_TO_MS),
+        speed_range_ms=tuple(kmh * KMH_TO_MS for kmh in scn["speed_kmh"]),
         vru_count=scn["vru_count"],
         vru_strip_m=scn["vru_strip_m"],
         mobility=scn["mobility"],
@@ -324,42 +316,21 @@ def plan_from_document(document: dict) -> SimulationPlan:
     traffic = TrafficParams(
         period_s=trf["period_ms"] / 1e3,
         offset_bins=trf["offset_bins"],
-        size_bits_range=(packet_kbits[0] * 1e3, packet_kbits[1] * 1e3),
-        compute_cycles_per_bit_range=trf["compute_cycles_per_bit"],
+        size_bits_range=tuple(kbits * 1e3 for kbits in trf["packet_kbits"]),
+        compute_cycles_per_bit=trf["compute_cycles_per_bit"],
     )
-    channel = ChannelParams(
-        ul_tx_power_dbm=chn["ul_tx_power_dbm"],
-        dl_tx_power_dbm=chn["dl_tx_power_dbm"],
-        carrier_freq_ghz=chn["frequency_ghz"],
-        enb_height_m=chn["enb_height_m"],
-        vru_height_m=chn["vru_height_m"],
-        vehicle_height_m=chn["vehicle_height_m"],
-        shadow_std_db=chn["shadowing_std_db"],
-        fast_fade_std_db=chn["fast_fading_std_db"],
-        additional_losses_db=chn["additional_losses_db"],
-        dl_calibration_loss_db=chn["dl_calibration_loss_db"],
-        noise_power_dbm=chn["thermal_noise_dbm"],
-        pathloss_model=chn["pathloss_model"],
-        pathloss_exponent=chn["pathloss_exponent"],
-        log_distance_offset_db=chn["log_distance_offset_db"],
-    )
-    radio = RadioParams(pool=pool, cluster_size=rad["cluster_size"])
-    tn_cn_ms = net["tn_cn_one_way_ms"]
     network = NetworkParams(
         backhaul_bps=net["backhaul_mbps"] * 1e6,
-        tn_cn=TnCnDistribution(tn_cn_ms[0] / 1e3, tn_cn_ms[1] / 1e3),
         server_cycles_per_s=net["server_gcycles_per_s"] * 1e9,
+        tn_cn_one_way_s=tuple(ms / 1e3 for ms in net["tn_cn_one_way_ms"]),
     )
     return SimulationPlan(
         scenario=scenario,
         traffic=traffic,
-        channel=channel,
+        channel=ChannelParams(**chn),
         radio=radio,
         network=network,
-        master_seed=eng["master_seed"],
-        replications=eng["replications"],
-        periods=eng["periods"],
-        workers=eng["workers"],
+        **eng,
     )
 
 
@@ -407,11 +378,27 @@ def load_config(
     return plan_from_document(document)
 
 
-# The document field each sweep parameter sets: (section, key).
-_SWEPT_FIELDS = {
-    "vru_count": ("scenario", "vru_count"),
-    "vehicle_intensity": ("scenario", "vehicle_intensity_per_m"),
-    "cluster_size": ("radio", "cluster_size"),
+class SweepParameter(NamedTuple):
+    field: str  # the document path it sets, "section.key"
+    values: tuple  # default sweep values; their type parses --values
+    command: str  # CLI subcommand
+    basename: str  # output file name without extension
+
+
+# The canonical sweeps, in `reproduce` order.
+SWEEPS = {
+    "vru_count": SweepParameter(
+        "scenario.vru_count", (50, 70, 90, 110, 130), "sweep-vru", "vru_sweep"
+    ),
+    "vehicle_intensity": SweepParameter(
+        "scenario.vehicle_intensity_per_m",
+        (0.01, 0.03, 0.05, 0.07, 0.09),
+        "sweep-density",
+        "density_sweep",
+    ),
+    "cluster_size": SweepParameter(
+        "radio.cluster_size", (1, 3, 5, 7, 9), "sweep-cluster", "cluster_sweep"
+    ),
 }
 
 
@@ -422,20 +409,20 @@ def override_parameter(plan: SimulationPlan, parameter: str, value) -> Simulatio
     intensity also by the density rule, so a bad point fails with a one-line
     message that starts with the field path.
     """
-    if parameter not in _SWEPT_FIELDS:
+    if parameter not in SWEEPS:
         raise ConfigurationError(
-            f"unknown sweep parameter {parameter!r}; expected one of {tuple(_SWEPT_FIELDS)}"
+            f"unknown sweep parameter {parameter!r}; expected one of {tuple(SWEEPS)}"
         )
-    section, key = _SWEPT_FIELDS[parameter]
+    path = SWEEPS[parameter].field
+    section, key = path.split(".")
     v = _Validator()
-    value = v.field(f"{section}.{key}", value, *_FIELDS[section][key])
-    if parameter == "vehicle_intensity":
+    value = v.field(path, value, *_FIELDS[section][key])
+    if key == "vehicle_intensity_per_m":
         _check_density(v, value, plan.scenario.hardcore.hard_core_distance_m)
     if v.errors:
         raise ConfigurationError("; ".join(v.errors))
-    if parameter == "vru_count":
-        return replace(plan, scenario=replace(plan.scenario, vru_count=value))
-    if parameter == "vehicle_intensity":
+    if key == "vehicle_intensity_per_m":  # the plan keeps it in the hard-core process
         hardcore = replace(plan.scenario.hardcore, intensity_per_m=value)
         return replace(plan, scenario=replace(plan.scenario, hardcore=hardcore))
-    return replace(plan, radio=replace(plan.radio, cluster_size=value))
+    # Every other swept field keeps its document name in its section's record.
+    return replace(plan, **{section: replace(getattr(plan, section), **{key: value})})

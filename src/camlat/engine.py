@@ -112,7 +112,6 @@ def evaluate_period(
     """
     reps, periods, v = vehicle_x.shape
     rows = reps * periods
-    pool = plan.radio.pool
     sizes = packets["size_bits"]
     n = sizes.shape[-1]
     n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
@@ -128,14 +127,14 @@ def evaluate_period(
         channel.sample_snr_db(ul_budget, np.broadcast_to(mean, (periods, n)), rng)
         for mean, rng in zip(ul_mean, ul_rngs)
     ])
-    t_ul = radio.ul_latency(sizes, radio.prb_share(pool, n_hat, 1), snr_ul, pool)
+    t_ul = radio.ul_latency(sizes, radio.prb_share(plan.radio, n_hat, 1), snr_ul, plan.radio)
 
     t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
     t_exc = latency.execution_latency(
         sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
     )
     t_tn_cn = np.stack([
-        latency.sample_tn_cn(plan.network.tn_cn, rng, size=(periods, n)) for rng in tn_cn_rngs
+        latency.sample_tn_cn(plan.network, rng, size=(periods, n)) for rng in tn_cn_rngs
     ])
 
     # Padding vehicles sit at x = +inf on lane 0: they sort last and are never picked.
@@ -159,9 +158,8 @@ def evaluate_period(
         channel.sample_snr_db(dl_budget, mean, rng)
         for mean, rng in zip(dl_mean.reshape(reps, periods, n, m), dl_rngs)
     ])
-    t_dl = radio.dl_latency(
-        sizes.ravel(), radio.prb_share(pool, n_hat, m).ravel(), snr_dl.reshape(-1, m), pool
-    )
+    dl_prbs = radio.prb_share(plan.radio, n_hat, m).ravel()
+    t_dl = radio.dl_latency(sizes.ravel(), dl_prbs, snr_dl.reshape(-1, m), plan.radio)
 
     return latency.compose_e2e(t_ul.ravel(), t_bh.ravel(), t_tn_cn.ravel(), t_exc.ravel(), t_dl)
 

@@ -1,7 +1,8 @@
 """Parameter sweeps and result artifacts (CSV tables, SVG bar charts).
 
-The three canonical sweeps vary the VRU count, the vehicle intensity, and
-the multicast cluster size around the default operating point. Every sweep
+The three canonical sweeps (``config.SWEEPS``) vary the VRU count, the
+vehicle intensity, and the multicast cluster size around the default
+operating point. Every sweep
 row is simulated independently with the same master seed, so running one
 value alone reproduces exactly that row of the full sweep.
 """
@@ -10,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import engine
-from .config import SimulationPlan, override_parameter
+from .config import SWEEPS, SimulationPlan, override_parameter
 from .errors import CamlatError, ConfigurationError
 from .engine import COMPONENT_KEYS, AggregateStats
 
@@ -28,21 +28,6 @@ __all__ = [
     "gain_pct",
 ]
 
-
-class SweepParameter(NamedTuple):
-    values: tuple  # default sweep values; their type parses --values
-    command: str  # CLI subcommand
-    basename: str  # output file name without extension
-
-
-# The canonical sweeps, in `reproduce` order.
-SWEEPS = {
-    "vru_count": SweepParameter((50, 70, 90, 110, 130), "sweep-vru", "vru_sweep"),
-    "vehicle_intensity": SweepParameter(
-        (0.01, 0.03, 0.05, 0.07, 0.09), "sweep-density", "density_sweep"
-    ),
-    "cluster_size": SweepParameter((1, 3, 5, 7, 9), "sweep-cluster", "cluster_sweep"),
-}
 
 CSV_HEADER = "parameter," + ",".join(
     f"{key}_ms,{key}_ci_ms" for key in COMPONENT_KEYS
@@ -62,7 +47,10 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        # A NaN compares false with everything, so the order is checked
+        # without it; the NaN point itself fails when it runs.
+        comparable = [value for value in self.values if value == value]
+        if any(b <= a for a, b in zip(comparable, comparable[1:])):
             raise ConfigurationError("sweep values must be strictly increasing")
 
 

@@ -22,18 +22,12 @@ COMPONENT_KEYS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
 
 
 @dataclass(frozen=True)
-class TnCnDistribution:
-    """Uniform one-way transport+core delay, in seconds."""
-
-    low_s: float
-    high_s: float
-
-
-@dataclass(frozen=True)
 class NetworkParams:
+    """The config document's network section, in SI units."""
+
     backhaul_bps: float
-    tn_cn: TnCnDistribution
     server_cycles_per_s: float
+    tn_cn_one_way_s: tuple[float, float]  # bounds of the uniform one-way delay
 
 
 def backhaul_latency(size_bits, n_hat, backhaul_bps: float):
@@ -51,9 +45,9 @@ def execution_latency(size_bits, cycles_per_bit, n_hat, server_cycles_per_s: flo
     )
 
 
-def sample_tn_cn(dist: TnCnDistribution, rng: np.random.Generator, size=None):
+def sample_tn_cn(network: NetworkParams, rng: np.random.Generator, size=None):
     """One combined transport+core one-way delay draw per packet."""
-    return rng.uniform(dist.low_s, dist.high_s, size=size)
+    return rng.uniform(*network.tn_cn_one_way_s, size=size)
 
 
 def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:

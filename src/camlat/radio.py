@@ -1,4 +1,4 @@
-"""Radio access layer: PRB pool, equal-share scheduling, clustering, UL/DL latency.
+"""Radio access layer: the radio section, equal-share scheduling, clustering, UL/DL latency.
 
 The scheduler is fluid: the PRB pool splits equally (fractionally) among
 every user scheduled in the same offset bin. A link's rate is
@@ -20,9 +20,12 @@ from .errors import ScenarioError, UnreachableLinkError
 
 
 @dataclass(frozen=True)
-class PrbPool:
+class RadioParams:
+    """The config document's radio section: the PRB pool and the multicast cluster size."""
+
     bandwidth_hz: float
     prb_bandwidth_hz: float
+    cluster_size: int
 
     @property
     def total_prbs(self) -> int:
@@ -36,15 +39,13 @@ def nearest_member_indices(
     lane_y: tuple[float, ...],
     m: int,
 ) -> np.ndarray:
-    """Indices of each VRU's m nearest vehicles, shape (n_vru, m) or (R, n_vru, m).
+    """Indices of each VRU's m nearest vehicles, shape (rows, n_vru, m).
 
     The VRUs stand at y = 0 and each vehicle on its lane's lateral offset
-    ``lane_y[lane]``. ``vehicle_x`` is one snapshot of positions, shape (V,),
-    or R rows of them, shape (R, V): one per period, or one per
-    (replication, period) of a block of replications. The VRU x-coordinates
-    (shape (n_vru,) or (R, n_vru)) and the vehicles' lanes (shape (V,) or
-    (R, V)) are either shared by every row or given per row, and the result
-    gains the row axis to match. At most V members are returned.
+    ``lane_y[lane]``. Each of the rows is one snapshot, one per (replication,
+    period) of a block of replications: ``vru_x`` holds its VRUs' x, shape
+    (rows, n_vru), ``vehicle_x`` its vehicles' x and ``vehicle_lane`` their
+    lanes, shape (rows, V). At most V members are returned.
 
     A row may end in padding vehicles at x = +inf, on any lane, which sort
     after every real vehicle and are never picked while the row holds at
@@ -66,21 +67,19 @@ def nearest_member_indices(
     that fail retry with a doubled window; at window V this is the full
     sort, which needs no certificate.
     """
-    x = np.atleast_2d(vehicle_x)
-    rows, v = x.shape
+    rows, v = vehicle_x.shape
     if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
-    n = np.shape(vru_x)[-1]
-    vru_x = np.broadcast_to(vru_x, (rows, n))
+    n = vru_x.shape[1]
     lane_dy2 = np.square(np.asarray(lane_y, dtype=float))
     min_dy2 = lane_dy2.min()  # the lane nearest the VRUs
     # (x, lane, index) order: a stable sort on x of the vehicles taken lane by lane.
-    by_lane = np.broadcast_to(np.argsort(vehicle_lane, axis=-1, kind="stable"), (rows, v))
-    by_x = np.argsort(np.take_along_axis(x, by_lane, axis=1), axis=1, kind="stable")
+    by_lane = np.argsort(vehicle_lane, axis=1, kind="stable")
+    by_x = np.argsort(np.take_along_axis(vehicle_x, by_lane, axis=1), axis=1, kind="stable")
     order = np.take_along_axis(by_lane, by_x, axis=1)
     del by_lane, by_x  # (rows, V) each: freed before the sorted arrays and the windows
-    xs = np.take_along_axis(x, order, axis=1)
-    lanes = np.take_along_axis(np.broadcast_to(vehicle_lane, (rows, v)), order, axis=1)
+    xs = np.take_along_axis(vehicle_x, order, axis=1)
+    lanes = np.take_along_axis(vehicle_lane, order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
     start = np.concatenate([np.searchsorted(row, q) for row, q in zip(xs, vru_x)])
     # Flat views: row r's sorted position i is entry r * V + i, and its
@@ -121,35 +120,34 @@ def nearest_member_indices(
         right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2 > mth)
         pending = pending[~(left_ok & right_ok)]
         width = min(2 * width, v)
-    out = out.reshape(rows, n, take)
-    return out if np.ndim(vehicle_x) == 2 else out[0]
+    return out.reshape(rows, n, take)
 
 
-def prb_share(pool: PrbPool, n_hat, members: int):
+def prb_share(radio: RadioParams, n_hat, members: int):
     """Fractional PRBs per link when the pool splits equally over one offset bin.
 
     Every packet of a bin is served together: ``n_hat`` packets, each sent
     over ``members`` links (1 in the uplink, the cluster size in the
     downlink multicast).
     """
-    return pool.total_prbs / (np.asarray(n_hat) * members)
+    return radio.total_prbs / (np.asarray(n_hat) * members)
 
 
-def link_rate_bps(prbs, snr_db, pool: PrbPool):
+def link_rate_bps(prbs, snr_db, radio: RadioParams):
     """Achievable rate of a link holding ``prbs`` (possibly fractional) PRBs."""
     snr_linear = np.power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
-    return np.asarray(prbs, dtype=float) * pool.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
+    return np.asarray(prbs, dtype=float) * radio.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
-def ul_latency(size_bits, prbs, snr_db, pool: PrbPool):
+def ul_latency(size_bits, prbs, snr_db, radio: RadioParams):
     """Uplink transmission time size / rate; a zero-rate link is an error."""
-    rate = link_rate_bps(prbs, snr_db, pool)
+    rate = link_rate_bps(prbs, snr_db, radio)
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise UnreachableLinkError("uplink has zero achievable rate")
     return np.asarray(size_bits, dtype=float) / rate
 
 
-def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:
+def dl_latency(size_bits, prbs, member_snr_db, radio: RadioParams) -> np.ndarray:
     """Multicast completion time per packet: its slowest cluster member's reception latency.
 
     ``member_snr_db`` holds one row per packet and one column per cluster
@@ -167,7 +165,7 @@ def dl_latency(size_bits, prbs, member_snr_db, pool: PrbPool) -> np.ndarray:
     slowest = snr[:, 0].copy()
     for column in snr.T[1:]:
         np.minimum(slowest, column, out=slowest)
-    rate = link_rate_bps(prbs, slowest, pool)
+    rate = link_rate_bps(prbs, slowest, radio)
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise UnreachableLinkError("a downlink cluster has an unreachable member")
     return sizes / rate

@@ -18,7 +18,7 @@ class TrafficParams:
     period_s: float
     offset_bins: int
     size_bits_range: tuple[float, float]
-    compute_cycles_per_bit_range: tuple[float, float]
+    compute_cycles_per_bit: tuple[float, float]
 
 
 PACKET_DTYPE = np.dtype(
@@ -35,7 +35,7 @@ def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Genera
     packets = np.empty(vru_count, dtype=PACKET_DTYPE)
     packets["offset_bin"] = rng.integers(0, params.offset_bins, size=vru_count)
     packets["size_bits"] = rng.uniform(*params.size_bits_range, size=vru_count)
-    packets["compute_density"] = rng.uniform(*params.compute_cycles_per_bit_range, size=vru_count)
+    packets["compute_density"] = rng.uniform(*params.compute_cycles_per_bit, size=vru_count)
     return packets
 
 

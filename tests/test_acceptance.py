@@ -162,7 +162,10 @@ def test_criterion_6_oracle_equivalence():
             d2 = (xs[i] - vru_x) ** 2 + (ys[i] - 0.0) ** 2
             return (d2, xs[i], lanes[i])
 
-        nearest = nearest_member_indices(np.array([vru_x]), xs, lanes, (4.0, -4.0), m)[0]
+        # one (replication, period) row holding one VRU
+        nearest = nearest_member_indices(
+            np.array([[vru_x]]), xs[None], lanes[None], (4.0, -4.0), m
+        )[0, 0]
         assert list(nearest) == sorted(range(n), key=key)[:m]
 
     # hard-core sampler: min gap and realized intensity on the density grid

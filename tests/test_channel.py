@@ -60,11 +60,11 @@ def test_log_distance_model():
 def _budget(tx=23.0, shadow=3.0, fade=4.0, losses=15.0, model="winner-plus"):
     channel = replace(
         default_plan().channel,
-        carrier_freq_ghz=FC,
+        frequency_ghz=FC,
         enb_height_m=H_ENB,
-        shadow_std_db=shadow,
-        fast_fade_std_db=fade,
-        noise_power_dbm=-110.0,
+        shadowing_std_db=shadow,
+        fast_fading_std_db=fade,
+        thermal_noise_dbm=-110.0,
         pathloss_model=model,
         pathloss_exponent=3.0,
         log_distance_offset_db=47.86,

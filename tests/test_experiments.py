@@ -49,21 +49,21 @@ def test_empty_document_yields_full_default_plan():
     assert plan.scenario.hardcore.intensity_per_m == 0.01
     assert plan.scenario.hardcore.hard_core_distance_m == 10.0
     assert plan.radio.cluster_size == 5
-    assert plan.radio.pool.total_prbs == 50
+    assert plan.radio.total_prbs == 50
     assert plan.network.backhaul_bps == 10e6
     assert plan.network.server_cycles_per_s == 9e9
     # figure-calibrated profile is the default
-    assert (plan.network.tn_cn.low_s, plan.network.tn_cn.high_s) == pytest.approx((0.035, 0.055))
+    assert plan.network.tn_cn_one_way_s == pytest.approx((0.035, 0.055))
     assert plan.channel.dl_calibration_loss_db == 90.0
     assert plan.channel.ul_tx_power_dbm == 23.0
     assert plan.channel.dl_tx_power_dbm == 46.0
-    assert plan.channel.noise_power_dbm == -110.0
+    assert plan.channel.thermal_noise_dbm == -110.0
     assert plan.channel.pathloss_exponent == 3.0  # parsed and stored, unused by default
 
 
 def test_table_literal_profile():
     plan = plan_from_document({"profile": "table-literal"})
-    assert (plan.network.tn_cn.low_s, plan.network.tn_cn.high_s) == pytest.approx((0.015, 0.035))
+    assert plan.network.tn_cn_one_way_s == pytest.approx((0.015, 0.035))
     assert plan.channel.dl_calibration_loss_db == 0.0
 
 
@@ -71,7 +71,7 @@ def test_explicit_fields_override_profile():
     plan = plan_from_document(
         {"profile": "table-literal", "network": {"tn_cn_one_way_ms": [40, 50]}}
     )
-    assert (plan.network.tn_cn.low_s, plan.network.tn_cn.high_s) == pytest.approx((0.040, 0.050))
+    assert plan.network.tn_cn_one_way_s == pytest.approx((0.040, 0.050))
 
 
 def test_infeasible_density_rejected_with_field_path():
@@ -86,9 +86,9 @@ def _violation(path, value, reported=None):
     return pytest.param({section: {key: value}}, reported or path, id=case)
 
 
-# One case per side of every rule: the field rules, the pair rules, the
-# density and PRB products, the winner-plus heights, the speed and packet
-# minimums and the eNB on the segment.
+# One case per side of every rule: the field rules, the pair rules (the
+# speed and packet minimums among them), the density and PRB products, the
+# winner-plus heights and the eNB on the segment.
 @pytest.mark.parametrize("document, path", [
     _violation("scenario.lane_length_km", 0),
     _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
@@ -302,6 +302,10 @@ def test_sweep_spec_validation():
         SweepSpec("vru_count", (), plan)
     with pytest.raises(ConfigurationError):
         SweepSpec("vru_count", (50, 50), plan)
+    # a NaN compares false both ways: the values around it must still increase
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        SweepSpec("vehicle_intensity", (0.05, float("nan"), 0.01), plan)
+    assert SweepSpec("vehicle_intensity", (0.01, float("nan")), plan).values[0] == 0.01
 
 
 def test_sweep_rows_match_individual_runs():
@@ -484,6 +488,13 @@ def test_cli_non_finite_sweep_value_fails_its_point(tmp_path, capsys, bad):
     assert len(lines) == 2 and lines[1].startswith("0.01,")
     message = f"scenario.vehicle_intensity_per_m: must be finite, got {bad}"
     assert f"vehicle_intensity={bad}: FAILED ({message})" in capsys.readouterr().err
+
+
+def test_cli_unordered_sweep_around_a_nan_is_a_config_error(tmp_path, capsys):
+    argv = ["--replications", "2", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-density", "--values", "0.05,nan,0.01"]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "density_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("zero, component", [

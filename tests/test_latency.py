@@ -1,11 +1,13 @@
 """Closed-form latency components and E2E composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from camlat.config import default_plan
 from camlat.latency import (
     COMPONENT_KEYS,
-    TnCnDistribution,
     backhaul_latency,
     compose_e2e,
     execution_latency,
@@ -52,9 +54,9 @@ def test_execution_linear_in_size():
 
 
 def test_tn_cn_degenerate_is_point_mass():
-    dist = TnCnDistribution(0.025, 0.025)
+    network = replace(default_plan().network, tn_cn_one_way_s=(0.025, 0.025))
     rng = np.random.default_rng(0)
-    assert sample_tn_cn(dist, rng) == 0.025
+    assert sample_tn_cn(network, rng) == 0.025
 
 
 @pytest.mark.parametrize(
@@ -62,9 +64,9 @@ def test_tn_cn_degenerate_is_point_mass():
     [(35.0, 55.0, 45.0), (15.0, 35.0, 25.0)],
 )
 def test_tn_cn_sample_means(low_ms, high_ms, mean_ms):
-    dist = TnCnDistribution(low_ms / 1e3, high_ms / 1e3)
+    network = replace(default_plan().network, tn_cn_one_way_s=(low_ms / 1e3, high_ms / 1e3))
     rng = np.random.default_rng(7)
-    draws = sample_tn_cn(dist, rng, size=100_000)
+    draws = sample_tn_cn(network, rng, size=100_000)
     assert abs(float(np.mean(draws)) * 1e3 - mean_ms) < 0.5
     assert np.all(draws >= low_ms / 1e3) and np.all(draws <= high_ms / 1e3)
 

@@ -1,4 +1,4 @@
-"""PRB pool, scheduling, clustering, and radio latency."""
+"""Radio section, scheduling, clustering, and radio latency."""
 
 import math
 from dataclasses import replace
@@ -19,18 +19,18 @@ from camlat.radio import (
 )
 from camlat.traffic import n_hat
 
-POOL = default_plan().radio.pool
+RADIO = default_plan().radio
 
 
 def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
     """Nearest-member indices of one VRU at (vru_x, 0) among vehicles at xs."""
     xs = np.asarray(xs, dtype=float)
     lanes = np.zeros(xs.size, dtype=np.int64) if lanes is None else np.asarray(lanes)
-    return nearest_member_indices(np.array([vru_x]), xs, lanes, lane_y, m)[0]
+    return nearest_member_indices(np.array([[vru_x]]), xs[None], lanes[None], lane_y, m)[0, 0]
 
 
 def test_pool_default_prb_count():
-    assert POOL.total_prbs == 50
+    assert RADIO.total_prbs == 50
 
 
 def test_select_cluster_example():
@@ -81,13 +81,19 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
 
 
 def _check_block(vru_x, x, lanes, lane_y, m):
-    """The (P, V) search equals the 1-D search and the brute-force oracle, row by row."""
+    """The (P, V) search equals the one-row search and the brute-force oracle, row by row.
+
+    Every row shares the VRUs and the lanes, as one replication's periods do.
+    """
     vru_x = np.asarray(vru_x, dtype=float)
     ys = np.asarray(lane_y)[lanes]
-    block = nearest_member_indices(vru_x, x, lanes, lane_y, m)
-    assert block.shape == (x.shape[0], vru_x.size, min(m, x.shape[1]))
+    rows = x.shape[0]
+    block = nearest_member_indices(
+        np.tile(vru_x, (rows, 1)), x, np.tile(lanes, (rows, 1)), lane_y, m
+    )
+    assert block.shape == (rows, vru_x.size, min(m, x.shape[1]))
     for p, row in enumerate(x):
-        single = nearest_member_indices(vru_x, row, lanes, lane_y, m)
+        single = nearest_member_indices(vru_x[None], row[None], lanes[None], lane_y, m)[0]
         assert single.dtype == np.intp
         assert np.array_equal(single, block[p])
         for i, q in enumerate(vru_x):
@@ -160,60 +166,60 @@ def test_windowed_search_retries_past_a_stacked_lane():
 
 
 def test_ul_allocation_examples():
-    assert list(prb_share(POOL, n_hat(np.array([0, 0])), 1)) == [25.0, 25.0]
-    assert list(prb_share(POOL, n_hat(np.array([2])), 1)) == [50.0]
-    crowded = prb_share(POOL, n_hat(np.zeros(20, dtype=np.int64)), 1)
+    assert list(prb_share(RADIO, n_hat(np.array([0, 0])), 1)) == [25.0, 25.0]
+    assert list(prb_share(RADIO, n_hat(np.array([2])), 1)) == [50.0]
+    crowded = prb_share(RADIO, n_hat(np.zeros(20, dtype=np.int64)), 1)
     assert all(v == pytest.approx(2.5) for v in crowded)
 
 
 def test_ul_allocation_conserves_pool_per_bin():
     rng = np.random.default_rng(0)
     offsets = np.array([int(rng.integers(0, 5)) for _ in range(137)])
-    eta = prb_share(POOL, n_hat(offsets), 1)
+    eta = prb_share(RADIO, n_hat(offsets), 1)
     for b in range(5):
         share = eta[offsets == b].sum()
         if share:
-            assert share == pytest.approx(POOL.total_prbs, rel=1e-9)
+            assert share == pytest.approx(RADIO.total_prbs, rel=1e-9)
 
 
 def test_ul_latency_log2_unit_case():
     # 1 PRB at 0 dB: rate = 180 kHz * log2(2) = 180 kbps
-    assert ul_latency(180_000.0, 1.0, 0.0, POOL) == pytest.approx(1.0, rel=1e-12)
+    assert ul_latency(180_000.0, 1.0, 0.0, RADIO) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ul_latency_worked_example():
     rate = 10.0 * 180e3 * math.log2(1.0 + 10.0 ** 1.5)
-    assert link_rate_bps(10.0, 15.0, POOL) == pytest.approx(rate, rel=1e-9)
+    assert link_rate_bps(10.0, 15.0, RADIO) == pytest.approx(rate, rel=1e-9)
     assert rate == pytest.approx(9.05e6, rel=1e-3)
-    t = ul_latency(10_000.0, 10.0, 15.0, POOL)
+    t = ul_latency(10_000.0, 10.0, 15.0, RADIO)
     assert t == pytest.approx(10_000.0 / rate, rel=1e-9)
     assert t == pytest.approx(1.105e-3, rel=1e-3)
 
 
 def test_ul_latency_halves_when_prbs_double():
-    assert ul_latency(1e4, 20.0, 9.0, POOL) == 0.5 * ul_latency(1e4, 10.0, 9.0, POOL)
+    assert ul_latency(1e4, 20.0, 9.0, RADIO) == 0.5 * ul_latency(1e4, 10.0, 9.0, RADIO)
 
 
 def test_ul_latency_strictly_decreasing_in_snr_and_prbs():
     snrs = np.linspace(-10, 40, 26)
-    ts = [ul_latency(1e4, 5.0, s, POOL) for s in snrs]
+    ts = [ul_latency(1e4, 5.0, s, RADIO) for s in snrs]
     assert all(b < a for a, b in zip(ts, ts[1:]))
     etas = np.linspace(0.5, 50, 30)
-    ts = [ul_latency(1e4, e, 10.0, POOL) for e in etas]
+    ts = [ul_latency(1e4, e, 10.0, RADIO) for e in etas]
     assert all(b < a for a, b in zip(ts, ts[1:]))
 
 
 def test_ul_latency_unreachable():
     with pytest.raises(UnreachableLinkError):
-        ul_latency(1e4, 0.0, 10.0, POOL)
+        ul_latency(1e4, 0.0, 10.0, RADIO)
     with pytest.raises(UnreachableLinkError):
-        ul_latency(1e4, 5.0, -np.inf, POOL)
+        ul_latency(1e4, 5.0, -np.inf, RADIO)
 
 
 def test_dl_allocation_examples():
     # one cluster of 5 alone in its bin; 20 clusters of 5 sharing one bin
-    assert list(prb_share(POOL, n_hat(np.array([3])), 5)) == pytest.approx([10.0])
-    assert list(prb_share(POOL, n_hat(np.full(20, 3)), 5)) == pytest.approx([0.5] * 20)
+    assert list(prb_share(RADIO, n_hat(np.array([3])), 5)) == pytest.approx([10.0])
+    assert list(prb_share(RADIO, n_hat(np.full(20, 3)), 5)) == pytest.approx([0.5] * 20)
 
 
 def _snr_for_rate(rate_bps, prbs):
@@ -223,7 +229,7 @@ def _snr_for_rate(rate_bps, prbs):
 
 def _dl_one(size, prbs, member_snrs):
     """DL latency of a single packet whose cluster members see ``member_snrs``."""
-    (t,) = dl_latency(np.array([size]), np.array([prbs]), np.array([member_snrs]), POOL)
+    (t,) = dl_latency(np.array([size]), np.array([prbs]), np.array([member_snrs]), RADIO)
     return t
 
 
@@ -234,7 +240,7 @@ def test_dl_latency_max_rule():
 
 
 def test_dl_latency_singleton():
-    expected = 1e4 / link_rate_bps(10.0, 12.0, POOL)
+    expected = 1e4 / link_rate_bps(10.0, 12.0, RADIO)
     assert _dl_one(1e4, 10.0, [12.0]) == pytest.approx(expected, rel=1e-12)
 
 
@@ -243,12 +249,12 @@ def test_dl_latency_farthest_member_dominates_without_fading():
     from camlat.channel import LinkBudget, mean_snr_db, sample_snr_db
 
     budget = LinkBudget(
-        replace(default_plan().channel, shadow_std_db=0.0, fast_fade_std_db=0.0),
+        replace(default_plan().channel, shadowing_std_db=0.0, fast_fading_std_db=0.0),
         tx_power_dbm=46.0, h_ue_m=1.5, additional_losses_db=15.0,
     )
     distances = np.array([50.0, 120.0, 300.0, 800.0])
     snrs = sample_snr_db(budget, mean_snr_db(budget, distances), np.random.default_rng(0))
-    times = 1e4 / link_rate_bps(np.full(4, 2.0), snrs, POOL)
+    times = 1e4 / link_rate_bps(np.full(4, 2.0), snrs, RADIO)
     assert int(np.argmax(times)) == 3
     assert _dl_one(1e4, 2.0, snrs) == pytest.approx(float(np.max(times)), rel=1e-12)
 
@@ -272,7 +278,7 @@ def test_dl_latency_unreachable_member():
 def _dl_oracle(sizes, prbs, member_snr_db):
     """Per-member oracle of ``dl_latency``: every member's own rate, the slowest one decides."""
     return np.array([
-        max(size / link_rate_bps(share, snr, POOL) for snr in row)
+        max(size / link_rate_bps(share, snr, RADIO) for snr in row)
         for size, share, row in zip(sizes, prbs, member_snr_db)
     ])
 
@@ -294,20 +300,20 @@ def test_dl_latency_equals_per_member_oracle(data):
     prbs = np.array(data.draw(st.lists(
         st.floats(0.01, 50.0), min_size=packets, max_size=packets
     ), label="prbs"))
-    assert np.array_equal(dl_latency(sizes, prbs, snr, POOL), _dl_oracle(sizes, prbs, snr))
+    assert np.array_equal(dl_latency(sizes, prbs, snr, RADIO), _dl_oracle(sizes, prbs, snr))
     # one member too weak to carry a bit makes its whole block unreachable
     row, col = data.draw(st.integers(0, packets - 1)), data.draw(st.integers(0, m - 1))
     snr[row, col] = -1e3
     with pytest.raises(UnreachableLinkError):
-        dl_latency(sizes, prbs, snr, POOL)
+        dl_latency(sizes, prbs, snr, RADIO)
 
 
 def test_dl_latency_requires_one_snr_per_member():
     # one row of member SNRs per packet: a flat list or a missing row is refused
     with pytest.raises(ValueError):
-        dl_latency(np.array([1e4]), np.array([1.0]), np.array([10.0, 12.0]), POOL)
+        dl_latency(np.array([1e4]), np.array([1.0]), np.array([10.0, 12.0]), RADIO)
     with pytest.raises(ValueError):
-        dl_latency(np.full(2, 1e4), np.ones(2), np.array([[10.0, 12.0]]), POOL)
+        dl_latency(np.full(2, 1e4), np.ones(2), np.array([[10.0, 12.0]]), RADIO)
 
 
 # --- padded multi-replication blocks -----------------------------------------
