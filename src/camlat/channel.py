@@ -87,7 +87,9 @@ def sample_snr_db(budget: LinkBudget, mean_db, rng: np.random.Generator):
     depend on the configuration.
     """
     std = math.hypot(budget.channel.shadowing_std_db, budget.channel.fast_fading_std_db)
-    snr = rng.normal(0.0, std, size=np.shape(mean_db))
+    # The values of rng.normal(0.0, std), which scales standard normals the same way.
+    snr = rng.standard_normal(size=np.shape(mean_db))
+    snr *= std
     np.subtract(mean_db, snr, out=snr)
     return snr
 

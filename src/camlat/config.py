@@ -20,7 +20,6 @@ Explicit fields in the document always override the profile presets.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -351,6 +350,8 @@ def load_config(
     if path is None:
         document: dict = {}
     else:
+        import json  # only a config file needs it
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 document = json.load(fh)

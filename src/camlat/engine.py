@@ -48,6 +48,10 @@ then periods, then replications, in order.
 With several workers, replications run on a process pool. ``pool`` opens it
 lazily and lets callers share it: the CLI holds one pool for the whole
 invocation, so every sweep point of ``reproduce`` reuses the same workers.
+The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
+the first pool opens, so a serial run never imports them. The pool class is
+the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
+assigned to it beforehand opens every later pool.
 Each pool task is a chunk of about R / (2 * workers) replications, evaluated
 in blocks as above and returned as one array, which keeps the IPC round
 trips few while both workers stay busy to the end; the results are merged in
@@ -57,10 +61,10 @@ replication order as they would be serially.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,6 +73,9 @@ from .config import SimulationPlan
 from .errors import AggregationError, CamlatError
 from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # Cluster-search window entries (replications * periods * VRUs * 2 * cluster_size)
 # that one block of replications may hold; it bounds the block's working memory.
@@ -140,13 +147,7 @@ def evaluate_period(
     # Padding vehicles sit at x = +inf on lane 0: they sort last and are never picked.
     lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
     m = min(plan.radio.cluster_size, v)
-    members = radio.nearest_member_indices(
-        np.repeat(vru_x, periods, axis=0),
-        vehicle_x.reshape(rows, v),
-        np.repeat(lanes, periods, axis=0),
-        road.lane_centerlines_m,
-        m,
-    )
+    members = radio.nearest_member_indices(vru_x, vehicle_x, lanes, road.lane_centerlines_m, m)
     # One mean SNR per (replication, period, vehicle), gathered for the members.
     lane_dy = np.subtract(road.lane_centerlines_m, enb_y)
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
@@ -278,6 +279,16 @@ def _replication_task(args: tuple[SimulationPlan, range]) -> np.ndarray:
     return _run_replications(*args)
 
 
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` is imported on first use, and kept as a module global.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # The innermost open pool and its worker count, shared by nested ``pool`` blocks.
 _open_pool: tuple[int, ProcessPoolExecutor] | None = None
 
@@ -297,7 +308,8 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
         yield _open_pool[1]
     else:
         outer = _open_pool
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        executor_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with executor_type(max_workers=workers) as executor:
             _open_pool = (workers, executor)
             try:
                 yield executor

@@ -39,26 +39,29 @@ def nearest_member_indices(
     lane_y: tuple[float, ...],
     m: int,
 ) -> np.ndarray:
-    """Indices of each VRU's m nearest vehicles, shape (rows, n_vru, m).
+    """Indices of each VRU's m nearest vehicles, shape (B * P, n_vru, m).
 
     The VRUs stand at y = 0 and each vehicle on its lane's lateral offset
-    ``lane_y[lane]``. Each of the rows is one snapshot, one per (replication,
-    period) of a block of replications: ``vru_x`` holds its VRUs' x, shape
-    (rows, n_vru), ``vehicle_x`` its vehicles' x and ``vehicle_lane`` their
-    lanes, shape (rows, V). At most V members are returned.
+    ``lane_y[lane]``. The input is a block of B replications of P periods
+    each: ``vru_x`` holds each replication's VRUs' x, shape (B, n_vru),
+    ``vehicle_lane`` its vehicles' lanes, shape (B, V), and ``vehicle_x``
+    their x in every period, shape (B, P, V). Each output row is one
+    (replication, period) snapshot, periods within replications; row r
+    belongs to replication r // P. At most V members are returned.
 
-    A row may end in padding vehicles at x = +inf, on any lane, which sort
-    after every real vehicle and are never picked while the row holds at
-    least m real ones; their indices follow the real vehicles'.
+    A replication may end in padding vehicles at x = +inf, on any lane,
+    which sort after every real vehicle and are never picked while it holds
+    at least m real ones; their indices follow the real vehicles'.
 
     Ties on exact squared distance break toward the lower x-coordinate,
     then the lower lane index, then the lower vehicle index.
 
-    Each row's vehicles are sorted once by (x, lane, index) and each VRU
-    is placed into that order by ``searchsorted``. A contiguous window of
-    2m candidates around it is ranked by a stable sort on squared distance,
-    which keeps the (x, lane, index) order among equals; each window gathers
-    its squared lateral offsets from ``lane_y**2`` by sorted lane. The window
+    Each row's vehicles are sorted once by (x, lane, index), from its
+    replication's (lane, index) order, and each VRU is placed into that
+    order by ``searchsorted``. A contiguous window of 2m candidates around
+    it is ranked by a stable sort on squared distance, which keeps the
+    (x, lane, index) order among equals; each window gathers its squared
+    lateral offsets from the row's offsets in sorted order. The window
     always reaches the VRU's sorted position, so the nearest vehicle outside
     each window edge lies on the far side of the VRU. The pick is certified
     when that vehicle, even on the lane nearest the VRUs, is strictly farther
@@ -67,42 +70,41 @@ def nearest_member_indices(
     that fail retry with a doubled window; at window V this is the full
     sort, which needs no certificate.
     """
-    rows, v = vehicle_x.shape
+    reps, periods, v = vehicle_x.shape
     if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
+    rows = reps * periods
     n = vru_x.shape[1]
     lane_dy2 = np.square(np.asarray(lane_y, dtype=float))
     min_dy2 = lane_dy2.min()  # the lane nearest the VRUs
-    # (x, lane, index) order: a stable sort on x of the vehicles taken lane by lane.
-    by_lane = np.argsort(vehicle_lane, axis=1, kind="stable")
-    by_x = np.argsort(np.take_along_axis(vehicle_x, by_lane, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(by_lane, by_x, axis=1)
-    del by_lane, by_x  # (rows, V) each: freed before the sorted arrays and the windows
-    xs = np.take_along_axis(vehicle_x, order, axis=1)
-    lanes = np.take_along_axis(vehicle_lane, order, axis=1)
+    # (x, lane, index) order: a stable sort on x of the vehicles taken lane by
+    # lane. The lane order is one per replication, shared by its periods.
+    by_lane = np.argsort(vehicle_lane, axis=1, kind="stable")[:, None]
+    by_x = np.argsort(np.take_along_axis(vehicle_x, by_lane, axis=2), axis=2, kind="stable")
+    order = np.take_along_axis(by_lane, by_x, axis=2)
+    del by_x  # (rows, V): freed before the sorted arrays and the windows
+    xs = np.take_along_axis(vehicle_x, order, axis=2).reshape(rows, v)
+    dy2s = np.take_along_axis(lane_dy2[vehicle_lane][:, None], order, axis=2).ravel()
     # Sorted position of each VRU: vehicles before it have a smaller x.
-    start = np.concatenate([np.searchsorted(row, q) for row, q in zip(xs, vru_x)])
-    # Flat views: row r's sorted position i is entry r * V + i, and its
-    # VRU u is entry r * n_vru + u.
-    order, xs, lanes, vru_x = order.ravel(), xs.ravel(), lanes.ravel(), vru_x.ravel()
+    start = np.concatenate([np.searchsorted(xs[r], vru_x[r // periods]) for r in range(rows)])
+    # Flat views: row r's sorted position i is entry r * V + i.
+    order, xs = order.ravel(), xs.ravel()
 
     take = min(m, v)
     out = np.empty((rows * n, take), dtype=order.dtype)
-    pending = np.arange(out.shape[0])
+    pending = np.arange(out.shape[0])  # entry r * n_vru + u is row r's VRU u
     width = min(2 * take, v)
     while pending.size:
         row = pending // n
+        q = vru_x[row // periods, pending % n]
         lo = np.clip(start[pending] - width // 2, 0, v - width)
         first = row * v + lo
         # d2 = dx * dx + dy * dy over each window, in place. The (rows, width)
-        # arrays set a block's peak memory, so each is freed once used: the
-        # lane gather's index array is gone before d2 is made.
-        dy2 = lane_dy2[sliding_window_view(lanes, width)[first]]
+        # arrays set a block's peak memory, so each is freed once used.
         d2 = sliding_window_view(xs, width)[first]
-        np.subtract(vru_x[pending, None], d2, out=d2)
+        np.subtract(q[:, None], d2, out=d2)
         d2 *= d2
-        d2 += dy2
-        del dy2
+        d2 += sliding_window_view(dy2s, width)[first]
         picks = np.argsort(d2, axis=1, kind="stable")[:, :take]
         mth = np.take_along_axis(d2, picks[:, -1:], axis=1)[:, 0]
         del d2
@@ -114,8 +116,8 @@ def nearest_member_indices(
         # Certificate: the first vehicle past each window edge, on the lane
         # nearest the VRUs, is farther than the m-th pick. lo <= start <=
         # lo + width, so that vehicle is on the VRU's far side.
-        left_gap = vru_x[pending] - xs[row * v + np.maximum(lo - 1, 0)]
-        right_gap = vru_x[pending] - xs[row * v + np.minimum(lo + width, v - 1)]
+        left_gap = q - xs[row * v + np.maximum(lo - 1, 0)]
+        right_gap = q - xs[row * v + np.minimum(lo + width, v - 1)]
         left_ok = (lo == 0) | (left_gap * left_gap + min_dy2 > mth)
         right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2 > mth)
         pending = pending[~(left_ok & right_ok)]

@@ -164,7 +164,7 @@ def test_criterion_6_oracle_equivalence():
 
         # one (replication, period) row holding one VRU
         nearest = nearest_member_indices(
-            np.array([[vru_x]]), xs[None], lanes[None], (4.0, -4.0), m
+            np.array([[vru_x]]), xs[None, None], lanes[None], (4.0, -4.0), m
         )[0, 0]
         assert list(nearest) == sorted(range(n), key=key)[:m]
 

@@ -81,6 +81,18 @@ def test_snr_deterministic_when_stds_zero():
     assert snr == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("shadow, fade", [(3.0, 4.0), (0.0, 0.0)])
+def test_snr_noise_is_one_normal_draw_per_link(shadow, fade):
+    # the noise is rng.normal(0, hypot(shadow, fade)), value for value, and
+    # consumes the stream as that call would
+    budget = _budget(shadow=shadow, fade=fade)
+    mean = mean_snr_db(budget, np.linspace(10.0, 2000.0, 24).reshape(4, 6))
+    drawn, expected = np.random.default_rng(5), np.random.default_rng(5)
+    snr = sample_snr_db(budget, mean, drawn)
+    assert np.array_equal(snr, mean - expected.normal(0.0, math.hypot(shadow, fade), mean.shape))
+    assert drawn.standard_normal() == expected.standard_normal()
+
+
 def test_snr_linear_in_tx_power():
     loud, quiet = _budget(tx=23.0, shadow=0.0, fade=0.0), _budget(tx=13.0, shadow=0.0, fade=0.0)
     a = sample_snr_db(loud, mean_snr_db(loud, 500.0), np.random.default_rng(1))

@@ -26,7 +26,7 @@ def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
     """Nearest-member indices of one VRU at (vru_x, 0) among vehicles at xs."""
     xs = np.asarray(xs, dtype=float)
     lanes = np.zeros(xs.size, dtype=np.int64) if lanes is None else np.asarray(lanes)
-    return nearest_member_indices(np.array([[vru_x]]), xs[None], lanes[None], lane_y, m)[0, 0]
+    return nearest_member_indices(np.array([[vru_x]]), xs[None, None], lanes[None], lane_y, m)[0, 0]
 
 
 def test_pool_default_prb_count():
@@ -88,12 +88,10 @@ def _check_block(vru_x, x, lanes, lane_y, m):
     vru_x = np.asarray(vru_x, dtype=float)
     ys = np.asarray(lane_y)[lanes]
     rows = x.shape[0]
-    block = nearest_member_indices(
-        np.tile(vru_x, (rows, 1)), x, np.tile(lanes, (rows, 1)), lane_y, m
-    )
+    block = nearest_member_indices(vru_x[None], x[None], lanes[None], lane_y, m)
     assert block.shape == (rows, vru_x.size, min(m, x.shape[1]))
     for p, row in enumerate(x):
-        single = nearest_member_indices(vru_x[None], row[None], lanes[None], lane_y, m)[0]
+        single = nearest_member_indices(vru_x[None], row[None, None], lanes[None], lane_y, m)[0]
         assert single.dtype == np.intp
         assert np.array_equal(single, block[p])
         for i, q in enumerate(vru_x):
@@ -342,7 +340,11 @@ def test_padded_block_search_matches_exhaustive_sort(data):
             ys[r, :count] = [4.0 * k for k in lane]
             lanes[r, :count] = lane
             vru_x[r] = vrus
-    block = nearest_member_indices(vru_x, x, lanes, (0.0, 4.0), m)
+    # the search takes each replication's VRUs and lanes once, and its (P, V) positions
+    reps = len(counts)
+    block = nearest_member_indices(
+        vru_x[::periods], x.reshape(reps, periods, v), lanes[::periods], (0.0, 4.0), m
+    )
     assert block.shape == (rows, n, m)
     for r in range(rows):
         count = counts[r // periods]

@@ -57,15 +57,27 @@ def test_unknown_purpose_or_indices_raise(purpose, indices):
         SubstreamFactory(1).stream(purpose, 0, *indices)
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random is loaded by the first stream, not by importing the package
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random is loaded by the first stream, the pool modules by the first
+    # pool and json by the first config file, not by importing the package
+    config = tmp_path / "config.json"
+    config.write_text('{"scenario": {"vru_count": 12}}', encoding="utf-8")
     code = (
         "import sys; import camlat.cli\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "deferred = ('numpy.random', 'concurrent.futures', 'multiprocessing', 'json')\n"
+        "loaded = [name for name in deferred if name in sys.modules]; assert not loaded, loaded\n"
         "from camlat.rng import SubstreamFactory; SubstreamFactory(0).stream('ul', 0)\n"
         "assert 'numpy.random' in sys.modules\n"
+        "from camlat import engine\n"
+        "with engine.pool(2): pass\n"
+        "assert 'concurrent.futures' in sys.modules and 'multiprocessing' in sys.modules\n"
+        "assert 'json' not in sys.modules\n"
+        "from camlat.config import load_config; load_config(sys.argv[1])\n"
+        "assert 'json' in sys.modules\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
