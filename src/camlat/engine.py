@@ -9,17 +9,44 @@ results are written in replication order before any reduction.
 
 Replications are evaluated in blocks. ``run_replication(plan, replications)``
 takes a ``range`` of replication indices; for each one it builds the
-replication's own streams, samples its scenario and draws its packets. The
-rest runs once per block: the vehicles of every replication are stepped
-together as a (replications, periods, vehicles) position array, padded with
-+inf to the block's largest vehicle count after stepping, and one
-``evaluate_period`` call computes bin counts, uplink, downlink, backhaul,
-execution and composition for every packet of the block. Only the random
+replication's own streams, samples its scenario, keeps the vehicles within
+reach of its VRUs (below) and draws its packets. The rest runs once per
+block: the kept vehicles of every replication are stepped together as a
+(replications, periods, vehicles) position array, padded with +inf to the
+block's largest kept count after stepping, and one ``evaluate_period`` call
+computes bin counts, uplink, downlink, backhaul, execution and composition
+for every packet of the block. Only the random
 draws stay per replication: each purpose draws its replication's whole block
 in one call, in (periods, VRUs) or, for the downlink members, (periods,
 VRUs, m) shape. Each VRU's downlink cluster comes from
 ``radio.nearest_member_indices``, which ranks a certified window of
 candidates around the VRU over all (replication, period) rows at once.
+
+Only the vehicles that can join a VRU's cluster in some period are stepped
+and ranked. With m the cluster size, take a replication's period-0 vehicle
+positions over both lanes in x order: x- is the m-th vehicle below the lowest
+VRU and x+ the m-th above the highest. D = (periods - 1) * period_s *
+max|speed| over the replication's own vehicles bounds how far any of them
+moves (0 without mobility), and eps = ``REACH_SLACK`` * periods * road
+length is a slack far above the stepping's rounding error. The replication
+keeps, in index order, the vehicles whose period-0 x lies in
+[x- - w, x+ + w] with w = 2D + eps; a side with fewer than m vehicles beyond
+the VRUs is kept whole. It keeps every vehicle when it holds at most m, when
+the lanes are not all at one distance |y| from the VRU line, or when vehicles
+move and the kept interval comes within D + eps of a road end (a side kept
+whole reaches it), where a vehicle wrapping around could come in. The
+scenario is still sampled whole, so no draw changes.
+
+The cut is exact. The lanes sit at one lateral distance, so a VRU's distance
+order is its |dx| order. A VRU at q has m vehicles between x- and q and m
+between q and x+ at period 0, which are kept, never wrap and move at most D:
+in every period it has m kept vehicles within r(q) + D, r(q) being the
+smaller of q - (x-) and (x+) - q over the cut sides. A dropped vehicle starts
+more than 2D + eps beyond x- or x+, so it stays more than r(q) + D + eps
+away, also after wrapping around a road end, which lands it beyond the other
+cut side. It can never rank in a cluster, nor tie with a member. The kept
+vehicles keep their index order and their stepped positions, so the (x,
+lane, index) tie rule and every output are those of the whole road.
 
 The input sets the block size: a block holds as many replications as fit
 ``BLOCK_WINDOW_ENTRIES`` cluster-search window entries (periods * VRUs * 2 *
@@ -62,7 +89,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -80,6 +107,10 @@ if TYPE_CHECKING:
 # Cluster-search window entries (replications * periods * VRUs * 2 * cluster_size)
 # that one block of replications may hold; it bounds the block's working memory.
 BLOCK_WINDOW_ENTRIES = 60_000
+
+# The reach cut's rounding slack per metre of road and per period; stepping
+# rounds each position by about 1e-16 of the road length per period.
+REACH_SLACK = 1e-9
 
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -194,9 +225,41 @@ def _vehicle_positions(plan: SimulationPlan, scenarios: Sequence[scenario.Scenar
     return positions
 
 
+def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scenario:
+    """``scn`` with only the vehicles that can join a VRU's cluster, in index order.
+
+    The rule and why it changes no output are in the module docstring.
+    """
+    m = plan.radio.cluster_size
+    road = plan.scenario.road
+    if scn.vehicle_count <= m or len({abs(y) for y in road.lane_centerlines_m}) > 1:
+        return scn
+    reach = 0.0
+    if plan.scenario.mobility:
+        reach = (plan.periods - 1) * plan.traffic.period_s * float(np.abs(scn.vehicle_speed).max())
+    slack = REACH_SLACK * plan.periods * road.lane_length_m
+    xs = np.sort(scn.vehicle_x)
+    below = int(np.searchsorted(xs, scn.vru_x.min()))
+    above = int(np.searchsorted(xs, scn.vru_x.max(), side="right"))
+    low = xs[below - m] - 2 * reach - slack if below >= m else -np.inf
+    high = xs[above + m - 1] + 2 * reach + slack if xs.size - above >= m else np.inf
+    if reach > 0 and (low < reach + slack or high > road.lane_length_m - reach - slack):
+        return scn
+    keep = (low <= scn.vehicle_x) & (scn.vehicle_x <= high)
+    return replace(
+        scn,
+        vehicle_x=scn.vehicle_x[keep],
+        vehicle_speed=scn.vehicle_speed[keep],
+        vehicle_lane=scn.vehicle_lane[keep],
+    )
+
+
 def _evaluate_block(plan: SimulationPlan, replications: range) -> np.ndarray:
     streams = SubstreamFactory(plan.master_seed)
-    scenarios = [scenario.sample_scenario(plan.scenario, streams, rep) for rep in replications]
+    scenarios = [
+        _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
+        for rep in replications
+    ]
     shape = (plan.periods, plan.scenario.vru_count)
     packets = np.stack([
         traffic.generate_period(

@@ -56,6 +56,15 @@ def nearest_member_indices(
     Ties on exact squared distance break toward the lower x-coordinate,
     then the lower lane index, then the lower vehicle index.
 
+    The engine passes only the vehicles within reach of the VRUs, in index
+    order: with m the cluster size, those whose period-0 x lies within
+    2D + eps of the m-th vehicle below the lowest VRU and of the m-th above
+    the highest, D being the farthest any of them moves over the periods and
+    eps a rounding slack (see ``engine``). On lanes at one distance from the
+    VRU line, every vehicle it drops stays more than eps farther from each
+    VRU than its m-th nearest kept one, so the members are those of the
+    whole road.
+
     Each row's vehicles are sorted once by (x, lane, index), from its
     replication's (lane, index) order, and each VRU is placed into that
     order by ``searchsorted``. A contiguous window of 2m candidates around

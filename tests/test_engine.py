@@ -368,6 +368,159 @@ def test_unreachable_link_inside_a_block_names_its_replication(monkeypatch):
         engine.run_plan(plan)
 
 
+def _keep_every_vehicle(monkeypatch):
+    monkeypatch.setattr(engine, "_within_reach", lambda plan, scn: scn)
+
+
+# name -> (document, whether the cut drops vehicles at some replication:
+# True, never: False, either: None)
+_REACH_CASES = {
+    "default": ({}, True),
+    "dense": ({"scenario": {"vehicle_intensity_per_m": 0.09}, "radio": {"cluster_size": 9}}, True),
+    "cluster_1": ({"radio": {"cluster_size": 1}}, True),
+    # some roads hold fewer vehicles than the cluster size
+    "sparse_cluster_9": (
+        {"scenario": {"vehicle_intensity_per_m": 0.002}, "radio": {"cluster_size": 9}}, None
+    ),
+    "no_mobility": ({"scenario": {"mobility": False}}, True),
+    # the kept interval reaches a road end: vehicles could wrap around into it
+    "strip_at_start": ({"scenario": {"vru_strip_m": [5.0, 300.0]}}, False),
+    "strip_at_end": ({"scenario": {"vru_strip_m": [2800.0, 2999.0]}}, False),
+    "fast_40_periods": (
+        {"scenario": {"speed_kmh": [10.0, 250.0]}, "engine": {"periods": 40}}, None
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1729, 2718])
+@pytest.mark.parametrize("case", list(_REACH_CASES))
+def test_reach_cut_changes_no_output(monkeypatch, case, seed):
+    doc, drops = _REACH_CASES[case]
+    plan = plan_from_document({
+        **doc, "engine": {**doc.get("engine", {}), "replications": 40, "master_seed": seed}
+    })
+    within_reach = engine._within_reach
+    dropped = []
+
+    def counting(plan, scn):
+        kept = within_reach(plan, scn)
+        dropped.append(scn.vehicle_count - kept.vehicle_count)
+        return kept
+
+    monkeypatch.setattr(engine, "_within_reach", counting)
+    cut = engine.run_plan(plan)
+    assert len(dropped) == plan.replications
+    if drops is not None:
+        assert any(dropped) == drops
+    _keep_every_vehicle(monkeypatch)
+    assert np.array_equal(engine.run_plan(plan), cut)
+
+
+def _reach_plan(mobility=True):
+    """VRUs on [1490, 1510], cluster size 2, 3 periods of 100 ms."""
+    return plan_from_document({
+        "scenario": {"vru_count": 10, "vru_strip_m": [1490.0, 1510.0], "mobility": mobility},
+        "radio": {"cluster_size": 2},
+        "engine": {"replications": 2, "periods": 3, "master_seed": 5},
+    })
+
+
+def _kept(plan):
+    streams = SubstreamFactory(plan.master_seed)
+    scn = scenario.sample_scenario(plan.scenario, streams, 0)
+    return scn, engine._within_reach(plan, scn)
+
+
+def _cut_matches_every_vehicle(monkeypatch, plan):
+    cut = engine.run_plan(plan)
+    _keep_every_vehicle(monkeypatch)
+    return np.array_equal(engine.run_plan(plan), cut)
+
+
+def test_reach_cut_keeps_the_interval_in_index_order(monkeypatch):
+    # Vehicles move at most D = 2 * 0.1 s * 30 m/s = 6 m, so w = 12 m + eps.
+    # The 2nd vehicle below the VRUs is at 1470 and the 2nd above at 1530:
+    # [1458, 1542] is kept, 1457.9 and 1542.1 are dropped.
+    x = [2900.0, 1542.0, 1480.0, 100.0, 1457.9, 1520.0, 1458.0, 1530.0, 1542.1, 1470.0, 1500.0]
+    lanes = [0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0]
+    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    plan = _reach_plan()
+    scn, kept = _kept(plan)
+    index = [1, 2, 5, 6, 7, 9, 10]
+    assert np.array_equal(kept.vehicle_x, scn.vehicle_x[index])
+    assert np.array_equal(kept.vehicle_lane, scn.vehicle_lane[index])
+    assert np.array_equal(kept.vehicle_speed, scn.vehicle_speed[index])
+    assert np.array_equal(kept.vru_x, scn.vru_x)
+    assert _cut_matches_every_vehicle(monkeypatch, plan)
+
+
+def test_reach_cut_keeps_a_side_short_of_cluster_vehicles_whole(monkeypatch):
+    # One vehicle below the VRUs, fewer than the cluster size: that side is
+    # kept whole. Without mobility nothing wraps around, so the other side
+    # is cut at the 2nd vehicle above (1530) plus eps; with mobility the kept
+    # interval would reach the road's start, so nothing is cut.
+    x = [100.0, 1530.0, 1600.0, 1520.0, 2900.0]
+    lanes = [0, 1, 0, 0, 1]
+    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    scn, moving = _kept(_reach_plan())
+    assert np.array_equal(moving.vehicle_x, scn.vehicle_x)
+    plan = _reach_plan(mobility=False)
+    scn, kept = _kept(plan)
+    assert np.array_equal(kept.vehicle_x, scn.vehicle_x[[0, 1, 3]])
+    assert _cut_matches_every_vehicle(monkeypatch, plan)
+
+
+def test_reach_cut_uses_the_replications_own_speeds(monkeypatch):
+    # The road drives at 30 m/s, far above speed_kmh's 20 km/h: in 1 s the
+    # vehicle at 1450 closes to 1480 and joins a VRU's cluster from period 6,
+    # while the ones at 1480 and 1520 drive away from the VRUs. A reach taken
+    # from speed_kmh (5.6 m) would drop it; the road's own (30 m) keeps it,
+    # and drops only the vehicle at 200.
+    x = [1480.0, 1520.0, 1450.0, 200.0]
+    lanes = [1, 0, 0, 1]
+    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    plan = plan_from_document({
+        "scenario": {
+            "vru_count": 10, "vru_strip_m": [1499.0, 1501.0], "speed_kmh": [10.0, 20.0]
+        },
+        "radio": {"cluster_size": 1},
+        "engine": {"replications": 2, "periods": 11, "master_seed": 5},
+    })
+    scn, kept = _kept(plan)
+    assert np.array_equal(kept.vehicle_x, scn.vehicle_x[:3])
+    assert _cut_matches_every_vehicle(monkeypatch, plan)
+
+
+def test_reach_cut_slack_keeps_a_vehicle_that_ties_the_edge(monkeypatch):
+    # Without mobility the kept interval starts eps below the vehicle at 1.0.
+    # The one just below it, on the other lane, sits at the same rounded
+    # distance from every VRU and wins the tie on its lower x; without the
+    # slack it would be dropped and the other lane's vehicle picked.
+    x = [1.0, np.nextafter(1.0, 0.0), 2999.9]
+    lanes = [0, 1, 0]
+    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    plan = plan_from_document({
+        "scenario": {"vru_count": 10, "vru_strip_m": [1400.0, 1401.0], "mobility": False},
+        "radio": {"cluster_size": 1},
+        "engine": {"replications": 2, "periods": 2, "master_seed": 5},
+    })
+    scn, kept = _kept(plan)
+    assert np.array_equal(kept.vehicle_x, scn.vehicle_x)
+    assert _cut_matches_every_vehicle(monkeypatch, plan)
+
+
+def test_reach_cut_keeps_every_vehicle_on_unequal_lane_offsets(monkeypatch):
+    x = [2900.0, 1542.0, 1480.0, 100.0, 1520.0, 1530.0, 1470.0]
+    lanes = [0, 1, 0, 1, 1, 0, 1]
+    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    plan = _reach_plan()
+    road = replace(plan.scenario.road, lane_centerlines_m=(4.0, -6.0))
+    plan = replace(plan, scenario=replace(plan.scenario, road=road))
+    scn, kept = _kept(plan)
+    assert np.array_equal(kept.vehicle_x, scn.vehicle_x)
+    # the same road on equal offsets is cut
+    assert _kept(_reach_plan())[1].vehicle_count < scn.vehicle_count
+
 # Minor page faults of a 12- and a 72-replication default run after a
 # 1-replication warm-up, in a fresh interpreter.
 _FAULTS_SCRIPT = """
