@@ -6,7 +6,7 @@ collocated with the serving base station.
 """
 
 from .config import SimulationPlan, default_plan, load_config
-from .engine import AggregateStats, aggregate, run_plan, run_replication
+from .engine import AggregateStats, aggregate, replication_moments, run_plan, run_replication
 from .errors import (
     AggregationError,
     CamlatError,
@@ -34,6 +34,7 @@ __all__ = [
     "emit_csv",
     "emit_plot",
     "load_config",
+    "replication_moments",
     "run_plan",
     "run_replication",
     "run_sweep",

@@ -4,8 +4,9 @@ A run is ``replications`` independent scenario realizations, each simulated
 for ``periods`` message cycles. Every replication consumes its own random
 substreams, one per purpose, so a replication's output depends only on
 (master_seed, replication_index): replications can run in any order, on any
-number of workers, and aggregates come out bit-identical because per-packet
-results are written in replication order before any reduction.
+number of workers, and aggregates come out bit-identical because each
+replication's packets are reduced on their own, to moments that are pooled
+in replication order.
 
 Replications are evaluated in blocks. ``run_replication(plan, replications)``
 takes a ``range`` of replication indices; for each one it builds the
@@ -60,17 +61,20 @@ as a serial run would.
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
 heap above 128 KiB free, so each block would fault its working set in again
-from zero pages. glibc raises
-both thresholds by itself only after it frees a large array, which in a CLI
-run is the output array at the very end. So before its first block each
-process, serial or pool worker, sets the mmap threshold to 32 MiB (glibc's
+from zero pages. glibc raises both thresholds by itself only after it frees
+a large array, which a run may do late or never. So before its first block
+each process, serial or pool worker, sets the mmap threshold to 32 MiB (glibc's
 own ceiling for it) and the trim threshold to 64 MiB (twice that, as glibc
 would). Where libc has no ``mallopt`` the allocator is left as it is; no
 output depends on it.
 
-Per-packet results travel as one float array of shape (7, packets) whose
+A block's packets come out as one float array of shape (7, packets) whose
 rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
-then periods, then replications, in order.
+then periods, then replications, in order. No run keeps them: each block is
+reduced at once by ``replication_moments`` to a (7, replications, 2) array
+holding, per component and replication, the mean and the sum of squared
+deviations from it. Each value comes from one replication's contiguous row,
+so it does not depend on the block it was evaluated in.
 
 With several workers, replications run on a process pool. ``pool`` opens it
 lazily and lets callers share it: the CLI holds one pool for the whole
@@ -80,9 +84,9 @@ the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
 Each pool task is a chunk of about R / (2 * workers) replications, evaluated
-in blocks as above and returned as one array, which keeps the IPC round
-trips few while both workers stay busy to the end; the results are merged in
-replication order as they would be serially.
+in blocks as above and returned as one moments array, which keeps the IPC
+round trips few and small while both workers stay busy to the end; the
+results are merged in replication order as they would be serially.
 """
 
 from __future__ import annotations
@@ -326,16 +330,33 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np.ndarray:
+    """Each replication's mean and sum of squared deviations, shape (7, R, 2).
+
+    ``samples`` holds R replications' packets in order, shape (7, R * W)
+    with W = ``packets_per_replication``. Two passes over each replication's
+    contiguous row: the mean, then the squared deviations from it.
+    """
+    rows = samples.reshape(len(samples), -1, packets_per_replication)
+    moments = np.empty(rows.shape[:2] + (2,))
+    moments[..., 0] = rows.mean(axis=2)
+    deviations = rows - moments[..., :1]
+    deviations *= deviations
+    moments[..., 1] = deviations.sum(axis=2)
+    return moments
+
+
 def _run_replications(plan: SimulationPlan, replications: range) -> np.ndarray:
-    """The columns of ``replications``, evaluated block by block."""
+    """The moments of ``replications``, evaluated and reduced block by block."""
     _keep_freed_memory()
     width = plan.periods * plan.scenario.vru_count
-    samples = np.empty((len(COMPONENT_KEYS), len(replications) * width))
+    moments = np.empty((len(COMPONENT_KEYS), len(replications), 2))
     for block in _blocks(plan, replications):
-        # Assigned straight away: no block's result outlives its copy.
-        start = (block.start - replications.start) * width
-        samples[:, start : start + len(block) * width] = run_replication(plan, block)
-    return samples
+        start = block.start - replications.start
+        moments[:, start : start + len(block)] = replication_moments(
+            run_replication(plan, block), width
+        )
+    return moments
 
 
 def _replication_task(args: tuple[SimulationPlan, range]) -> np.ndarray:
@@ -381,30 +402,40 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
 
 
 def run_plan(plan: SimulationPlan) -> np.ndarray:
-    """All replications, written in replication order regardless of worker count."""
+    """Every replication's moments, shape (7, R, 2), in replication order on any worker count.
+
+    See ``replication_moments``; ``aggregate`` pools them.
+    """
     reps = range(plan.replications)
     with pool(plan.workers) as executor:
         if executor is None:
             return _run_replications(plan, reps)
         size = max(1, plan.replications // (2 * plan.workers))
         chunks = [reps[i : i + size] for i in range(0, plan.replications, size)]
-        width = plan.periods * plan.scenario.vru_count
-        samples = np.empty((len(COMPONENT_KEYS), plan.replications * width))
+        moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
         tasks = ((plan, chunk) for chunk in chunks)
         for chunk, result in zip(chunks, executor.map(_replication_task, tasks)):
-            samples[:, chunk.start * width : chunk.stop * width] = result
-    return samples
+            moments[:, chunk.start : chunk.stop] = result
+    return moments
 
 
-def aggregate(samples: np.ndarray) -> dict[str, AggregateStats]:
-    """Unweighted mean, sample std, and 95% CI half-width per component row."""
-    n = samples.shape[1]
+def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, AggregateStats]:
+    """Mean, sample std and 95% CI half-width per component over every packet.
+
+    ``moments`` holds R replications of W = ``packets_per_replication``
+    packets each, as ``run_plan`` returns them. The mean is the mean of the
+    replication means; the sum of squared deviations pools the replications'
+    own with W times the squared deviations of their means (Chan, Golub &
+    LeVeque, 1979). The CI treats the n = R * W packets as independent.
+    """
+    n = moments.shape[1] * packets_per_replication
     if n == 0:
         raise AggregationError("cannot aggregate an empty sample set")
     stats: dict[str, AggregateStats] = {}
-    for key, values in zip(COMPONENT_KEYS, samples):
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if n > 1 else 0.0
+    for key, (means, m2s) in zip(COMPONENT_KEYS, moments.transpose(0, 2, 1)):
+        mean = float(np.mean(means))
+        m2 = float(np.sum(m2s)) + packets_per_replication * float(np.sum(np.square(means - mean)))
+        std = float(np.sqrt(m2 / (n - 1))) if n > 1 else 0.0
         stats[key] = AggregateStats(
             mean_s=mean,
             sample_std_s=std,

@@ -75,7 +75,7 @@ def gain_pct(stats: dict[str, AggregateStats]) -> float:
 
 def run_point(plan: SimulationPlan) -> dict[str, AggregateStats]:
     """Simulate one configuration and aggregate it."""
-    return engine.aggregate(engine.run_plan(plan))
+    return engine.aggregate(engine.run_plan(plan), plan.periods * plan.scenario.vru_count)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -67,17 +67,17 @@ def nearest_member_indices(
 
     Each row's vehicles are sorted once by (x, lane, index), from its
     replication's (lane, index) order, and each VRU is placed into that
-    order by ``searchsorted``. A contiguous window of 2m candidates around
-    it is ranked by a stable sort on squared distance, which keeps the
-    (x, lane, index) order among equals; each window gathers its squared
-    lateral offsets from the row's offsets in sorted order. The window
-    always reaches the VRU's sorted position, so the nearest vehicle outside
-    each window edge lies on the far side of the VRU. The pick is certified
-    when that vehicle, even on the lane nearest the VRUs, is strictly farther
-    than the m-th pick: every vehicle beyond it is then farther still,
-    because rounded subtraction, squaring and addition are monotone. Rows
-    that fail retry with a doubled window; at window V this is the full
-    sort, which needs no certificate.
+    order by one binary search over all rows at once. A contiguous window
+    of 2m candidates around it is ranked by a stable sort on squared
+    distance, which keeps the (x, lane, index) order among equals; each
+    window gathers its squared lateral offsets from the row's offsets in
+    sorted order. The window always reaches the VRU's sorted position, so
+    the nearest vehicle outside each window edge lies on the far side of the
+    VRU. The pick is certified when that vehicle, even on the lane nearest
+    the VRUs, is strictly farther than the m-th pick: every vehicle beyond
+    it is then farther still, because rounded subtraction, squaring and
+    addition are monotone. Rows that fail retry with a doubled window; at
+    window V this is the full sort, which needs no certificate.
     """
     reps, periods, v = vehicle_x.shape
     if v == 0:
@@ -95,7 +95,7 @@ def nearest_member_indices(
     xs = np.take_along_axis(vehicle_x, order, axis=2).reshape(rows, v)
     dy2s = np.take_along_axis(lane_dy2[vehicle_lane][:, None], order, axis=2).ravel()
     # Sorted position of each VRU: vehicles before it have a smaller x.
-    start = np.concatenate([np.searchsorted(xs[r], vru_x[r // periods]) for r in range(rows)])
+    start = _lower_bound(xs, np.repeat(vru_x, periods, axis=0))
     # Flat views: row r's sorted position i is entry r * V + i.
     order, xs = order.ravel(), xs.ravel()
 
@@ -132,6 +132,27 @@ def nearest_member_indices(
         pending = pending[~(left_ok & right_ok)]
         width = min(2 * width, v)
     return out.reshape(rows, n, take)
+
+
+def _lower_bound(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(xs[r], q[r])`` of every row r at once, flattened to (rows * n,).
+
+    ``xs`` is (rows, V), each row sorted, V > 0; ``q`` is (rows, n). A
+    branchless binary search: every entry halves the same lengths, so each
+    of the about log2 V passes is one gather, compare and add over all of them.
+    """
+    rows, v = xs.shape
+    flat = xs.ravel()
+    q = q.ravel()
+    base = np.repeat(np.arange(rows) * v, q.size // rows)  # row r's entry i is r * V + i
+    first = base.copy()
+    length = v
+    while length > 1:
+        half = length // 2
+        base += half * (flat[base + half] < q)
+        length -= half
+    base += flat[base] < q
+    return base - first
 
 
 def prb_share(radio: RadioParams, n_hat, members: int):

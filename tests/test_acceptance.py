@@ -82,7 +82,7 @@ def test_criterion_1_closed_form_unit_oracles():
     plan = plan_from_document(
         {"scenario": {"vru_count": 25}, "engine": {"replications": 2, "periods": 2}}
     )
-    packets = dict(zip(engine.COMPONENT_KEYS, engine.run_plan(plan)))
+    packets = dict(zip(engine.COMPONENT_KEYS, engine.run_replication(plan, range(2))))
     assert packets["e2e_cloud"].size == 2 * 2 * 25
     assert packets["e2e_cloud"] - packets["e2e_mec"] == pytest.approx(
         2.0 * (packets["bh"] + packets["tn_cn"]), rel=1e-9
@@ -199,9 +199,9 @@ def test_criterion_7_determinism(tmp_path):
 
     # identical aggregates on one vs several workers
     doc = {"scenario": {"vru_count": 20}, "engine": {"replications": 4, "periods": 2}}
-    serial = engine.aggregate(engine.run_plan(plan_from_document(doc)))
+    serial = engine.aggregate(engine.run_plan(plan_from_document(doc)), 2 * 20)
     doc["engine"]["workers"] = 3
-    parallel = engine.aggregate(engine.run_plan(plan_from_document(doc)))
+    parallel = engine.aggregate(engine.run_plan(plan_from_document(doc)), 2 * 20)
     assert serial == parallel
     print("ACCEPTANCE 7 (byte-identical runs, worker-count invariance): PASS")
 
@@ -209,8 +209,9 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_ci_shrinks_with_replications():
     base = {"engine": {"replications": 40, "periods": 5}}
     quad = {"engine": {"replications": 160, "periods": 5}}
-    small = engine.aggregate(engine.run_plan(plan_from_document(base)))
-    large = engine.aggregate(engine.run_plan(plan_from_document(quad)))
+    width = 5 * plan_from_document({}).scenario.vru_count  # packets per replication
+    small = engine.aggregate(engine.run_plan(plan_from_document(base)), width)
+    large = engine.aggregate(engine.run_plan(plan_from_document(quad)), width)
     ratios = {}
     for key in engine.COMPONENT_KEYS:
         ratio = small[key].ci95_half_width_s / large[key].ci95_half_width_s

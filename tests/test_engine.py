@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +48,16 @@ def _scenario(vru_count):
 
 def _by_key(samples):
     return dict(zip(COMPONENT_KEYS, samples))
+
+
+def _width(plan):
+    """Packets per replication."""
+    return plan.periods * plan.scenario.vru_count
+
+
+def _aggregate_packets(samples, width):
+    """``aggregate`` of packets, reduced per replication of ``width`` packets as the engine does."""
+    return engine.aggregate(engine.replication_moments(samples, width), width)
 
 
 def _one_period(scn, plan, packets, streams):
@@ -145,16 +156,31 @@ def test_replications_use_distinct_substreams():
 
 def test_aggregates_independent_of_execution_order():
     plan = _small_plan()
-    sequential = engine.aggregate(engine.run_plan(plan))
+    sequential = engine.aggregate(engine.run_plan(plan), _width(plan))
     shuffled = {rep: engine.run_replication(plan, range(rep, rep + 1)) for rep in (2, 0, 1)}
     merged = np.concatenate([shuffled[rep] for rep in range(plan.replications)], axis=1)
-    assert engine.aggregate(merged) == sequential
+    assert _aggregate_packets(merged, _width(plan)) == sequential
 
 
 def test_workers_do_not_change_aggregates():
-    serial = engine.aggregate(engine.run_plan(_small_plan(workers=1)))
-    parallel = engine.aggregate(engine.run_plan(_small_plan(workers=2)))
-    assert serial == parallel
+    serial = engine.run_plan(_small_plan(workers=1))
+    parallel = engine.run_plan(_small_plan(workers=2))
+    assert serial.tobytes() == parallel.tobytes()
+    width = _width(_small_plan())
+    assert engine.aggregate(serial, width) == engine.aggregate(parallel, width)
+
+
+def test_pooled_statistics_match_the_packet_level_oracle():
+    # 5 replications of 2 periods x 10 VRUs: the pooled moments give the
+    # mean and sample std of all 100 packets
+    plan = _small_plan(replications=5)
+    stats = engine.aggregate(engine.run_plan(plan), _width(plan))
+    packets = engine.run_replication(plan, range(plan.replications))
+    assert packets.shape == (7, 5 * _width(plan))
+    for key, values in zip(COMPONENT_KEYS, packets):
+        assert stats[key].mean_s == pytest.approx(np.mean(values), rel=1e-12), key
+        assert stats[key].sample_std_s == pytest.approx(np.std(values, ddof=1), rel=1e-12), key
+        assert stats[key].sample_count == values.size
 
 
 def _constant_packets(n):
@@ -164,20 +190,20 @@ def _constant_packets(n):
 
 def test_aggregate_singleton_and_constant():
     one = _constant_packets(1)
-    stats = engine.aggregate(one)
+    stats = _aggregate_packets(one, 1)
     assert stats["ul"].mean_s == 1e-3
     assert stats["ul"].sample_std_s == 0.0
     assert stats["ul"].ci95_half_width_s == 0.0
     assert stats["ul"].sample_count == 1
 
-    stats = engine.aggregate(_constant_packets(40))
+    stats = _aggregate_packets(_constant_packets(40), 10)
     assert stats["e2e_cloud"].mean_s == pytest.approx(_by_key(one[:, 0])["e2e_cloud"], rel=1e-12)
     assert stats["e2e_cloud"].ci95_half_width_s == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aggregate_empty_is_error():
     with pytest.raises(AggregationError):
-        engine.aggregate(np.empty((7, 0)))
+        engine.aggregate(np.empty((7, 0, 2)), 10)
 
 
 def test_ci_shrinks_like_sqrt_n():
@@ -187,21 +213,21 @@ def test_ci_shrinks_like_sqrt_n():
         # each row of draws is one packet's five components
         return compose_e2e(*np.abs(rng.normal(1e-3, 2e-4, size=(n, 5))).T)
 
-    small = engine.aggregate(synthetic(2000))
-    large = engine.aggregate(synthetic(8000))
+    small = _aggregate_packets(synthetic(2000), 100)
+    large = _aggregate_packets(synthetic(8000), 100)
     for key in engine.COMPONENT_KEYS:
         ratio = small[key].ci95_half_width_s / large[key].ci95_half_width_s
         assert 1.6 < ratio < 2.4
 
 
 def test_identity_and_dominance_on_simulated_packets():
-    samples = engine.run_plan(_small_plan())
+    samples = engine.run_replication(_small_plan(), range(3))
     assert samples.shape == (7, 3 * 2 * 10)
     b = _by_key(samples)
     assert np.array_equal(b["e2e_cloud"], b["e2e_mec"] + 2.0 * (b["bh"] + b["tn_cn"]))
     assert np.all(b["e2e_mec"] <= b["e2e_cloud"])
     assert np.all(samples[:5] >= 0)
-    stats = engine.aggregate(samples)
+    stats = _aggregate_packets(samples, 2 * 10)
     assert stats["e2e_cloud"].mean_s >= stats["e2e_mec"].mean_s
 
 
@@ -331,7 +357,10 @@ def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
     blocks = engine._blocks(plan, range(plan.replications))
     assert [len(block) for block in blocks] == ([16] if len(blocks) == 1 else [5, 5, 5, 1])
     one_by_one = [engine.run_replication(plan, range(r, r + 1)) for r in range(plan.replications)]
-    assert np.array_equal(engine.run_plan(plan), np.concatenate(one_by_one, axis=1))
+    by_block = [engine.run_replication(plan, block) for block in blocks]
+    assert np.array_equal(np.concatenate(by_block, axis=1), np.concatenate(one_by_one, axis=1))
+    moments = [engine.replication_moments(packets, _width(plan)) for packets in one_by_one]
+    assert engine.run_plan(plan).tobytes() == np.concatenate(moments, axis=1).tobytes()
 
 
 def test_empty_road_inside_a_block_names_its_replication(monkeypatch):
@@ -521,6 +550,33 @@ def test_reach_cut_keeps_every_vehicle_on_unequal_lane_offsets(monkeypatch):
     # the same road on equal offsets is cut
     assert _kept(_reach_plan())[1].vehicle_count < scn.vehicle_count
 
+def test_memory_does_not_grow_with_replications():
+    # 20 VRUs x 5 periods at cluster size 5: 60 replications fill a block.
+    # Each block is reduced to moments before the next one runs, so ten
+    # times the replications may not need more than 1.25 times the memory.
+    def plan(replications):
+        return plan_from_document({
+            "scenario": {"vru_count": 20},
+            "engine": {"replications": replications, "periods": 5},
+        })
+
+    assert [len(block) for block in engine._blocks(plan(120), range(120))] == [60, 60]
+
+    def traced_peak(replications):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        engine.run_plan(plan(replications))
+        return tracemalloc.get_traced_memory()[1] - start
+
+    engine.run_plan(plan(60))  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        short, long = traced_peak(120), traced_peak(1200)
+    finally:
+        tracemalloc.stop()
+    assert long <= 1.25 * short, (short, long)
+
+
 # Minor page faults of a 12- and a 72-replication default run after a
 # 1-replication warm-up, in a fresh interpreter.
 _FAULTS_SCRIPT = """
@@ -539,8 +595,10 @@ print(faults(12), faults(72))
 
 
 def test_blocks_reuse_the_memory_earlier_blocks_freed():
-    # Freed block memory stays in the process, so more replications cost
-    # page faults only for their larger output array, not for every block.
+    # Freed block memory stays in the process, so more replications do not
+    # fault every block's working set in again. The bound is twice the pages
+    # of the packets the 60 extra replications fill (the run keeps only
+    # their moments).
     resource = pytest.importorskip("resource")
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("mallopt thresholds are a glibc feature")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from camlat.config import default_plan
 from camlat.errors import ScenarioError, UnreachableLinkError
 from camlat.radio import (
+    _lower_bound,
     dl_latency,
     link_rate_bps,
     nearest_member_indices,
@@ -161,6 +162,20 @@ def test_windowed_search_retries_past_a_stacked_lane():
     # 1501 and 1451 lie past the 200 stacked vehicles in sorted order
     assert sorted(x[0][block[0, 0]]) == [1498.0, 1499.0, 1500.0, 1501.0, 1502.0]
     assert sorted(x[1][block[1, 1]]) == [1448.0, 1449.0, 1450.0, 1451.0, 1452.0]
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 7, 8, 9, 64, 300])
+def test_lower_bound_equals_searchsorted_left(v):
+    # integer values repeat, and rows may end in +inf padding; the queries
+    # fall below, between, on and above every value
+    rng = np.random.default_rng(v)
+    xs = np.sort(rng.integers(0, 20, (6, v)).astype(float), axis=1)
+    xs[1, v // 2 :] = np.inf
+    xs[2] = np.inf
+    q = rng.integers(-2, 23, (6, 11)).astype(float)
+    q[:, 0] = np.inf
+    expected = np.concatenate([np.searchsorted(row, queries) for row, queries in zip(xs, q)])
+    assert np.array_equal(_lower_bound(xs, q), expected)
 
 
 def test_ul_allocation_examples():
