@@ -298,10 +298,9 @@ def plan_from_document(document: dict) -> SimulationPlan:
             "invalid configuration:\n" + "\n".join(f"  - {e}" for e in v.errors)
         )
 
-    half_spacing = scn["lane_width_m"] / 2.0 + 2.0  # lanes straddle the pedestrian strip
     road = RoadGeometry(
         lane_length_m=lane_length_km * 1000.0,
-        lane_centerlines_m=(half_spacing, -half_spacing),
+        lane_offset_m=scn["lane_width_m"] / 2.0 + 2.0,  # lanes straddle the pedestrian strip
         enb_position_m=enb_pos,
     )
     scenario = ScenarioParams(

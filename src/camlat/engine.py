@@ -32,22 +32,21 @@ moves (0 without mobility), and eps = ``REACH_SLACK`` * periods * road
 length is a slack far above the stepping's rounding error. The replication
 keeps, in index order, the vehicles whose period-0 x lies in
 [x- - w, x+ + w] with w = 2D + eps; a side with fewer than m vehicles beyond
-the VRUs is kept whole. It keeps every vehicle when it holds at most m, when
-the lanes are not all at one distance |y| from the VRU line, or when vehicles
-move and the kept interval comes within D + eps of a road end (a side kept
-whole reaches it), where a vehicle wrapping around could come in. The
-scenario is still sampled whole, so no draw changes.
+the VRUs is kept whole. It keeps every vehicle when it holds at most m, or
+when vehicles move and the kept interval comes within D + eps of a road end
+(a side kept whole reaches it), where a vehicle wrapping around could come
+in. The scenario is still sampled whole, so no draw changes.
 
-The cut is exact. The lanes sit at one lateral distance, so a VRU's distance
-order is its |dx| order. A VRU at q has m vehicles between x- and q and m
-between q and x+ at period 0, which are kept, never wrap and move at most D:
-in every period it has m kept vehicles within r(q) + D, r(q) being the
-smaller of q - (x-) and (x+) - q over the cut sides. A dropped vehicle starts
-more than 2D + eps beyond x- or x+, so it stays more than r(q) + D + eps
-away, also after wrapping around a road end, which lands it beyond the other
-cut side. It can never rank in a cluster, nor tie with a member. The kept
-vehicles keep their index order and their stepped positions, so the (x,
-lane, index) tie rule and every output are those of the whole road.
+The cut is exact. The search ranks by |dx| alone (both lanes sit at one
+lateral distance from the VRUs). A VRU at q has m vehicles between x- and q
+and m between q and x+ at period 0, which are kept, never wrap and move at
+most D: in every period it has m kept vehicles within r(q) + D, r(q) being
+the smaller of q - (x-) and (x+) - q over the cut sides. A dropped vehicle
+starts more than 2D + eps beyond x- or x+, so it stays more than r(q) + D +
+eps away, also after wrapping around a road end, which lands it beyond the
+other cut side. It can never rank in a cluster, nor tie with a member. The
+kept vehicles keep their index order and their stepped positions, so the
+(x, index) tie rule and every output are those of the whole road.
 
 The input sets the block size: a block holds as many replications as fit
 ``BLOCK_WINDOW_ENTRIES`` cluster-search window entries (periods * VRUs * 2 *
@@ -145,8 +144,9 @@ def evaluate_period(
     padded with +inf to the block's largest vehicle count V, shape
     (B, P, V); ``packets[b, p, i]`` is its p-th period's packet of the i-th
     VRU, shape (B, P, n). The lateral geometry comes from the road: the VRUs
-    stand at y = 0 and each vehicle on its lane's centerline. In a block of
-    several replications each must hold at least ``cluster_size`` vehicles.
+    stand at y = 0 and each vehicle on its lane, at y = +-``lane_offset_m``.
+    In a block of several replications each must hold at least
+    ``cluster_size`` vehicles.
     Each replication's generators draw its purpose's whole block in one
     call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
     in shape (P, n, m). Columns run over VRUs within a period, then periods,
@@ -179,12 +179,12 @@ def evaluate_period(
         latency.sample_tn_cn(plan.network, rng, size=(periods, n)) for rng in tn_cn_rngs
     ])
 
-    # Padding vehicles sit at x = +inf on lane 0: they sort last and are never picked.
-    lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
     m = min(plan.radio.cluster_size, v)
-    members = radio.nearest_member_indices(vru_x, vehicle_x, lanes, road.lane_centerlines_m, m)
+    members = radio.nearest_member_indices(vru_x, vehicle_x, m)
     # One mean SNR per (replication, period, vehicle), gathered for the members.
-    lane_dy = np.subtract(road.lane_centerlines_m, enb_y)
+    # Padding vehicles sit at x = +inf on lane 0: they are never picked.
+    lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
+    lane_dy = np.subtract((road.lane_offset_m, -road.lane_offset_m), enb_y)
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
     dl_budget = plan.channel.dl_budget()
     dl_mean = np.take_along_axis(
@@ -236,7 +236,7 @@ def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scen
     """
     m = plan.radio.cluster_size
     road = plan.scenario.road
-    if scn.vehicle_count <= m or len({abs(y) for y in road.lane_centerlines_m}) > 1:
+    if scn.vehicle_count <= m:
         return scn
     reach = 0.0
     if plan.scenario.mobility:

@@ -32,68 +32,53 @@ class RadioParams:
         return int(self.bandwidth_hz // self.prb_bandwidth_hz)
 
 
-def nearest_member_indices(
-    vru_x: np.ndarray,
-    vehicle_x: np.ndarray,
-    vehicle_lane: np.ndarray,
-    lane_y: tuple[float, ...],
-    m: int,
-) -> np.ndarray:
+def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> np.ndarray:
     """Indices of each VRU's m nearest vehicles, shape (B * P, n_vru, m).
 
-    The VRUs stand at y = 0 and each vehicle on its lane's lateral offset
-    ``lane_y[lane]``. The input is a block of B replications of P periods
-    each: ``vru_x`` holds each replication's VRUs' x, shape (B, n_vru),
-    ``vehicle_lane`` its vehicles' lanes, shape (B, V), and ``vehicle_x``
-    their x in every period, shape (B, P, V). Each output row is one
-    (replication, period) snapshot, periods within replications; row r
+    The VRUs stand at y = 0 and every vehicle at one lateral distance from
+    them, on either lane, so a vehicle's distance order is its |dx| order.
+    The input is a block of B replications of P periods each: ``vru_x``
+    holds each replication's VRUs' x, shape (B, n_vru), and ``vehicle_x``
+    their vehicles' x in every period, shape (B, P, V). Each output row is
+    one (replication, period) snapshot, periods within replications; row r
     belongs to replication r // P. At most V members are returned.
 
-    A replication may end in padding vehicles at x = +inf, on any lane,
-    which sort after every real vehicle and are never picked while it holds
-    at least m real ones; their indices follow the real vehicles'.
+    A replication may end in padding vehicles at x = +inf, which sort after
+    every real vehicle and are never picked while it holds at least m real
+    ones; their indices follow the real vehicles'.
 
-    Ties on exact squared distance break toward the lower x-coordinate,
-    then the lower lane index, then the lower vehicle index.
+    Ties on exact squared x-distance break toward the lower x-coordinate,
+    then the lower vehicle index. ``scenario.sample_scenario`` numbers lane
+    0's vehicles before lane 1's, so the index order is also the lane order.
 
     The engine passes only the vehicles within reach of the VRUs, in index
     order: with m the cluster size, those whose period-0 x lies within
     2D + eps of the m-th vehicle below the lowest VRU and of the m-th above
     the highest, D being the farthest any of them moves over the periods and
-    eps a rounding slack (see ``engine``). On lanes at one distance from the
-    VRU line, every vehicle it drops stays more than eps farther from each
-    VRU than its m-th nearest kept one, so the members are those of the
-    whole road.
+    eps a rounding slack (see ``engine``). Every vehicle it drops stays more
+    than eps farther from each VRU than its m-th nearest kept one, so the
+    members are those of the whole road.
 
-    Each row's vehicles are sorted once by (x, lane, index), from its
-    replication's (lane, index) order, and each VRU is placed into that
-    order by one binary search over all rows at once. A contiguous window
-    of 2m candidates around it is ranked by a stable sort on squared
-    distance, which keeps the (x, lane, index) order among equals; each
-    window gathers its squared lateral offsets from the row's offsets in
-    sorted order. The window always reaches the VRU's sorted position, so
+    Each row's vehicles are sorted once by (x, index), a stable sort on x,
+    and each VRU is placed into that order by one binary search over all
+    rows at once. A contiguous window of 2m candidates around it is ranked
+    by a stable sort on squared x-distance, which keeps the (x, index) order
+    among equals. The window always reaches the VRU's sorted position, so
     the nearest vehicle outside each window edge lies on the far side of the
-    VRU. The pick is certified when that vehicle, even on the lane nearest
-    the VRUs, is strictly farther than the m-th pick: every vehicle beyond
-    it is then farther still, because rounded subtraction, squaring and
-    addition are monotone. Rows that fail retry with a doubled window; at
-    window V this is the full sort, which needs no certificate.
+    VRU. The pick is certified when that vehicle is strictly farther than
+    the m-th pick: every vehicle beyond it is then farther still, because
+    rounded subtraction and squaring are monotone. Rows that fail, which
+    exact-distance ties can cause, retry with a doubled window; at window V
+    this is the full sort, which needs no certificate.
     """
     reps, periods, v = vehicle_x.shape
     if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
     rows = reps * periods
     n = vru_x.shape[1]
-    lane_dy2 = np.square(np.asarray(lane_y, dtype=float))
-    min_dy2 = lane_dy2.min()  # the lane nearest the VRUs
-    # (x, lane, index) order: a stable sort on x of the vehicles taken lane by
-    # lane. The lane order is one per replication, shared by its periods.
-    by_lane = np.argsort(vehicle_lane, axis=1, kind="stable")[:, None]
-    by_x = np.argsort(np.take_along_axis(vehicle_x, by_lane, axis=2), axis=2, kind="stable")
-    order = np.take_along_axis(by_lane, by_x, axis=2)
-    del by_x  # (rows, V): freed before the sorted arrays and the windows
-    xs = np.take_along_axis(vehicle_x, order, axis=2).reshape(rows, v)
-    dy2s = np.take_along_axis(lane_dy2[vehicle_lane][:, None], order, axis=2).ravel()
+    vehicle_x = vehicle_x.reshape(rows, v)
+    order = np.argsort(vehicle_x, axis=1, kind="stable")
+    xs = np.take_along_axis(vehicle_x, order, axis=1)
     # Sorted position of each VRU: vehicles before it have a smaller x.
     start = _lower_bound(xs, np.repeat(vru_x, periods, axis=0))
     # Flat views: row r's sorted position i is entry r * V + i.
@@ -108,12 +93,11 @@ def nearest_member_indices(
         q = vru_x[row // periods, pending % n]
         lo = np.clip(start[pending] - width // 2, 0, v - width)
         first = row * v + lo
-        # d2 = dx * dx + dy * dy over each window, in place. The (rows, width)
-        # arrays set a block's peak memory, so each is freed once used.
+        # d2 = dx * dx over each window, in place. The (rows, width) arrays set
+        # a block's peak memory, so each is freed once used.
         d2 = sliding_window_view(xs, width)[first]
         np.subtract(q[:, None], d2, out=d2)
         d2 *= d2
-        d2 += sliding_window_view(dy2s, width)[first]
         picks = np.argsort(d2, axis=1, kind="stable")[:, :take]
         mth = np.take_along_axis(d2, picks[:, -1:], axis=1)[:, 0]
         del d2
@@ -122,13 +106,13 @@ def nearest_member_indices(
         del picks
         if width == v:
             break
-        # Certificate: the first vehicle past each window edge, on the lane
-        # nearest the VRUs, is farther than the m-th pick. lo <= start <=
-        # lo + width, so that vehicle is on the VRU's far side.
+        # Certificate: the first vehicle past each window edge is farther than
+        # the m-th pick. lo <= start <= lo + width, so that vehicle is on the
+        # VRU's far side.
         left_gap = q - xs[row * v + np.maximum(lo - 1, 0)]
         right_gap = q - xs[row * v + np.minimum(lo + width, v - 1)]
-        left_ok = (lo == 0) | (left_gap * left_gap + min_dy2 > mth)
-        right_ok = (lo + width == v) | (right_gap * right_gap + min_dy2 > mth)
+        left_ok = (lo == 0) | (left_gap * left_gap > mth)
+        right_ok = (lo + width == v) | (right_gap * right_gap > mth)
         pending = pending[~(left_ok & right_ok)]
         width = min(2 * width, v)
     return out.reshape(rows, n, take)

@@ -18,22 +18,22 @@ import numpy as np
 
 KMH_TO_MS = 1.0 / 3.6
 
+# The road's two lanes straddle the strip's center line y = 0 at one lateral
+# distance: lane 0 at y = +lane_offset_m, lane 1 at y = -lane_offset_m.
+LANES = 2
+
 
 @dataclass(frozen=True)
 class RoadGeometry:
-    """Two-lane freeway segment with a pedestrian strip between the lanes."""
+    """Two-lane freeway segment with a pedestrian strip between the lanes (see ``LANES``)."""
 
     lane_length_m: float
-    lane_centerlines_m: tuple[float, ...]
+    lane_offset_m: float
     enb_position_m: tuple[float, float]
 
     def lane_direction(self, lane_index: int) -> int:
         """Direction of travel: +x on even lanes, -x on odd lanes."""
         return 1 if lane_index % 2 == 0 else -1
-
-    @property
-    def lane_count(self) -> int:
-        return len(self.lane_centerlines_m)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class Scenario:
     """Frozen snapshot of one realization, stored as flat arrays.
 
     Only the x-coordinates vary: the VRUs walk the strip's center line at
-    y = 0, and each vehicle drives on its lane's centerline.
+    y = 0, and each vehicle drives on its lane's centerline. The vehicles are
+    numbered lane by lane, lane 0's first.
     """
 
     vehicle_x: np.ndarray
@@ -132,13 +133,13 @@ def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenar
             params.hardcore, road, lane, params.speed_range_ms,
             streams.stream("vehicles", replication, lane),
         )
-        for lane in range(road.lane_count)
+        for lane in range(LANES)
     ))
     vru_x = sample_vrus(params.vru_count, params.vru_strip_m, streams.stream("vrus", replication))
     return Scenario(
         vehicle_x=np.concatenate(xs),
         vehicle_speed=np.concatenate(speeds),
-        vehicle_lane=np.repeat(np.arange(road.lane_count), [x.size for x in xs]),
+        vehicle_lane=np.repeat(np.arange(LANES), [x.size for x in xs]),
         vru_x=vru_x,
     )
 

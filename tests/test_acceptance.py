@@ -163,9 +163,7 @@ def test_criterion_6_oracle_equivalence():
             return (d2, xs[i], lanes[i])
 
         # one (replication, period) row holding one VRU
-        nearest = nearest_member_indices(
-            np.array([[vru_x]]), xs[None, None], lanes[None], (4.0, -4.0), m
-        )[0, 0]
+        nearest = nearest_member_indices(np.array([[vru_x]]), xs[None, None], m)[0, 0]
         assert list(nearest) == sorted(range(n), key=key)[:m]
 
     # hard-core sampler: min gap and realized intensity on the density grid

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from camlat import engine, scenario
+from camlat import channel, engine, scenario
 from camlat.config import default_plan, plan_from_document
 from camlat.errors import (
     AggregationError,
@@ -21,6 +21,7 @@ from camlat.errors import (
     UnreachableLinkError,
 )
 from camlat.latency import COMPONENT_KEYS, compose_e2e
+from camlat.radio import link_rate_bps
 from camlat.rng import SubstreamFactory
 from camlat.scenario import Scenario, sample_scenario
 from camlat.traffic import PACKET_DTYPE, generate_period
@@ -138,6 +139,64 @@ def test_resource_sharing_is_isolated_per_offset_bin():
     lone = _by_key(_one_period(_scenario(1), plan, _packets([0]), streams))
     for key in ("ul", "dl"):
         assert split[key] == pytest.approx(np.repeat(lone[key], 2), rel=1e-12)
+
+
+def test_lanes_sit_at_plus_and_minus_the_offset_in_the_enb_distance():
+    # lane_width_m = 8 puts the lanes at +-(8/2 + 2) = +-6 m; the eNB stands
+    # at y = 10. Each VRU's one member is the vehicle at its own x, lane 0's
+    # at 1600 and lane 1's at 1400, 100 m from the eNB along x: lane 0's is
+    # 4 m and lane 1's 16 m from it across, so swapping the signs swaps the
+    # two DL latencies.
+    plan = plan_from_document({
+        "scenario": {"vru_count": 2, "lane_width_m": 8.0},
+        "traffic": {"offset_bins": 1},
+        "channel": {"shadowing_std_db": 0, "fast_fading_std_db": 0},
+        "radio": {"cluster_size": 1},
+        "engine": {"replications": 1, "periods": 1},
+    })
+    assert plan.scenario.road.lane_offset_m == 8.0 / 2 + 2.0
+    assert plan_from_document({}).scenario.road.lane_offset_m == 4.0 / 2 + 2.0
+    scn = Scenario(
+        vehicle_x=np.array([1600.0, 1400.0]),
+        vehicle_speed=np.array([30.0, -30.0]),
+        vehicle_lane=np.array([0, 1]),
+        vru_x=np.array([1600.0, 1400.0]),
+    )
+    packets = np.array([(0, 1e4, 200.0)] * 2, dtype=PACKET_DTYPE)
+    dl = _by_key(_one_period(scn, plan, packets, SubstreamFactory(0)))["dl"]
+
+    budget = plan.channel.dl_budget()
+    distance = np.hypot(100.0, np.array([6.0 - 10.0, -6.0 - 10.0]))
+    rate = link_rate_bps(25.0, channel.mean_snr_db(budget, distance), plan.radio)
+    assert dl == pytest.approx(1e4 / rate, rel=1e-12)
+    assert dl[0] != pytest.approx(dl[1], rel=1e-3)
+
+
+def test_closed_form_means_at_the_default_point():
+    # The bin count of a packet is n_hat = 1 + Binomial(N - 1, 1/K), so
+    # E[n_hat] = 1 + (N - 1)/K; size l and compute density beta are
+    # independent uniforms. Four component means and the cloud-edge saving
+    # follow in closed form. Each simulated mean must lie within 4 standard
+    # errors of the replication means of it.
+    plan = default_plan()
+    n_hat = 1.0 + (plan.scenario.vru_count - 1) / plan.traffic.offset_bins
+    size = np.mean(plan.traffic.size_bits_range)
+    beta = np.mean(plan.traffic.compute_cycles_per_bit)
+    bh = size * n_hat / plan.network.backhaul_bps
+    tn_cn = np.mean(plan.network.tn_cn_one_way_s)
+    exact = {
+        "bh": bh,
+        "exc": n_hat * size * beta / plan.network.server_cycles_per_s,
+        "tn_cn": tn_cn,
+        "saving": 2.0 * (bh + tn_cn),
+    }
+    assert [exact[key] * 1e3 for key in exact] == pytest.approx([20.8, 41.6 / 9, 45.0, 131.6])
+
+    means = _by_key(engine.run_plan(plan)[:, :, 0])
+    means["saving"] = means["e2e_cloud"] - means["e2e_mec"]
+    for key, value in exact.items():
+        standard_error = np.std(means[key], ddof=1) / np.sqrt(plan.replications)
+        assert abs(np.mean(means[key]) - value) < 4.0 * standard_error, key
 
 
 def test_run_replication_bit_identical():
@@ -537,18 +596,6 @@ def test_reach_cut_slack_keeps_a_vehicle_that_ties_the_edge(monkeypatch):
     assert np.array_equal(kept.vehicle_x, scn.vehicle_x)
     assert _cut_matches_every_vehicle(monkeypatch, plan)
 
-
-def test_reach_cut_keeps_every_vehicle_on_unequal_lane_offsets(monkeypatch):
-    x = [2900.0, 1542.0, 1480.0, 100.0, 1520.0, 1530.0, 1470.0]
-    lanes = [0, 1, 0, 1, 1, 0, 1]
-    _build_roads(monkeypatch, lambda rep: (x, lanes))
-    plan = _reach_plan()
-    road = replace(plan.scenario.road, lane_centerlines_m=(4.0, -6.0))
-    plan = replace(plan, scenario=replace(plan.scenario, road=road))
-    scn, kept = _kept(plan)
-    assert np.array_equal(kept.vehicle_x, scn.vehicle_x)
-    # the same road on equal offsets is cut
-    assert _kept(_reach_plan())[1].vehicle_count < scn.vehicle_count
 
 def test_memory_does_not_grow_with_replications():
     # 20 VRUs x 5 periods at cluster size 5: 60 replications fill a block.

@@ -23,11 +23,15 @@ from camlat.traffic import n_hat
 RADIO = default_plan().radio
 
 
-def _nearest(vru_x, xs, m, lanes=None, lane_y=(0.0, 4.0)):
+# Lateral distance of both lanes from the VRUs: lane 0 at +4 m, lane 1 at -4 m,
+# as ``lane_width_m`` = 4 puts them.
+OFFSET = 4.0
+
+
+def _nearest(vru_x, xs, m):
     """Nearest-member indices of one VRU at (vru_x, 0) among vehicles at xs."""
     xs = np.asarray(xs, dtype=float)
-    lanes = np.zeros(xs.size, dtype=np.int64) if lanes is None else np.asarray(lanes)
-    return nearest_member_indices(np.array([[vru_x]]), xs[None, None], lanes[None], lane_y, m)[0, 0]
+    return nearest_member_indices(np.array([[vru_x]]), xs[None, None], m)[0, 0]
 
 
 def test_pool_default_prb_count():
@@ -53,10 +57,16 @@ def test_select_cluster_empty_road():
         _nearest(0.0, [], 1)
 
 
-def _oracle_indices(vru_x, xs, ys, lanes, m):
+def _lane_y(lanes):
+    """Each vehicle's signed lateral position: lane 0 at +OFFSET, lane 1 at -OFFSET."""
+    return np.where(np.asarray(lanes) == 0, OFFSET, -OFFSET)
+
+
+def _oracle_indices(vru_x, xs, ys, m):
+    """Brute force: rank by (squared distance, x, index) with every vehicle at |y| = OFFSET."""
     def key(i):
         d2 = (xs[i] - vru_x) ** 2 + ys[i] ** 2
-        return (d2, xs[i], lanes[i])
+        return (d2, xs[i], i)
 
     return sorted(range(len(xs)), key=key)[:m]
 
@@ -68,12 +78,12 @@ def _oracle_indices(vru_x, xs, ys, lanes, m):
     vru_x=st.integers(min_value=0, max_value=60),
 )
 def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
-    # integer coordinates force exact-distance ties, exercising the tie-break
+    # integer coordinates force exact-distance ties, exercising the tie-break;
+    # lane 0 holds the first half of the vehicles, lane 1 the rest
     xs = [float(x) for x in xs]
-    lanes = [i % 2 for i in range(len(xs))]
-    ys = [4.0 * lane for lane in lanes]
-    nearest = _nearest(float(vru_x), xs, m, lanes)
-    assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, lanes, m)
+    ys = _lane_y([2 * i >= len(xs) for i in range(len(xs))])
+    nearest = _nearest(float(vru_x), xs, m)
+    assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, m)
 
 
 # --- windowed search on (periods, vehicles) stacks ------------------------------
@@ -81,26 +91,25 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
 # point and the oracle's ties are the search's ties.
 
 
-def _check_block(vru_x, x, lanes, lane_y, m):
+def _check_block(vru_x, x, lanes, m):
     """The (P, V) search equals the one-row search and the brute-force oracle, row by row.
 
-    Every row shares the VRUs and the lanes, as one replication's periods do.
+    Every row shares the VRUs and the lanes, as one replication's periods do;
+    the lanes, numbered lane 0 first as a scenario numbers them, only set the
+    oracle's signed y.
     """
     vru_x = np.asarray(vru_x, dtype=float)
-    ys = np.asarray(lane_y)[lanes]
+    ys = _lane_y(lanes)
     rows = x.shape[0]
-    block = nearest_member_indices(vru_x[None], x[None], lanes[None], lane_y, m)
+    block = nearest_member_indices(vru_x[None], x[None], m)
     assert block.shape == (rows, vru_x.size, min(m, x.shape[1]))
     for p, row in enumerate(x):
-        single = nearest_member_indices(vru_x[None], row[None, None], lanes[None], lane_y, m)[0]
+        single = nearest_member_indices(vru_x[None], row[None, None], m)[0]
         assert single.dtype == np.intp
         assert np.array_equal(single, block[p])
         for i, q in enumerate(vru_x):
-            assert list(block[p, i]) == _oracle_indices(q, row, ys, lanes, m), (p, i)
+            assert list(block[p, i]) == _oracle_indices(q, row, ys, m), (p, i)
     return block
-
-
-LANE_Y = (4.0, -4.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
@@ -109,17 +118,17 @@ def test_windowed_search_lattice_ties(m):
     # see equal squared distances on both sides of every window edge
     rng = np.random.default_rng(m)
     x = rng.integers(0, 120, (4, 300)).astype(float)
-    lanes = rng.integers(0, 2, 300)
+    lanes = np.sort(rng.integers(0, 2, 300))
     vru_x = np.concatenate([np.arange(-3.0, 124.0, 3.0), rng.integers(0, 240, 20) / 2.0])
-    _check_block(vru_x, x, lanes, LANE_Y, m)
+    _check_block(vru_x, x, lanes, m)
 
 
 def test_windowed_search_vrus_beyond_every_vehicle():
     rng = np.random.default_rng(1)
     x = rng.integers(100, 400, (3, 250)).astype(float)
-    lanes = rng.integers(0, 2, 250)
+    lanes = np.sort(rng.integers(0, 2, 250))
     vru_x = [-1000.0, 0.0, 99.0, 100.0, 399.0, 400.0, 401.0, 5000.0]
-    block = _check_block(vru_x, x, lanes, LANE_Y, 7)
+    block = _check_block(vru_x, x, lanes, 7)
     assert np.all(x[0][block[0, 0]] == np.sort(x[0])[:7])
     assert np.all(x[0][block[0, -1]] == np.sort(x[0])[::-1][:7])
 
@@ -130,38 +139,34 @@ def test_windowed_search_sparse_and_empty_lanes():
     vru_x = np.arange(-5.0, 210.0, 7.0)
     # lane 1 holds three vehicles, fewer than m
     lanes = np.zeros(200, dtype=np.int64)
-    lanes[[17, 80, 151]] = 1
-    _check_block(vru_x, x, lanes, LANE_Y, 9)
+    lanes[-3:] = 1
+    _check_block(vru_x, x, lanes, 9)
     # lane 1 is empty
-    _check_block(vru_x, x, np.zeros(200, dtype=np.int64), LANE_Y, 9)
-    # lane 1 is empty and nearer the VRUs than lane 0: the certificate's
-    # lateral bound (16) lies below every real vehicle's offset (1600), so
-    # windows fail it and retry
-    _check_block(vru_x, x, np.zeros(200, dtype=np.int64), (40.0, 4.0), 9)
+    _check_block(vru_x, x, np.zeros(200, dtype=np.int64), 9)
 
 
 @pytest.mark.parametrize("m", [150, 151, 400])
 def test_windowed_search_cluster_covers_every_vehicle(m):
     rng = np.random.default_rng(m)
     x = rng.integers(0, 100, (2, 150)).astype(float)
-    lanes = rng.integers(0, 2, 150)
-    block = _check_block(np.arange(-10.0, 120.0, 13.0), x, lanes, LANE_Y, m)
+    lanes = np.sort(rng.integers(0, 2, 150))
+    block = _check_block(np.arange(-10.0, 120.0, 13.0), x, lanes, m)
     assert block.shape[-1] == 150
 
 
 def test_windowed_search_retries_past_a_stacked_lane():
-    # lane 1, 40 m off the strip on the far side, has 200 vehicles stacked
-    # at the VRU's x; lane 0 has one vehicle per metre around it. The
-    # members are lane-0 vehicles on both sides of the stack, and those past
-    # it lie 200 sorted positions away, out of reach of any 2m window around
-    # the VRU: only the retry with wider windows finds them.
+    # lane 0 has one vehicle per metre on [1400, 1600]; lane 1, numbered
+    # after it, has 200 vehicles stacked at 1497. For the VRU at 1500 the 6th
+    # and 7th members tie at dx^2 = 9 with every vehicle at 1497 and with
+    # 1503, and the tie goes to the lowest indices: lane 0's 1497 and the
+    # first stacked one. Lane 0's 1497 lies 200 sorted positions from the
+    # VRU, out of reach of any 2m window around it: only the retry with
+    # wider windows finds it.
     lane0 = np.arange(1400.0, 1601.0)
-    x = np.stack([np.concatenate([lane0, np.full(200, c)]) for c in (1500.0, 1450.5)])
+    x = np.concatenate([lane0, np.full(200, 1497.0)])[None]
     lanes = np.repeat([0, 1], [lane0.size, 200])
-    block = _check_block([1500.0, 1450.5, 1499.5], x, lanes, (4.0, -40.0), 5)
-    # 1501 and 1451 lie past the 200 stacked vehicles in sorted order
-    assert sorted(x[0][block[0, 0]]) == [1498.0, 1499.0, 1500.0, 1501.0, 1502.0]
-    assert sorted(x[1][block[1, 1]]) == [1448.0, 1449.0, 1450.0, 1451.0, 1452.0]
+    block = _check_block([1500.0], x, lanes, 7)
+    assert sorted(block[0, 0]) == [97, 98, 99, 100, 101, 102, 201]
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 7, 8, 9, 64, 300])
@@ -336,7 +341,7 @@ def test_dl_latency_requires_one_snr_per_member():
 @given(data=st.data())
 def test_padded_block_search_matches_exhaustive_sort(data):
     # each replication has its own vehicle count, lanes and VRUs; its rows are
-    # padded at x = +inf on lane 0 to the block's largest count, as the engine does
+    # padded at x = +inf to the block's largest count, as the engine does
     m = data.draw(st.integers(min_value=1, max_value=6))
     periods = data.draw(st.integers(min_value=1, max_value=3))
     counts = data.draw(st.lists(st.integers(min_value=m, max_value=20), min_size=1, max_size=4))
@@ -345,25 +350,21 @@ def test_padded_block_search_matches_exhaustive_sort(data):
     rows, v = len(counts) * periods, max(counts)
     x = np.full((rows, v), np.inf)
     ys = np.full((rows, v), np.inf)
-    lanes = np.zeros((rows, v), dtype=np.int64)
     vru_x = np.empty((rows, n))
     for b, count in enumerate(counts):
-        lane = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        lane = sorted(data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count)))
         vrus = data.draw(st.lists(coordinates, min_size=n, max_size=n))
         for r in range(b * periods, (b + 1) * periods):
             x[r, :count] = data.draw(st.lists(coordinates, min_size=count, max_size=count))
-            ys[r, :count] = [4.0 * k for k in lane]
-            lanes[r, :count] = lane
+            ys[r, :count] = _lane_y(lane)
             vru_x[r] = vrus
-    # the search takes each replication's VRUs and lanes once, and its (P, V) positions
+    # the search takes each replication's VRUs once, and its (P, V) positions
     reps = len(counts)
-    block = nearest_member_indices(
-        vru_x[::periods], x.reshape(reps, periods, v), lanes[::periods], (0.0, 4.0), m
-    )
+    block = nearest_member_indices(vru_x[::periods], x.reshape(reps, periods, v), m)
     assert block.shape == (rows, n, m)
     for r in range(rows):
         count = counts[r // periods]
         for i in range(n):
             real = slice(0, count)
-            expected = _oracle_indices(vru_x[r, i], x[r, real], ys[r, real], lanes[r, real], m)
+            expected = _oracle_indices(vru_x[r, i], x[r, real], ys[r, real], m)
             assert list(block[r, i]) == expected, (r, i)
