@@ -20,8 +20,8 @@ for every packet of the block. Only the random
 draws stay per replication: each purpose draws its replication's whole block
 in one call, in (periods, VRUs) or, for the downlink members, (periods,
 VRUs, m) shape. Each VRU's downlink cluster comes from
-``radio.nearest_member_indices``, which ranks a certified window of
-candidates around the VRU over all (replication, period) rows at once.
+``radio.nearest_member_indices``, which merges the nearest vehicles on its
+two sides in m steps over all (replication, period) rows at once.
 
 Only the vehicles that can join a VRU's cluster in some period are stepped
 and ranked. With m the cluster size, take a replication's period-0 vehicle
@@ -49,8 +49,8 @@ kept vehicles keep their index order and their stepped positions, so the
 (x, index) tie rule and every output are those of the whole road.
 
 The input sets the block size: a block holds as many replications as fit
-``BLOCK_WINDOW_ENTRIES`` cluster-search window entries (periods * VRUs * 2 *
-cluster_size per replication), which bounds its working memory. A
+``BLOCK_WINDOW_ENTRIES`` (periods * VRUs * 2 * cluster_size per replication,
+twice its (packet, cluster member) pairs), which bounds its working memory. A
 replication with fewer vehicles than ``cluster_size`` is evaluated as a
 block of one, since its clusters are smaller. Outputs do not depend on the
 blocking: a block's columns equal those of its replications run one by one.
@@ -107,8 +107,8 @@ from .rng import SubstreamFactory
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-# Cluster-search window entries (replications * periods * VRUs * 2 * cluster_size)
-# that one block of replications may hold; it bounds the block's working memory.
+# Twice the (packet, cluster member) pairs one block of replications may hold,
+# periods * VRUs * 2 * cluster_size per replication; it bounds the block's memory.
 BLOCK_WINDOW_ENTRIES = 60_000
 
 # The reach cut's rounding slack per metre of road and per period; stepping
@@ -309,7 +309,7 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
 
 
 def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
-    """``replications`` cut into blocks of at most ``BLOCK_WINDOW_ENTRIES`` window entries."""
+    """``replications`` cut into blocks of at most ``BLOCK_WINDOW_ENTRIES`` entries."""
     entries = plan.periods * plan.scenario.vru_count * 2 * plan.radio.cluster_size
     size = max(1, BLOCK_WINDOW_ENTRIES // entries)
     return [replications[i : i + size] for i in range(0, len(replications), size)]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ScenarioError, UnreachableLinkError
 
@@ -60,70 +59,71 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     members are those of the whole road.
 
     Each row's vehicles are sorted once by (x, index), a stable sort on x,
-    and each VRU is placed into that order by one binary search over all
-    rows at once. A contiguous window of 2m candidates around it is ranked
-    by a stable sort on squared x-distance, which keeps the (x, index) order
-    among equals. The window always reaches the VRU's sorted position, so
-    the nearest vehicle outside each window edge lies on the far side of the
-    VRU. The pick is certified when that vehicle is strictly farther than
-    the m-th pick: every vehicle beyond it is then farther still, because
-    rounded subtraction and squaring are monotone. Rows that fail, which
-    exact-distance ties can cause, retry with a doubled window; at window V
-    this is the full sort, which needs no certificate.
+    followed by +inf and then NaN, and each VRU is placed into that order by
+    one binary search over all rows at once. The vehicles below its place
+    form its left side, the rest its right side; walked away from the VRU,
+    each side's rounded squared distance never falls, as rounded subtraction
+    and squaring are monotone. m merge steps over every (row, VRU) entry at
+    once take the nearer head, the left one on equal distance (it has the
+    lower x), and advance that side. A spent left side reaches a NaN, which
+    compares false, so it is never taken; the right side's +inf lies beyond
+    the at most V steps, and its padding comes last, in index order.
+
+    Walked downward, a left run of equal distances comes out in descending
+    (x, index) order, so an entry that takes a left head whose next-left
+    neighbour has the same distance is ranked again by a stable sort on
+    distance over its whole row.
     """
     reps, periods, v = vehicle_x.shape
     if v == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
     rows = reps * periods
     n = vru_x.shape[1]
-    vehicle_x = vehicle_x.reshape(rows, v)
-    order = np.argsort(vehicle_x, axis=1, kind="stable")
-    xs = np.take_along_axis(vehicle_x, order, axis=1)
-    # Sorted position of each VRU: vehicles before it have a smaller x.
-    start = _lower_bound(xs, np.repeat(vru_x, periods, axis=0))
-    # Flat views: row r's sorted position i is entry r * V + i.
-    order, xs = order.ravel(), xs.ravel()
+    framed = np.empty((rows, v + 2))  # each row's vehicles, +inf, NaN
+    framed[:, :v], framed[:, v], framed[:, v + 1] = vehicle_x.reshape(rows, v), np.inf, np.nan
+    order = np.argsort(framed, axis=1, kind="stable")
+    xs = np.take_along_axis(framed, order, axis=1)
+    q = np.repeat(vru_x, periods, axis=0)
+    # Flat index of each VRU's left head, the last vehicle below it: row r's
+    # sorted position i is entry r * (V + 2) + i, so the entry before a row's
+    # first vehicle is the NaN ending the row above it (the last row's for row 0).
+    left = _lower_bound(xs, q) + np.repeat(np.arange(rows) * (v + 2) - 1, n)
+    xs, q = xs.ravel(), q.ravel()  # entry r * n_vru + u is row r's VRU u
 
     take = min(m, v)
-    out = np.empty((rows * n, take), dtype=order.dtype)
-    pending = np.arange(out.shape[0])  # entry r * n_vru + u is row r's VRU u
-    width = min(2 * take, v)
-    while pending.size:
-        row = pending // n
-        q = vru_x[row // periods, pending % n]
-        lo = np.clip(start[pending] - width // 2, 0, v - width)
-        first = row * v + lo
-        # d2 = dx * dx over each window, in place. The (rows, width) arrays set
-        # a block's peak memory, so each is freed once used.
-        d2 = sliding_window_view(xs, width)[first]
-        np.subtract(q[:, None], d2, out=d2)
-        d2 *= d2
-        picks = np.argsort(d2, axis=1, kind="stable")[:, :take]
-        mth = np.take_along_axis(d2, picks[:, -1:], axis=1)[:, 0]
-        del d2
-        picks += first[:, None]
-        out[pending] = order[picks]
-        del picks
-        if width == v:
-            break
-        # Certificate: the first vehicle past each window edge is farther than
-        # the m-th pick. lo <= start <= lo + width, so that vehicle is on the
-        # VRU's far side.
-        left_gap = q - xs[row * v + np.maximum(lo - 1, 0)]
-        right_gap = q - xs[row * v + np.minimum(lo + width, v - 1)]
-        left_ok = (lo == 0) | (left_gap * left_gap > mth)
-        right_ok = (lo + width == v) | (right_gap * right_gap > mth)
-        pending = pending[~(left_ok & right_ok)]
-        width = min(2 * width, v)
+    picks = np.empty((q.size, take), dtype=order.dtype)
+    left_tie = np.zeros(q.size, dtype=bool)
+    dl = q - xs[left]
+    dl *= dl
+    for k in range(take):
+        # After k steps the right head lies k + 1 past the left one.
+        right = left + (k + 1)
+        dr = q - xs[right]
+        dr *= dr
+        took_left = dl <= dr
+        picks[:, k] = np.where(took_left, left, right)
+        left -= took_left
+        d = q - xs[left]
+        d *= d
+        left_tie |= took_left & (d == dl)
+        dl = d
+    out = order.ravel()[picks]
+    # Re-rank the entries that took a left run of equal distances.
+    tied = np.flatnonzero(left_tie)
+    d2 = q[tied, None] - xs.reshape(rows, -1)[tied // n]
+    d2 *= d2
+    first = np.argsort(d2, axis=1, kind="stable")[:, :take]
+    out[tied] = np.take_along_axis(order[tied // n], first, axis=1)
     return out.reshape(rows, n, take)
 
 
 def _lower_bound(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``np.searchsorted(xs[r], q[r])`` of every row r at once, flattened to (rows * n,).
 
-    ``xs`` is (rows, V), each row sorted, V > 0; ``q`` is (rows, n). A
-    branchless binary search: every entry halves the same lengths, so each
-    of the about log2 V passes is one gather, compare and add over all of them.
+    ``xs`` is (rows, V), each row sorted (a NaN counts as above every query),
+    V > 0; ``q`` is (rows, n). A branchless binary search: every entry halves
+    the same lengths, so each of the about log2 V passes is one gather,
+    compare and add over all of them.
     """
     rows, v = xs.shape
     flat = xs.ravel()

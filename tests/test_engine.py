@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from camlat import channel, engine, scenario
 from camlat.config import default_plan, plan_from_document
@@ -197,6 +198,33 @@ def test_closed_form_means_at_the_default_point():
     for key, value in exact.items():
         standard_error = np.std(means[key], ddof=1) / np.sqrt(plan.replications)
         assert abs(np.mean(means[key]) - value) < 4.0 * standard_error, key
+
+
+def test_ul_mean_equals_its_quadrature_oracle_at_the_default_point():
+    # The UL latency is l * n_hat / (PRBs * W * log2(1 + SNR)) with size l,
+    # bin count n_hat and SNR independent, so E[UL] = E[l] E[n_hat]
+    # E[1/log2(1 + SNR)] / (PRBs * W). The SNR is the mean SNR at the VRU's
+    # eNB distance, x uniform on the strip, minus one normal: a midpoint grid
+    # over x and Gauss-Hermite nodes over the normal. The simulated mean must
+    # lie within the 95 % CI of the replication means around it.
+    plan = default_plan()
+    budget = plan.channel.ul_budget()
+    low, high = plan.scenario.vru_strip_m
+    x = low + (np.arange(2000) + 0.5) * (high - low) / 2000
+    enb_x, enb_y = plan.scenario.road.enb_position_m
+    z, weights = hermegauss(60)
+    std = math.hypot(budget.channel.shadowing_std_db, budget.channel.fast_fading_std_db)
+    snr_db = channel.mean_snr_db(budget, np.hypot(x - enb_x, enb_y))[:, None] - std * z
+    inverse_rate = (1.0 / np.log2(1.0 + 10.0 ** (snr_db / 10.0))) @ (weights / weights.sum())
+    n_hat = 1.0 + (plan.scenario.vru_count - 1) / plan.traffic.offset_bins
+    size = np.mean(plan.traffic.size_bits_range)
+    pool_hz = plan.radio.total_prbs * plan.radio.prb_bandwidth_hz
+    exact = size * n_hat * np.mean(inverse_rate) / pool_hz
+    assert exact * 1e3 == pytest.approx(0.8007, abs=1e-4)
+
+    means = _by_key(engine.run_plan(plan)[:, :, 0])["ul"]
+    half_width = 1.96 * np.std(means, ddof=1) / np.sqrt(plan.replications)
+    assert abs(np.mean(means) - exact) < half_width
 
 
 def test_run_replication_bit_identical():

@@ -86,7 +86,37 @@ def test_select_cluster_matches_exhaustive_sort(xs, m, vru_x):
     assert list(nearest) == _oracle_indices(float(vru_x), xs, ys, m)
 
 
-# --- windowed search on (periods, vehicles) stacks ------------------------------
+def _rounded_oracle(vru_x, xs, m):
+    """Brute force on the search's own rounded distances: rank by ((q - x)**2, x, index)."""
+    d2 = [(vru_x - x) * (vru_x - x) for x in xs]
+    return sorted(range(len(xs)), key=lambda i: (d2[i], xs[i], i))[:m]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_select_cluster_matches_rounded_oracle_on_float_coordinates(data):
+    # off-lattice floats, where distances round: some vehicles and VRUs repeat
+    # a drawn value or sit one ulp from it, so equal and nearly equal x occur
+    # on both sides of a VRU
+    values = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8), label="values")
+    near = st.sampled_from(values).flatmap(
+        lambda x: st.sampled_from([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    )
+    coordinate = st.one_of(near, st.floats(-1e4, 1e4))
+    periods = data.draw(st.integers(1, 3), label="periods")
+    v = data.draw(st.integers(1, 30), label="v")
+    m = data.draw(st.integers(1, 12), label="m")
+    row = st.lists(coordinate, min_size=v, max_size=v)
+    x = np.array(data.draw(st.lists(row, min_size=periods, max_size=periods), label="x"))
+    vru_x = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=6), label="vru_x"))
+    block = nearest_member_indices(vru_x[None], x[None], m)
+    assert block.shape == (periods, vru_x.size, min(m, v))
+    for p in range(periods):
+        for i, q in enumerate(vru_x):
+            assert list(block[p, i]) == _rounded_oracle(float(q), list(x[p]), m), (p, i)
+
+
+# --- search on (periods, vehicles) stacks ---------------------------------------
 # Coordinates sit on a lattice, so every squared distance is exact in floating
 # point and the oracle's ties are the search's ties.
 
@@ -115,7 +145,7 @@ def _check_block(vru_x, x, lanes, m):
 @pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
 def test_windowed_search_lattice_ties(m):
     # 300 vehicles on 120 integer x-values: many share an x, and integer VRUs
-    # see equal squared distances on both sides of every window edge
+    # see equal squared distances on both sides of them
     rng = np.random.default_rng(m)
     x = rng.integers(0, 120, (4, 300)).astype(float)
     lanes = np.sort(rng.integers(0, 2, 300))
@@ -159,9 +189,9 @@ def test_windowed_search_retries_past_a_stacked_lane():
     # after it, has 200 vehicles stacked at 1497. For the VRU at 1500 the 6th
     # and 7th members tie at dx^2 = 9 with every vehicle at 1497 and with
     # 1503, and the tie goes to the lowest indices: lane 0's 1497 and the
-    # first stacked one. Lane 0's 1497 lies 200 sorted positions from the
-    # VRU, out of reach of any 2m window around it: only the retry with
-    # wider windows finds it.
+    # first stacked one. Walked downward from the VRU, the left side meets
+    # that run of equal distances at its highest index, 400: only the re-rank
+    # of the entry over its whole row finds lane 0's 1497.
     lane0 = np.arange(1400.0, 1601.0)
     x = np.concatenate([lane0, np.full(200, 1497.0)])[None]
     lanes = np.repeat([0, 1], [lane0.size, 200])
@@ -169,14 +199,62 @@ def test_windowed_search_retries_past_a_stacked_lane():
     assert sorted(block[0, 0]) == [97, 98, 99, 100, 101, 102, 201]
 
 
+def test_search_with_a_stacked_lane_on_the_right():
+    # the mirror of the case above: lane 1's 200 vehicles stack at 1503, on
+    # the right of the VRU at 1500. The dx^2 = 9 tie goes to 1497 first
+    # (lower x), then to lane 0's 1503, the lowest index at that x. The right
+    # side is walked upward in (x, index) order, so the merge alone gives it
+    # and no entry is ranked again.
+    lane0 = np.arange(1400.0, 1601.0)
+    x = np.concatenate([lane0, np.full(200, 1503.0)])[None]
+    lanes = np.repeat([0, 1], [lane0.size, 200])
+    block = _check_block([1500.0], x, lanes, 7)
+    assert list(block[0, 0]) == [100, 99, 101, 98, 102, 97, 103]
+
+
+def test_search_re_ranks_two_equal_x_runs_on_the_left():
+    # left of the VRU at 35 lie 30 and two runs of equal x: 20 at indices 1
+    # and 4, 10 at indices 0, 3 and 5. Walked downward, each run would come
+    # out highest index first. On the right, 40, 50 and 60 tie with 30, 20
+    # and 10 and rank after them.
+    xs = [10.0, 20.0, 30.0, 10.0, 20.0, 10.0, 40.0, 50.0, 60.0]
+    ranked = [2, 6, 1, 4, 7, 0, 3, 5, 8]
+    for m in range(1, len(xs) + 1):
+        assert list(_nearest(35.0, xs, m)) == ranked[:m], m
+    # in a block, entries that need the re-rank sit beside ones that do not
+    x = np.array([xs, xs[::-1]])
+    _check_block([35.0, 25.0, 45.0, 15.0, 0.0, 65.0], x, np.zeros(len(xs), dtype=int), 6)
+
+
+def test_padded_row_with_fewer_real_vehicles_than_m():
+    # replication 0 holds six vehicles and replication 1 two, padded at +inf
+    # to six. With m = 4, replication 1's rows give their two real vehicles,
+    # nearest first, then the padding indices 2 and 3 in index order, and
+    # never an index outside the row.
+    x = np.array([
+        [[5.0, 1.0, 9.0, 3.0, 7.0, 2.0], [5.0, 1.0, 9.0, 3.0, 7.0, 2.0]],
+        [[8.0, 4.0] + [np.inf] * 4, [4.0, 8.0] + [np.inf] * 4],
+    ])
+    block = nearest_member_indices(np.array([[4.0, 0.0], [6.0, 100.0]]), x, 4)
+    expected = [
+        [[3, 0, 5, 1], [1, 5, 3, 0]],
+        [[3, 0, 5, 1], [1, 5, 3, 0]],
+        [[1, 0, 2, 3], [0, 1, 2, 3]],
+        [[0, 1, 2, 3], [1, 0, 2, 3]],
+    ]
+    assert block.tolist() == expected
+
+
 @pytest.mark.parametrize("v", [1, 2, 3, 7, 8, 9, 64, 300])
 def test_lower_bound_equals_searchsorted_left(v):
-    # integer values repeat, and rows may end in +inf padding; the queries
-    # fall below, between, on and above every value
+    # integer values repeat, and rows may end in +inf padding or in a NaN,
+    # as the cluster search frames them; the queries fall below, between, on
+    # and above every value
     rng = np.random.default_rng(v)
     xs = np.sort(rng.integers(0, 20, (6, v)).astype(float), axis=1)
     xs[1, v // 2 :] = np.inf
     xs[2] = np.inf
+    xs[3, -1] = np.nan
     q = rng.integers(-2, 23, (6, 11)).astype(float)
     q[:, 0] = np.inf
     expected = np.concatenate([np.searchsorted(row, queries) for row, queries in zip(xs, q)])
