@@ -49,13 +49,13 @@ kept vehicles keep their index order and their stepped positions, so the
 (x, index) tie rule and every output are those of the whole road.
 
 The input sets the block size: a block holds as many replications as fit
-``BLOCK_WINDOW_ENTRIES`` (periods * VRUs * 2 * cluster_size per replication,
-twice its (packet, cluster member) pairs), which bounds its working memory. A
-replication with fewer vehicles than ``cluster_size`` is evaluated as a
-block of one, since its clusters are smaller. Outputs do not depend on the
-blocking: a block's columns equal those of its replications run one by one.
-An error in a block is raised again naming the lowest failing replication,
-as a serial run would.
+``BLOCK_PAIRS`` (packet, cluster member) pairs, periods * VRUs * cluster_size
+per replication, which bounds its working memory. A replication with fewer
+vehicles than ``cluster_size`` is evaluated as a block of one, since its
+clusters are smaller. Outputs do not depend on the blocking: a block's
+columns equal those of its replications run one by one. An error in a block
+is raised again naming the lowest failing replication, as a serial run
+would.
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -82,10 +82,9 @@ The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
 the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
-Each pool task is a chunk of about R / (2 * workers) replications, evaluated
-in blocks as above and returned as one moments array, which keeps the IPC
-round trips few and small while both workers stay busy to the end; the
-results are merged in replication order as they would be serially.
+The block is the only partition of a run's replications: each pool task is
+one block, returned as its moments array, and the results are written back
+in replication order, as a serial run writes its blocks.
 """
 
 from __future__ import annotations
@@ -107,9 +106,9 @@ from .rng import SubstreamFactory
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-# Twice the (packet, cluster member) pairs one block of replications may hold,
-# periods * VRUs * 2 * cluster_size per replication; it bounds the block's memory.
-BLOCK_WINDOW_ENTRIES = 60_000
+# The (packet, cluster member) pairs one block of replications may hold,
+# periods * VRUs * cluster_size per replication; it bounds the block's memory.
+BLOCK_PAIRS = 30_000
 
 # The reach cut's rounding slack per metre of road and per period; stepping
 # rounds each position by about 1e-16 of the road length per period.
@@ -309,9 +308,9 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
 
 
 def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
-    """``replications`` cut into blocks of at most ``BLOCK_WINDOW_ENTRIES`` entries."""
-    entries = plan.periods * plan.scenario.vru_count * 2 * plan.radio.cluster_size
-    size = max(1, BLOCK_WINDOW_ENTRIES // entries)
+    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs."""
+    pairs = plan.periods * plan.scenario.vru_count * plan.radio.cluster_size
+    size = max(1, BLOCK_PAIRS // pairs)
     return [replications[i : i + size] for i in range(0, len(replications), size)]
 
 
@@ -346,21 +345,14 @@ def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np
     return moments
 
 
-def _run_replications(plan: SimulationPlan, replications: range) -> np.ndarray:
-    """The moments of ``replications``, evaluated and reduced block by block."""
+def _block_moments(plan: SimulationPlan, block: range) -> np.ndarray:
+    """The moments of one block of replications, shape (7, len(block), 2)."""
     _keep_freed_memory()
-    width = plan.periods * plan.scenario.vru_count
-    moments = np.empty((len(COMPONENT_KEYS), len(replications), 2))
-    for block in _blocks(plan, replications):
-        start = block.start - replications.start
-        moments[:, start : start + len(block)] = replication_moments(
-            run_replication(plan, block), width
-        )
-    return moments
+    return replication_moments(run_replication(plan, block), plan.periods * plan.scenario.vru_count)
 
 
 def _replication_task(args: tuple[SimulationPlan, range]) -> np.ndarray:
-    return _run_replications(*args)
+    return _block_moments(*args)
 
 
 def __getattr__(name: str):
@@ -406,16 +398,17 @@ def run_plan(plan: SimulationPlan) -> np.ndarray:
 
     See ``replication_moments``; ``aggregate`` pools them.
     """
-    reps = range(plan.replications)
+    blocks = _blocks(plan, range(plan.replications))
+    moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
     with pool(plan.workers) as executor:
         if executor is None:
-            return _run_replications(plan, reps)
-        size = max(1, plan.replications // (2 * plan.workers))
-        chunks = [reps[i : i + size] for i in range(0, plan.replications, size)]
-        moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
-        tasks = ((plan, chunk) for chunk in chunks)
-        for chunk, result in zip(chunks, executor.map(_replication_task, tasks)):
-            moments[:, chunk.start : chunk.stop] = result
+            # Not through _replication_task: perfbench/tracer.py replaces it
+            # with a wrapper that resets and spills the spans of a worker.
+            results = (_block_moments(plan, block) for block in blocks)
+        else:
+            results = executor.map(_replication_task, ((plan, block) for block in blocks))
+        for block, result in zip(blocks, results):
+            moments[:, block.start : block.stop] = result
     return moments
 
 

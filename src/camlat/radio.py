@@ -50,13 +50,8 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     then the lower vehicle index. ``scenario.sample_scenario`` numbers lane
     0's vehicles before lane 1's, so the index order is also the lane order.
 
-    The engine passes only the vehicles within reach of the VRUs, in index
-    order: with m the cluster size, those whose period-0 x lies within
-    2D + eps of the m-th vehicle below the lowest VRU and of the m-th above
-    the highest, D being the farthest any of them moves over the periods and
-    eps a rounding slack (see ``engine``). Every vehicle it drops stays more
-    than eps farther from each VRU than its m-th nearest kept one, so the
-    members are those of the whole road.
+    The engine passes only the vehicles within reach of the VRUs; the
+    ``engine`` module docstring states that cut and why it keeps every member.
 
     Each row's vehicles are sorted once by (x, index), a stable sort on x,
     followed by +inf and then NaN, and each VRU is placed into that order by

@@ -28,22 +28,22 @@ from functools import cache
 
 import numpy as np
 
+from .scenario import LANES
+
 # Stable key slots of a replication; the slot picks the stream's key, so
 # renaming a purpose string is free but renumbering breaks reproducibility.
 # The vehicles of lane l use slot _VEHICLE_SLOT + l.
 _PURPOSE_SLOTS = {"vrus": 0, "traffic": 1, "ul": 2, "dl": 3, "tn_cn": 4}
 _VEHICLE_SLOT = 5
-# Keys hashed per replication: the purposes above and two lanes. A higher
-# lane hashes more; the first keys do not change, because generate_state's
-# words do not depend on how many are asked for.
-_SLOTS = _VEHICLE_SLOT + 2
+# Keys hashed per replication: the purposes above and one per lane.
+_SLOTS = _VEHICLE_SLOT + LANES
 # Every stream starts at counter 0; given as an array, Philox copies it
 # instead of converting the integer 0 word by word.
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 
 def _slot(purpose: str, indices: tuple) -> int:
-    if purpose == "vehicles" and len(indices) == 1 and int(indices[0]) >= 0:
+    if purpose == "vehicles" and len(indices) == 1 and 0 <= int(indices[0]) < LANES:
         return _VEHICLE_SLOT + int(indices[0])
     if purpose in _PURPOSE_SLOTS and not indices:
         return _PURPOSE_SLOTS[purpose]
@@ -75,9 +75,9 @@ class SubstreamFactory:
     def stream(self, purpose: str, replication: int, *indices: int) -> np.random.Generator:
         slot = _slot(purpose, indices)
         keys = self._keys.get(replication)
-        if keys is None or slot >= len(keys):
+        if keys is None:
             seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(int(replication),))
-            keys = seq.generate_state(2 * max(slot + 1, _SLOTS), np.uint64).reshape(-1, 2)
+            keys = seq.generate_state(2 * _SLOTS, np.uint64).reshape(-1, 2)
             self._keys[replication] = keys
         key = _philox_key_type()(keys[slot])
         return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

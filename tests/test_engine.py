@@ -249,11 +249,24 @@ def test_aggregates_independent_of_execution_order():
     assert _aggregate_packets(merged, _width(plan)) == sequential
 
 
-def test_workers_do_not_change_aggregates():
-    serial = engine.run_plan(_small_plan(workers=1))
-    parallel = engine.run_plan(_small_plan(workers=2))
+def _default_point(**engine_overrides):
+    return plan_from_document({"engine": {"replications": 13, **engine_overrides}})
+
+
+@pytest.mark.parametrize(
+    "make_plan, block_sizes",
+    # the default point makes more blocks than workers, the last one short
+    [(_small_plan, [3]), (_default_point, [6, 6, 1])],
+    ids=["one-block", "three-blocks"],
+)
+def test_workers_do_not_change_aggregates(make_plan, block_sizes):
+    plan = make_plan()
+    assert [len(block) for block in engine._blocks(plan, range(plan.replications))] == block_sizes
+    serial = engine.run_plan(make_plan(workers=1))
+    parallel = engine.run_plan(make_plan(workers=2))
+    assert np.array_equal(serial, parallel)
     assert serial.tobytes() == parallel.tobytes()
-    width = _width(_small_plan())
+    width = _width(plan)
     assert engine.aggregate(serial, width) == engine.aggregate(parallel, width)
 
 
@@ -419,8 +432,8 @@ def _build_roads(monkeypatch, vehicles):
     monkeypatch.setattr(scenario, "sample_scenario", built)
 
 
-@pytest.mark.parametrize("window_entries", [engine.BLOCK_WINDOW_ENTRIES, 5 * 3 * 10 * 2 * 9])
-def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
+@pytest.mark.parametrize("block_pairs", [engine.BLOCK_PAIRS, 5 * 3 * 10 * 9])
+def test_blocks_match_replications_run_one_by_one(monkeypatch, block_pairs):
     # replications 1, 9 and 13 hold fewer vehicles than the cluster size of
     # 9, so a block mixes its shared evaluation with single-replication ones,
     # and replication 5 shares it with an empty lane; the second budget cuts
@@ -432,7 +445,7 @@ def test_blocks_match_replications_run_one_by_one(monkeypatch, window_entries):
         return (240.0 * np.arange(count) + 37.0 * rep) % 3000.0, np.arange(count) % 2
 
     _build_roads(monkeypatch, vehicles)
-    monkeypatch.setattr(engine, "BLOCK_WINDOW_ENTRIES", window_entries)
+    monkeypatch.setattr(engine, "BLOCK_PAIRS", block_pairs)
     plan = plan_from_document({
         "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002},
         "radio": {"cluster_size": 9},

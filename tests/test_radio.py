@@ -143,7 +143,7 @@ def _check_block(vru_x, x, lanes, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
-def test_windowed_search_lattice_ties(m):
+def test_search_lattice_ties(m):
     # 300 vehicles on 120 integer x-values: many share an x, and integer VRUs
     # see equal squared distances on both sides of them
     rng = np.random.default_rng(m)
@@ -153,7 +153,7 @@ def test_windowed_search_lattice_ties(m):
     _check_block(vru_x, x, lanes, m)
 
 
-def test_windowed_search_vrus_beyond_every_vehicle():
+def test_search_vrus_beyond_every_vehicle():
     rng = np.random.default_rng(1)
     x = rng.integers(100, 400, (3, 250)).astype(float)
     lanes = np.sort(rng.integers(0, 2, 250))
@@ -163,7 +163,7 @@ def test_windowed_search_vrus_beyond_every_vehicle():
     assert np.all(x[0][block[0, -1]] == np.sort(x[0])[::-1][:7])
 
 
-def test_windowed_search_sparse_and_empty_lanes():
+def test_search_sparse_and_empty_lanes():
     rng = np.random.default_rng(2)
     x = rng.integers(0, 200, (3, 200)).astype(float)
     vru_x = np.arange(-5.0, 210.0, 7.0)
@@ -176,7 +176,7 @@ def test_windowed_search_sparse_and_empty_lanes():
 
 
 @pytest.mark.parametrize("m", [150, 151, 400])
-def test_windowed_search_cluster_covers_every_vehicle(m):
+def test_search_cluster_covers_every_vehicle(m):
     rng = np.random.default_rng(m)
     x = rng.integers(0, 100, (2, 150)).astype(float)
     lanes = np.sort(rng.integers(0, 2, 150))
@@ -184,7 +184,7 @@ def test_windowed_search_cluster_covers_every_vehicle(m):
     assert block.shape[-1] == 150
 
 
-def test_windowed_search_retries_past_a_stacked_lane():
+def test_search_re_ranks_past_a_stacked_lane():
     # lane 0 has one vehicle per metre on [1400, 1600]; lane 1, numbered
     # after it, has 200 vehicles stacked at 1497. For the VRU at 1500 the 6th
     # and 7th members tie at dx^2 = 9 with every vehicle at 1497 and with

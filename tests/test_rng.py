@@ -37,20 +37,21 @@ def test_stream_is_philox_keyed_by_the_replication_hash():
 
 
 def test_stream_depends_only_on_its_key():
-    # a stream is the same whether or not other streams, replications or a
-    # higher lane were asked for first
+    # a stream is the same whether or not other streams, replications or
+    # lanes were asked for first
     fresh = _draws(SubstreamFactory(7), "dl", 3)
     busy = SubstreamFactory(7)
     for rep in (5, 3, 0):
         _draws(busy, "traffic", rep)
-    _draws(busy, "vehicles", 3, 4)
+    _draws(busy, "vehicles", 3, 1)
     assert np.array_equal(_draws(busy, "dl", 3), fresh)
     assert np.array_equal(_draws(busy, "dl", 3), fresh)
 
 
 @pytest.mark.parametrize(
     "purpose, indices",
-    [("fading", ()), ("ul", (0,)), ("vehicles", ()), ("vehicles", (0, 1)), ("vehicles", (-1,))],
+    [("fading", ()), ("ul", (0,)), ("vehicles", ()), ("vehicles", (0, 1)), ("vehicles", (-1,)),
+     ("vehicles", (2,))],
 )
 def test_unknown_purpose_or_indices_raise(purpose, indices):
     with pytest.raises(ValueError, match="no stream"):
