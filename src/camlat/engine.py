@@ -19,9 +19,11 @@ computes bin counts, uplink, downlink, backhaul, execution and composition
 for every packet of the block. Only the random
 draws stay per replication: each purpose draws its replication's whole block
 in one call, in (periods, VRUs) or, for the downlink members, (periods,
-VRUs, m) shape. Each VRU's downlink cluster comes from
+VRUs, m_r) shape. Each VRU's downlink cluster comes from
 ``radio.nearest_member_indices``, which merges the nearest vehicles on its
-two sides in m steps over all (replication, period) rows at once.
+two sides in m steps over all (replication, period) rows at once, m being
+the cluster size. A replication's clusters hold m_r = min(m, its vehicle
+count) members, so a road with fewer than m vehicles stays in its block.
 
 Only the vehicles that can join a VRU's cluster in some period are stepped
 and ranked. With m the cluster size, take a replication's period-0 vehicle
@@ -50,12 +52,10 @@ kept vehicles keep their index order and their stepped positions, so the
 
 The input sets the block size: a block holds as many replications as fit
 ``BLOCK_PAIRS`` (packet, cluster member) pairs, periods * VRUs * cluster_size
-per replication, which bounds its working memory. A replication with fewer
-vehicles than ``cluster_size`` is evaluated as a block of one, since its
-clusters are smaller. Outputs do not depend on the blocking: a block's
-columns equal those of its replications run one by one. An error in a block
-is raised again naming the lowest failing replication, as a serial run
-would.
+per replication, which bounds its working memory. Outputs do not depend on
+the blocking: a block's columns equal those of its replications run one by
+one. An error in a block is raised again naming the lowest failing
+replication, as a serial run would.
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -99,7 +99,7 @@ import numpy as np
 
 from . import channel, latency, radio, scenario, traffic
 from .config import SimulationPlan
-from .errors import AggregationError, CamlatError
+from .errors import AggregationError, CamlatError, ScenarioError
 from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
 
@@ -144,11 +144,11 @@ def evaluate_period(
     (B, P, V); ``packets[b, p, i]`` is its p-th period's packet of the i-th
     VRU, shape (B, P, n). The lateral geometry comes from the road: the VRUs
     stand at y = 0 and each vehicle on its lane, at y = +-``lane_offset_m``.
-    In a block of several replications each must hold at least
-    ``cluster_size`` vehicles.
+    A replication's clusters hold m_r = min(``cluster_size``, its vehicles)
+    members; a replication with none is a ``ScenarioError``.
     Each replication's generators draw its purpose's whole block in one
     call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
-    in shape (P, n, m). Columns run over VRUs within a period, then periods,
+    in shape (P, n, m_r). Columns run over VRUs within a period, then periods,
     then replications.
     """
     reps, periods, v = vehicle_x.shape
@@ -178,22 +178,26 @@ def evaluate_period(
         latency.sample_tn_cn(plan.network, rng, size=(periods, n)) for rng in tn_cn_rngs
     ])
 
-    m = min(plan.radio.cluster_size, v)
-    members = radio.nearest_member_indices(vru_x, vehicle_x, m)
+    counts = np.array([scn.vehicle_count for scn in scenarios])
+    if counts.min() == 0:
+        raise ScenarioError("no vehicles on the road; cannot form clusters")
+    members = radio.nearest_member_indices(vru_x, vehicle_x, plan.radio.cluster_size)
+    m = members.shape[-1]
     # One mean SNR per (replication, period, vehicle), gathered for the members.
-    # Padding vehicles sit at x = +inf on lane 0: they are never picked.
+    # Padding vehicles sit at x = +inf on lane 0.
     lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
     lane_dy = np.subtract((road.lane_offset_m, -road.lane_offset_m), enb_y)
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
     dl_budget = plan.channel.dl_budget()
     dl_mean = np.take_along_axis(
         channel.mean_snr_db(dl_budget, d_vehicle), members.reshape(rows, n * m), axis=1
-    )
-    snr_dl = np.stack([
-        channel.sample_snr_db(dl_budget, mean, rng)
-        for mean, rng in zip(dl_mean.reshape(reps, periods, n, m), dl_rngs)
-    ])
-    dl_prbs = radio.prb_share(plan.radio, n_hat, m).ravel()
+    ).reshape(reps, periods, n, m)
+    # A short road's member slots past its m_r hold +inf: never the slowest member.
+    cluster = np.minimum(counts, m)
+    snr_dl = np.full(dl_mean.shape, np.inf)
+    for snr, mean, m_r, rng in zip(snr_dl, dl_mean, cluster, dl_rngs):
+        snr[..., :m_r] = channel.sample_snr_db(dl_budget, mean[..., :m_r], rng)
+    dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None]).ravel()
     t_dl = radio.dl_latency(sizes.ravel(), dl_prbs, snr_dl.reshape(-1, m), plan.radio)
 
     return latency.compose_e2e(t_ul.ravel(), t_bh.ravel(), t_tn_cn.ravel(), t_exc.ravel(), t_dl)
@@ -257,41 +261,6 @@ def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scen
     )
 
 
-def _evaluate_block(plan: SimulationPlan, replications: range) -> np.ndarray:
-    streams = SubstreamFactory(plan.master_seed)
-    scenarios = [
-        _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
-        for rep in replications
-    ]
-    shape = (plan.periods, plan.scenario.vru_count)
-    packets = np.stack([
-        traffic.generate_period(
-            plan.periods * plan.scenario.vru_count,
-            plan.traffic,
-            streams.stream("traffic", rep),
-        ).reshape(shape)
-        for rep in replications
-    ])
-    # Replications with a full cluster share one evaluation; a road with
-    # fewer vehicles than cluster_size is a block of its own.
-    full = [i for i, scn in enumerate(scenarios) if scn.vehicle_count >= plan.radio.cluster_size]
-    groups = ([full] if full else []) + [[i] for i in range(len(scenarios)) if i not in full]
-    samples = np.empty((len(COMPONENT_KEYS), len(scenarios), shape[0] * shape[1]))
-    for group in groups:
-        members = [scenarios[i] for i in group]
-        reps = [replications[i] for i in group]
-        samples[:, group] = evaluate_period(
-            plan,
-            members,
-            _vehicle_positions(plan, members),
-            packets[group],
-            ul_rngs=[streams.stream("ul", rep) for rep in reps],
-            dl_rngs=[streams.stream("dl", rep) for rep in reps],
-            tn_cn_rngs=[streams.stream("tn_cn", rep) for rep in reps],
-        ).reshape(len(COMPONENT_KEYS), len(group), -1)
-    return samples.reshape(len(COMPONENT_KEYS), -1)
-
-
 def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
     """Simulate a block of replications for all periods of the plan, shape (7, n).
 
@@ -299,7 +268,26 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
     An error names the lowest failing replication, as a serial run would.
     """
     try:
-        return _evaluate_block(plan, replications)
+        streams = SubstreamFactory(plan.master_seed)
+        scenarios = [
+            _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
+            for rep in replications
+        ]
+        packets = np.stack([
+            traffic.generate_period(
+                plan.periods * plan.scenario.vru_count, plan.traffic, streams.stream("traffic", rep)
+            ).reshape(plan.periods, -1)
+            for rep in replications
+        ])
+        return evaluate_period(
+            plan,
+            scenarios,
+            _vehicle_positions(plan, scenarios),
+            packets,
+            ul_rngs=[streams.stream("ul", rep) for rep in replications],
+            dl_rngs=[streams.stream("dl", rep) for rep in replications],
+            tn_cn_rngs=[streams.stream("tn_cn", rep) for rep in replications],
+        )
     except CamlatError as exc:
         if len(replications) > 1:
             for rep in replications:

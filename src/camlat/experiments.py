@@ -156,7 +156,6 @@ def _panel(
     x0: float,
     title: str,
     xlabel: str,
-    values: list,
     series: tuple,
     rows: tuple[SweepRow, ...],
     log_scale: bool,
@@ -234,7 +233,7 @@ def _panel(
             )
         out.append(
             f'<text x="{gx + group_w * 0.4:.1f}" y="{bottom + 14:.1f}" text-anchor="middle" '
-            f'font-size="10">{_format_value(values[gi])}</text>'
+            f'font-size="10">{_format_value(row.value)}</text>'
         )
     # legend
     lx = left
@@ -250,7 +249,6 @@ def _panel(
 def render_svg(result: SweepResult) -> str:
     """Two-panel grouped bar chart: architecture totals and component breakdown."""
     rows = result.rows
-    values = [row.value for row in rows]
     component_ms = [
         row.stats[key].mean_s * 1e3 for row in rows for key, _, _ in _COMPONENT_SERIES
     ]
@@ -263,9 +261,9 @@ def render_svg(result: SweepResult) -> str:
         f'viewBox="0 0 {width:.0f} {_PANEL_H:.0f}" font-family="sans-serif">',
         '<rect x="0" y="0" width="100%" height="100%" fill="white"/>',
     ]
-    parts += _panel(0.0, "panel-a", result.parameter, values, _ARCH_SERIES, rows, False)
+    parts += _panel(0.0, "panel-a", result.parameter, _ARCH_SERIES, rows, False)
     parts += _panel(
-        _PANEL_W + _GAP, "panel-b", result.parameter, values, _COMPONENT_SERIES, rows, spans_decades
+        _PANEL_W + _GAP, "panel-b", result.parameter, _COMPONENT_SERIES, rows, spans_decades
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CamlatError
+
 # Rows of every per-packet latency array, in this order.
 COMPONENT_KEYS = ("ul", "bh", "tn_cn", "exc", "dl", "e2e_cloud", "e2e_mec")
 
@@ -62,8 +64,10 @@ def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
     out = np.empty((len(COMPONENT_KEYS), len(t_ul)))
     components = out[:5]
     components[:] = (t_ul, t_bh, t_tn_cn, t_exc, t_dl)
-    if not np.all((components >= 0) & (components < np.inf)):
-        raise ValueError("latency components must be finite and non-negative")
+    valid = (components >= 0) & (components < np.inf)
+    if not valid.all():
+        bad = ", ".join(key for key, row in zip(COMPONENT_KEYS, valid) if not row.all())
+        raise CamlatError(f"latency components must be finite and non-negative: {bad}")
     ul, bh, tn_cn, exc, dl = components
     np.add(ul + exc, dl, out=out[6])
     np.add(out[6], 2.0 * (bh + tn_cn), out=out[5])

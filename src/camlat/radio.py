@@ -43,8 +43,9 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     belongs to replication r // P. At most V members are returned.
 
     A replication may end in padding vehicles at x = +inf, which sort after
-    every real vehicle and are never picked while it holds at least m real
-    ones; their indices follow the real vehicles'.
+    every real vehicle; their indices follow the real vehicles'. A
+    replication with fewer than m real vehicles picks all of them, nearest
+    first, and its picks end in padding.
 
     Ties on exact squared x-distance break toward the lower x-coordinate,
     then the lower vehicle index. ``scenario.sample_scenario`` numbers lane
@@ -134,12 +135,12 @@ def _lower_bound(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return base - first
 
 
-def prb_share(radio: RadioParams, n_hat, members: int):
+def prb_share(radio: RadioParams, n_hat, members):
     """Fractional PRBs per link when the pool splits equally over one offset bin.
 
     Every packet of a bin is served together: ``n_hat`` packets, each sent
     over ``members`` links (1 in the uplink, the cluster size in the
-    downlink multicast).
+    downlink multicast); ``members`` broadcasts against ``n_hat``.
     """
     return radio.total_prbs / (np.asarray(n_hat) * members)
 

@@ -18,6 +18,7 @@ from camlat import channel, engine, scenario
 from camlat.config import default_plan, plan_from_document
 from camlat.errors import (
     AggregationError,
+    CamlatError,
     ScenarioError,
     UnreachableLinkError,
 )
@@ -357,7 +358,7 @@ def test_non_finite_component_fails_loudly():
     plan = replace(
         plan, network=replace(plan.network, backhaul_bps=float("nan")), replications=1, periods=2
     )
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(CamlatError, match="^replication 0: .*finite and non-negative: bh$"):
         engine.run_replication(plan, range(0, 1))
 
 
@@ -432,12 +433,22 @@ def _build_roads(monkeypatch, vehicles):
     monkeypatch.setattr(scenario, "sample_scenario", built)
 
 
-@pytest.mark.parametrize("block_pairs", [engine.BLOCK_PAIRS, 5 * 3 * 10 * 9])
-def test_blocks_match_replications_run_one_by_one(monkeypatch, block_pairs):
-    # replications 1, 9 and 13 hold fewer vehicles than the cluster size of
-    # 9, so a block mixes its shared evaluation with single-replication ones,
-    # and replication 5 shares it with an empty lane; the second budget cuts
-    # the 16 replications into blocks of 5
+@pytest.mark.parametrize(
+    ("cluster_size", "replications", "block_pairs", "block_sizes", "short"),
+    [
+        pytest.param(9, 16, engine.BLOCK_PAIRS, [16], 3, id=str(engine.BLOCK_PAIRS)),
+        pytest.param(9, 16, 5 * 3 * 10 * 9, [5, 5, 5, 1], 3, id=str(5 * 3 * 10 * 9)),
+        pytest.param(13, 8, engine.BLOCK_PAIRS, [8], 8, id="all-short"),
+    ],
+)
+def test_blocks_match_replications_run_one_by_one(
+    monkeypatch, cluster_size, replications, block_pairs, block_sizes, short
+):
+    # replications 1, 9 and 13 hold 4 vehicles, fewer than the cluster size of
+    # 9, so a block mixes full and short roads, and replication 5 holds 9
+    # vehicles beside an empty lane; the second budget cuts the 16
+    # replications into blocks of 5. At cluster size 13 every road is short:
+    # one block whose width, 12 vehicles, is below the cluster size
     def vehicles(rep):
         if rep == 5:
             return 320.0 * np.arange(9) + 150.0, np.ones(9)
@@ -448,14 +459,15 @@ def test_blocks_match_replications_run_one_by_one(monkeypatch, block_pairs):
     monkeypatch.setattr(engine, "BLOCK_PAIRS", block_pairs)
     plan = plan_from_document({
         "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002},
-        "radio": {"cluster_size": 9},
-        "engine": {"replications": 16, "periods": 3, "master_seed": 24},
+        "radio": {"cluster_size": cluster_size},
+        "engine": {"replications": replications, "periods": 3, "master_seed": 24},
     })
     scenarios = _scenarios(plan)
-    assert min(scn.vehicle_count for scn in scenarios) < 9 <= scenarios[0].vehicle_count
-    assert scenarios[5].vehicle_count == 9 and np.all(scenarios[5].vehicle_lane == 1)
+    counts = [scn.vehicle_count for scn in scenarios]
+    assert sum(count < cluster_size for count in counts) == short
+    assert max(counts) == 12 and counts[5] == 9 and np.all(scenarios[5].vehicle_lane == 1)
     blocks = engine._blocks(plan, range(plan.replications))
-    assert [len(block) for block in blocks] == ([16] if len(blocks) == 1 else [5, 5, 5, 1])
+    assert [len(block) for block in blocks] == block_sizes
     one_by_one = [engine.run_replication(plan, range(r, r + 1)) for r in range(plan.replications)]
     by_block = [engine.run_replication(plan, block) for block in blocks]
     assert np.array_equal(np.concatenate(by_block, axis=1), np.concatenate(one_by_one, axis=1))

@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import re
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -322,6 +323,18 @@ def test_sweep_continues_past_infeasible_points():
     assert len(result.failures) == 1
     assert result.failures[0][0] == 0.2
     assert "infeasible" in result.failures[0][1]
+
+
+def test_sweep_records_a_non_finite_latency_as_failures():
+    # a hand-built plan is not validated, so it can carry a NaN capacity: every
+    # point fails at run time, naming its replication, and none becomes a row
+    plan = _small_plan()
+    plan = replace(plan, network=replace(plan.network, backhaul_bps=float("nan")))
+    result = run_sweep(SweepSpec("vru_count", (5, 8), plan))
+    assert result.rows == ()
+    assert [value for value, _ in result.failures] == [5, 8]
+    for _, message in result.failures:
+        assert message == "replication 0: latency components must be finite and non-negative: bh"
 
 
 def test_numpy_sweep_value_sets_a_plain_number():

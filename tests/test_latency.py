@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from camlat.config import default_plan
+from camlat.errors import CamlatError
 from camlat.latency import (
     COMPONENT_KEYS,
     backhaul_latency,
@@ -97,12 +98,12 @@ def test_decomposition_identity_is_exact():
 
 
 def test_compose_rejects_negative_components():
-    with pytest.raises(ValueError):
+    with pytest.raises(CamlatError, match="non-negative: ul$"):
         _compose(-1e-3, 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_compose_rejects_non_finite_components(bad):
     # NaN passes a plain `< 0` test, so finiteness is checked explicitly
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(CamlatError, match="finite and non-negative: bh$"):
         _compose(1e-3, bad, 0.0, 0.0, 0.0)
