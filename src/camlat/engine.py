@@ -9,17 +9,19 @@ replication's packets are reduced on their own, to moments that are pooled
 in replication order.
 
 Replications are evaluated in blocks. ``run_replication(plan, replications)``
-takes a ``range`` of replication indices; for each one it builds the
-replication's own streams, samples its scenario, keeps the vehicles within
-reach of its VRUs (below) and draws its packets. The rest runs once per
-block: the kept vehicles of every replication are stepped together as a
-(replications, periods, vehicles) position array, padded with +inf to the
-block's largest kept count after stepping, and one ``evaluate_period`` call
-computes bin counts, uplink, downlink, backhaul, execution and composition
-for every packet of the block. Only the random
-draws stay per replication: each purpose draws its replication's whole block
-in one call, in (periods, VRUs) or, for the downlink members, (periods,
-VRUs, m_r) shape. Each VRU's downlink cluster comes from
+takes a ``range`` of replication indices and makes one pass over them: each
+replication samples its scenario, keeps the vehicles within reach of its
+VRUs (below) and draws its packets into the block's arrays. The kept
+vehicles' x, speed and lane go into (replications, vehicles) arrays, each
+row padded to the block's largest kept count; the positions are stepped
+together into a (replications, periods, vehicles) array, and the padding
+set to +inf after stepping. One ``evaluate_period`` call then takes these
+arrays and the ``SubstreamFactory``, and computes bin counts, uplink,
+downlink, backhaul, execution and composition for every packet of the block.
+Only the random draws stay per replication: each purpose draws its
+replication's whole block from ``streams.stream(purpose, replication)`` in
+one call, in (periods, VRUs) or, for the downlink members, (periods, VRUs,
+m_r) shape. Each VRU's downlink cluster comes from
 ``radio.nearest_member_indices``, which merges the nearest vehicles on its
 two sides in m steps over all (replication, period) rows at once, m being
 the cluster size. A replication's clusters hold m_r = min(m, its vehicle
@@ -89,7 +91,7 @@ in replication order, as a serial run writes its blocks.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
@@ -129,27 +131,30 @@ class AggregateStats:
 
 def evaluate_period(
     plan: SimulationPlan,
-    scenarios: Sequence[scenario.Scenario],
+    vru_x: np.ndarray,
     vehicle_x: np.ndarray,
+    vehicle_lane: np.ndarray,
     packets: np.ndarray,
-    ul_rngs: Sequence[np.random.Generator],
-    dl_rngs: Sequence[np.random.Generator],
-    tn_cn_rngs: Sequence[np.random.Generator],
+    streams: SubstreamFactory,
+    replications: range,
 ) -> np.ndarray:
     """All latency components of a block of replications, shape (7, B * P * n).
 
-    Pure given the streams. ``scenarios`` are the block's B replications.
-    ``vehicle_x[b, p]`` holds the b-th one's vehicle positions in period p,
-    padded with +inf to the block's largest vehicle count V, shape
-    (B, P, V); ``packets[b, p, i]`` is its p-th period's packet of the i-th
-    VRU, shape (B, P, n). The lateral geometry comes from the road: the VRUs
-    stand at y = 0 and each vehicle on its lane, at y = +-``lane_offset_m``.
-    A replication's clusters hold m_r = min(``cluster_size``, its vehicles)
-    members; a replication with none is a ``ScenarioError``.
-    Each replication's generators draw its purpose's whole block in one
-    call: the UL SNRs and transport+core delays in shape (P, n), the DL SNRs
-    in shape (P, n, m_r). Columns run over VRUs within a period, then periods,
-    then replications.
+    Pure given ``streams``. The block holds the B replications
+    ``replications``, each P periods of n VRUs: ``vru_x[b]`` holds the b-th
+    one's VRU positions, shape (B, n); ``vehicle_x[b, p]`` its vehicle
+    positions in period p, padded with +inf to the block's largest vehicle
+    count V, shape (B, P, V); ``vehicle_lane[b]`` each of its vehicles' lane,
+    shape (B, V), any lane for the padding; ``packets[b, p, i]`` its p-th
+    period's packet of the i-th VRU, shape (B, P, n). The lateral geometry
+    comes from the road: the VRUs stand at y = 0 and each vehicle on its
+    lane, at y = +-``lane_offset_m``. A replication's clusters hold
+    m_r = min(``cluster_size``, its vehicles) members; a replication with
+    none is a ``ScenarioError``. Each replication draws each purpose's
+    whole block from its own stream, ``streams.stream(purpose, rep)``, in
+    one call: the UL SNRs and transport+core delays in shape (P, n), the DL
+    SNRs in shape (P, n, m_r). Columns run over VRUs within a period, then
+    periods, then replications.
     """
     reps, periods, v = vehicle_x.shape
     rows = reps * periods
@@ -159,35 +164,34 @@ def evaluate_period(
 
     road = plan.scenario.road
     enb_x, enb_y = road.enb_position_m
-    vru_x = np.stack([scn.vru_x for scn in scenarios])
     # A VRU's eNB distance is fixed for its replication: one mean per VRU,
     # broadcast over the periods.
     ul_budget = plan.channel.ul_budget()
     ul_mean = channel.mean_snr_db(ul_budget, np.hypot(vru_x - enb_x, enb_y))
-    snr_ul = np.stack([
-        channel.sample_snr_db(ul_budget, np.broadcast_to(mean, (periods, n)), rng)
-        for mean, rng in zip(ul_mean, ul_rngs)
-    ])
+    snr_ul = np.empty(sizes.shape)
+    t_tn_cn = np.empty(sizes.shape)
+    for b, rep in enumerate(replications):
+        snr_ul[b] = channel.sample_snr_db(
+            ul_budget, np.broadcast_to(ul_mean[b], (periods, n)), streams.stream("ul", rep)
+        )
+        t_tn_cn[b] = latency.sample_tn_cn(
+            plan.network, streams.stream("tn_cn", rep), size=(periods, n)
+        )
     t_ul = radio.ul_latency(sizes, radio.prb_share(plan.radio, n_hat, 1), snr_ul, plan.radio)
 
     t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
     t_exc = latency.execution_latency(
         sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
     )
-    t_tn_cn = np.stack([
-        latency.sample_tn_cn(plan.network, rng, size=(periods, n)) for rng in tn_cn_rngs
-    ])
 
-    counts = np.array([scn.vehicle_count for scn in scenarios])
+    counts = np.count_nonzero(vehicle_x[:, 0] < np.inf, axis=1)
     if counts.min() == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
     members = radio.nearest_member_indices(vru_x, vehicle_x, plan.radio.cluster_size)
     m = members.shape[-1]
     # One mean SNR per (replication, period, vehicle), gathered for the members.
-    # Padding vehicles sit at x = +inf on lane 0.
-    lanes = _padded([scn.vehicle_lane for scn in scenarios], v, 0)
     lane_dy = np.subtract((road.lane_offset_m, -road.lane_offset_m), enb_y)
-    d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[lanes][:, None]).reshape(rows, v)
+    d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[vehicle_lane][:, None]).reshape(rows, v)
     dl_budget = plan.channel.dl_budget()
     dl_mean = np.take_along_axis(
         channel.mean_snr_db(dl_budget, d_vehicle), members.reshape(rows, n * m), axis=1
@@ -195,41 +199,14 @@ def evaluate_period(
     # A short road's member slots past its m_r hold +inf: never the slowest member.
     cluster = np.minimum(counts, m)
     snr_dl = np.full(dl_mean.shape, np.inf)
-    for snr, mean, m_r, rng in zip(snr_dl, dl_mean, cluster, dl_rngs):
-        snr[..., :m_r] = channel.sample_snr_db(dl_budget, mean[..., :m_r], rng)
+    for b, rep in enumerate(replications):
+        snr_dl[b, ..., : cluster[b]] = channel.sample_snr_db(
+            dl_budget, dl_mean[b, ..., : cluster[b]], streams.stream("dl", rep)
+        )
     dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None]).ravel()
     t_dl = radio.dl_latency(sizes.ravel(), dl_prbs, snr_dl.reshape(-1, m), plan.radio)
 
     return latency.compose_e2e(t_ul.ravel(), t_bh.ravel(), t_tn_cn.ravel(), t_exc.ravel(), t_dl)
-
-
-def _padded(rows: Sequence[np.ndarray], width: int, fill) -> np.ndarray:
-    """The rows stacked into shape (len(rows), width), each filled up with ``fill``."""
-    out = np.full((len(rows), width), fill, dtype=np.result_type(fill, *rows))
-    for padded, row in zip(out, rows):
-        padded[: row.size] = row
-    return out
-
-
-def _vehicle_positions(plan: SimulationPlan, scenarios: Sequence[scenario.Scenario]) -> np.ndarray:
-    """Every period's vehicle positions, shape (B, P, V), padded with +inf to the largest count."""
-    counts = np.array([scn.vehicle_count for scn in scenarios])
-    x = _padded([scn.vehicle_x for scn in scenarios], counts.max(initial=0), 0.0)
-    speed = _padded([scn.vehicle_speed for scn in scenarios], x.shape[1], 0.0)
-    positions = np.empty((len(scenarios), plan.periods, x.shape[1]))
-    positions[:, 0] = x
-    # Step the positions period by period: the closed form (x0 + v*t) mod L
-    # rounds differently and would change the sample path.
-    for p in range(1, plan.periods):
-        if plan.scenario.mobility:
-            x = scenario.advance_vehicles(
-                x, speed, plan.traffic.period_s, plan.scenario.road.lane_length_m
-            )
-        positions[:, p] = x
-    # Pad after stepping, so every real vehicle sorts before the padding.
-    padding = np.arange(x.shape[1]) >= counts[:, None]
-    np.copyto(positions, np.inf, where=padding[:, None])
-    return positions
 
 
 def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scenario:
@@ -269,25 +246,37 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
     """
     try:
         streams = SubstreamFactory(plan.master_seed)
-        scenarios = [
-            _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
-            for rep in replications
-        ]
-        packets = np.stack([
-            traffic.generate_period(
-                plan.periods * plan.scenario.vru_count, plan.traffic, streams.stream("traffic", rep)
-            ).reshape(plan.periods, -1)
-            for rep in replications
-        ])
-        return evaluate_period(
-            plan,
-            scenarios,
-            _vehicle_positions(plan, scenarios),
-            packets,
-            ul_rngs=[streams.stream("ul", rep) for rep in replications],
-            dl_rngs=[streams.stream("dl", rep) for rep in replications],
-            tn_cn_rngs=[streams.stream("tn_cn", rep) for rep in replications],
-        )
+        periods, n = plan.periods, plan.scenario.vru_count
+        vru_x = np.empty((len(replications), n))
+        packets = np.empty((len(replications), periods, n), traffic.PACKET_DTYPE)
+        kept = []
+        for b, rep in enumerate(replications):
+            scn = _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
+            vru_x[b] = scn.vru_x
+            packets[b] = traffic.generate_period(
+                periods * n, plan.traffic, streams.stream("traffic", rep)
+            ).reshape(periods, n)
+            kept.append(scn)
+        # Row b of the block's vehicle arrays holds replication b's kept
+        # vehicles, in index order, then padding.
+        counts = np.array([scn.vehicle_count for scn in kept])
+        real = np.arange(counts.max()) < counts[:, None]
+        x, speed, lane = (np.zeros(real.shape, dtype) for dtype in (float, float, np.int64))
+        x[real] = np.concatenate([scn.vehicle_x for scn in kept])
+        speed[real] = np.concatenate([scn.vehicle_speed for scn in kept])
+        lane[real] = np.concatenate([scn.vehicle_lane for scn in kept])
+        vehicle_x = np.empty((len(replications), periods, x.shape[1]))
+        # Step the positions period by period: the closed form (x0 + v*t) mod L
+        # rounds differently and would change the sample path.
+        for p in range(periods):
+            if p and plan.scenario.mobility:
+                x = scenario.advance_vehicles(
+                    x, speed, plan.traffic.period_s, plan.scenario.road.lane_length_m
+                )
+            vehicle_x[:, p] = x
+        # Pad after stepping, so every real vehicle sorts before the padding.
+        np.copyto(vehicle_x, np.inf, where=~real[:, None])
+        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications)
     except CamlatError as exc:
         if len(replications) > 1:
             for rep in replications:
@@ -317,6 +306,9 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+# Huge latencies overflow to +inf (or NaN past an infinite total) without a
+# warning; ``aggregate`` rejects every component they reach, by name.
+@np.errstate(over="ignore", invalid="ignore")
 def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np.ndarray:
     """Each replication's mean and sum of squared deviations, shape (7, R, 2).
 
@@ -400,6 +392,7 @@ def run_plan(plan: SimulationPlan) -> np.ndarray:
     return moments
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, AggregateStats]:
     """Mean, sample std and 95% CI half-width per component over every packet.
 
@@ -408,6 +401,8 @@ def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, Ag
     replication means; the sum of squared deviations pools the replications'
     own with W times the squared deviations of their means (Chan, Golub &
     LeVeque, 1979). The CI treats the n = R * W packets as independent.
+    A component whose mean or half-width is not finite is a ``CamlatError``
+    naming every such component.
     """
     n = moments.shape[1] * packets_per_replication
     if n == 0:
@@ -423,4 +418,7 @@ def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, Ag
             ci95_half_width_s=1.96 * std / np.sqrt(n),
             sample_count=n,
         )
+    bad = [k for k, s in stats.items() if not np.isfinite([s.mean_s, s.ci95_half_width_s]).all()]
+    if bad:
+        raise CamlatError(f"means and CI half-widths must be finite: {', '.join(bad)}")
     return stats

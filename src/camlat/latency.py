@@ -32,11 +32,15 @@ class NetworkParams:
     tn_cn_one_way_s: tuple[float, float]  # bounds of the uniform one-way delay
 
 
+# A tiny capacity can overflow a latency to +inf; ``compose_e2e`` rejects it
+# by name, so numpy's overflow warning would only repeat that error.
+@np.errstate(over="ignore")
 def backhaul_latency(size_bits, n_hat, backhaul_bps: float):
     """Routing time through the shared finite-capacity backhaul."""
     return np.asarray(size_bits, dtype=float) * np.asarray(n_hat, dtype=float) / backhaul_bps
 
 
+@np.errstate(over="ignore")
 def execution_latency(size_bits, cycles_per_bit, n_hat, server_cycles_per_s: float):
     """Processing time when the server's capacity is split over the bin."""
     return (
@@ -69,6 +73,8 @@ def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
         bad = ", ".join(key for key, row in zip(COMPONENT_KEYS, valid) if not row.all())
         raise CamlatError(f"latency components must be finite and non-negative: {bad}")
     ul, bh, tn_cn, exc, dl = components
-    np.add(ul + exc, dl, out=out[6])
-    np.add(out[6], 2.0 * (bh + tn_cn), out=out[5])
+    # A total that overflows is left +inf; ``engine.aggregate`` rejects it by name.
+    with np.errstate(over="ignore"):
+        np.add(ul + exc, dl, out=out[6])
+        np.add(out[6], 2.0 * (bh + tn_cn), out=out[5])
     return out

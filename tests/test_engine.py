@@ -66,10 +66,8 @@ def _aggregate_packets(samples, width):
 def _one_period(scn, plan, packets, streams):
     """``evaluate_period`` on one replication of one period, with replication 0's streams."""
     return engine.evaluate_period(
-        plan, [scn], scn.vehicle_x[None, None], packets[None, None],
-        ul_rngs=[streams.stream("ul", 0)],
-        dl_rngs=[streams.stream("dl", 0)],
-        tn_cn_rngs=[streams.stream("tn_cn", 0)],
+        plan, scn.vru_x[None], scn.vehicle_x[None, None], scn.vehicle_lane[None],
+        packets[None, None], streams, range(0, 1),
     )
 
 
@@ -362,6 +360,32 @@ def test_non_finite_component_fails_loudly():
         engine.run_replication(plan, range(0, 1))
 
 
+@pytest.mark.parametrize(
+    ("network", "key"),
+    [({"backhaul_mbps": 1e-310}, "bh"), ({"server_gcycles_per_s": 1e-310}, "exc")],
+    ids=["bh", "exc"],
+)
+def test_tiny_valid_capacity_fails_by_name_without_a_warning(network, key):
+    # the capacity passes validation, but the latency overflows to +inf; under
+    # the suite's error::RuntimeWarning filter a numpy overflow warning would
+    # raise in place of the typed error naming the component
+    plan = plan_from_document({"network": network, "engine": {"replications": 2, "periods": 2}})
+    message = f"^replication 0: latency components must be finite and non-negative: {key}$"
+    with pytest.raises(CamlatError, match=message):
+        engine.run_plan(plan)
+
+
+def test_aggregate_rejects_non_finite_means_and_half_widths():
+    # two replications of two packets: finite backhaul latencies whose spread
+    # overflows, and a cloud total that overflowed to +inf in compose_e2e;
+    # each component is named, with no numpy warning on the way
+    samples = np.ones((7, 4))
+    samples[1] = (0.0, 0.0, 1e300, 1e300)
+    samples[5, 0] = np.inf
+    with pytest.raises(CamlatError, match="^means and CI half-widths must be finite: bh, e2e_cloud$"):
+        _aggregate_packets(samples, 2)
+
+
 def test_period_block_matches_period_by_period():
     # with the fading stds at zero and a degenerate transport+core range no
     # draw depends on its position in a block, so one block of periods must
@@ -381,9 +405,8 @@ def test_period_block_matches_period_by_period():
 
     def evaluate(rows):
         return engine.evaluate_period(
-            plan, [scn], vehicle_x[None, rows], packets[None, rows],
-            ul_rngs=[streams.stream("ul", 0)], dl_rngs=[streams.stream("dl", 0)],
-            tn_cn_rngs=[streams.stream("tn_cn", 0)],
+            plan, scn.vru_x[None], vehicle_x[None, rows], scn.vehicle_lane[None],
+            packets[None, rows], streams, range(0, 1),
         )
 
     block = evaluate(slice(0, 3))

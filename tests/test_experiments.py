@@ -337,6 +337,25 @@ def test_sweep_records_a_non_finite_latency_as_failures():
         assert message == "replication 0: latency components must be finite and non-negative: bh"
 
 
+def test_sweep_fails_a_point_whose_statistics_overflow(tmp_path, capsys):
+    # 1e-300 Mbit/s is a valid capacity: the backhaul latencies, about 1e299 s,
+    # are finite, but their spread overflows. The point fails, naming the
+    # components it reaches, instead of writing inf CIs and a 100 % gain
+    conf = tmp_path / "overflow.json"
+    conf.write_text(json.dumps({"network": {"backhaul_mbps": 1e-300}}), encoding="utf-8")
+    message = "means and CI half-widths must be finite: bh, e2e_cloud"
+    result = run_sweep(SweepSpec("vru_count", (50,), load_config(str(conf), replications=2)))
+    assert result.rows == ()
+    assert result.failures == ((50, message),)
+    argv = ["--replications", "2", "--config", str(conf), "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-vru", "--values", "50"]) == 2
+    lines = (tmp_path / "vru_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == [CSV_HEADER]
+    captured = capsys.readouterr()
+    assert f"vru_count=50: FAILED ({message})" in captured.err
+    assert "gain" not in captured.out
+
+
 def test_numpy_sweep_value_sets_a_plain_number():
     # np.arange yields np.int64, which is a real number but no Python int
     plan = _small_plan()

@@ -107,3 +107,11 @@ def test_compose_rejects_non_finite_components(bad):
     # NaN passes a plain `< 0` test, so finiteness is checked explicitly
     with pytest.raises(CamlatError, match="finite and non-negative: bh$"):
         _compose(1e-3, bad, 0.0, 0.0, 0.0)
+
+
+def test_compose_leaves_an_overflowing_total_infinite_without_a_warning():
+    # finite components whose cloud total overflows: the total is +inf, which
+    # engine.aggregate rejects by name, and no numpy warning comes first
+    b = _compose(1e-3, 1e308, 45e-3, 1e-3, 1e-3)
+    assert b["e2e_cloud"] == np.inf
+    assert b["e2e_mec"] == pytest.approx(3e-3, rel=1e-9)
