@@ -3,7 +3,8 @@
 Subcommands map onto the three canonical experiments plus a single-point
 run; ``reproduce`` executes all three sweeps and writes their CSV tables
 and SVG charts. With ``--workers N > 1`` one process pool serves the whole
-invocation and is shut down before ``main`` returns.
+invocation and is shut down before ``main`` returns; each sweep queues all
+of its points' blocks on it at once.
 
 Exit codes: 0 success, 1 config error, 2 runtime error. A sweep point that
 fails is not fatal: its failure goes to stderr, the rows that succeeded are

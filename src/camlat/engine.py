@@ -86,15 +86,21 @@ the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
 The block is the only partition of a run's replications: each pool task is
 one block, returned as its moments array, and the results are written back
-in replication order, as a serial run writes its blocks.
+in replication order, as a serial run writes its blocks. ``run_plans``
+takes many plans, such as a sweep's points, and submits every block of
+every plan at once, one future per block, so the workers never wait at a
+plan boundary and a block that raises fails only its own plan. A serial
+run takes the same path, computing each block when its plan is read.
+If an exception leaves the pool's block, the blocks still queued are
+cancelled before the workers are joined.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -355,7 +361,8 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
 
     Reentrant: inside a block that already holds a pool of the same size,
     that pool is reused; otherwise a new one is opened here and shut down,
-    its workers joined, when the block exits.
+    its workers joined, when the block exits. If the block exits on an
+    exception, the tasks still queued on the pool are cancelled first.
     """
     global _open_pool
     if workers == 1:
@@ -365,12 +372,46 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     else:
         outer = _open_pool
         executor_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with executor_type(max_workers=workers) as executor:
-            _open_pool = (workers, executor)
-            try:
-                yield executor
-            finally:
-                _open_pool = outer
+        executor = executor_type(max_workers=workers)
+        _open_pool = (workers, executor)
+        failed = True
+        try:
+            yield executor
+            failed = False
+        finally:
+            _open_pool = outer
+            executor.shutdown(cancel_futures=failed)
+
+
+def _collect(plan: SimulationPlan, blocks: list[range], results: list) -> np.ndarray:
+    """The plan's moments, shape (7, R, 2): each block's ``result()`` in replication order."""
+    moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
+    for block, result in zip(blocks, results):
+        moments[:, block.start : block.stop] = result()
+    return moments
+
+
+def run_plans(
+    plans: list[SimulationPlan], executor: ProcessPoolExecutor | None
+) -> list[Callable[[], np.ndarray]]:
+    """One callable per plan, returning its ``run_plan`` moments or raising its error.
+
+    With an ``executor``, every block of every plan is submitted here, in
+    plan order, so the workers never wait at a plan boundary; a block that
+    raises fails its own plan only. Without one, each block is computed when
+    its plan's callable is called.
+    """
+    runs = []
+    for plan in plans:
+        blocks = _blocks(plan, range(plan.replications))
+        if executor is None:
+            # Not through _replication_task: perfbench/tracer.py replaces it
+            # with a wrapper that resets and spills the spans of a worker.
+            results = [partial(_block_moments, plan, block) for block in blocks]
+        else:
+            results = [executor.submit(_replication_task, (plan, block)).result for block in blocks]
+        runs.append(partial(_collect, plan, blocks, results))
+    return runs
 
 
 def run_plan(plan: SimulationPlan) -> np.ndarray:
@@ -378,18 +419,8 @@ def run_plan(plan: SimulationPlan) -> np.ndarray:
 
     See ``replication_moments``; ``aggregate`` pools them.
     """
-    blocks = _blocks(plan, range(plan.replications))
-    moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
     with pool(plan.workers) as executor:
-        if executor is None:
-            # Not through _replication_task: perfbench/tracer.py replaces it
-            # with a wrapper that resets and spills the spans of a worker.
-            results = (_block_moments(plan, block) for block in blocks)
-        else:
-            results = executor.map(_replication_task, ((plan, block) for block in blocks))
-        for block, result in zip(blocks, results):
-            moments[:, block.start : block.stop] = result
-    return moments
+        return run_plans([plan], executor)[0]()
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -75,18 +75,36 @@ def gain_pct(stats: dict[str, AggregateStats]) -> float:
 
 def run_point(plan: SimulationPlan) -> dict[str, AggregateStats]:
     """Simulate one configuration and aggregate it."""
-    return engine.aggregate(engine.run_plan(plan), plan.periods * plan.scenario.vru_count)
+    return _aggregate(plan, engine.run_plan(plan))
+
+
+def _aggregate(plan: SimulationPlan, moments) -> dict[str, AggregateStats]:
+    return engine.aggregate(moments, plan.periods * plan.scenario.vru_count)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """One aggregated row per swept value; infeasible points are reported, not fatal."""
+    """One aggregated row per swept value; infeasible points are reported, not fatal.
+
+    Every point's plan is built first and all of them are started at once
+    (``engine.run_plans``), so a pool works through the whole sweep without
+    waiting at a point boundary; rows and failures still come in value order.
+    """
+    points: list[tuple[float, SimulationPlan | CamlatError]] = []
+    for value in spec.values:
+        try:
+            points.append((value, override_parameter(spec.base_plan, spec.parameter, value)))
+        except CamlatError as exc:
+            points.append((value, exc))
+    plans = [plan for _, plan in points if isinstance(plan, SimulationPlan)]
     rows: list[SweepRow] = []
     failures: list[tuple[float, str]] = []
-    with engine.pool(spec.base_plan.workers):  # one pool for every point
-        for value in spec.values:
+    with engine.pool(spec.base_plan.workers) as executor:  # one pool for every point
+        runs = iter(engine.run_plans(plans, executor))
+        for value, plan in points:
             try:
-                plan = override_parameter(spec.base_plan, spec.parameter, value)
-                stats = run_point(plan)
+                if isinstance(plan, CamlatError):
+                    raise plan
+                stats = _aggregate(plan, next(runs)())
             except CamlatError as exc:
                 failures.append((value, str(exc)))
                 continue

@@ -269,6 +269,46 @@ def test_workers_do_not_change_aggregates(make_plan, block_sizes):
     assert engine.aggregate(serial, width) == engine.aggregate(parallel, width)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_plans_gives_each_plan_its_own_moments(workers):
+    # 1, 2, 4, 7 and 3 blocks: the blocks of every plan share one task list
+    documents = [
+        {"radio": {"cluster_size": 1}},
+        {"scenario": {"vru_count": 50}},
+        {"radio": {"cluster_size": 5}},
+        {"radio": {"cluster_size": 9}},
+        {"radio": {"cluster_size": 5}, "engine": {"replications": 13}},
+    ]
+    plans = [
+        plan_from_document({**doc, "engine": {"replications": 20, **doc.get("engine", {})}})
+        for doc in documents
+    ]
+    assert [len(engine._blocks(p, range(p.replications))) for p in plans] == [1, 2, 4, 7, 3]
+    with engine.pool(workers) as executor:
+        moments = [run() for run in engine.run_plans(plans, executor)]
+    for plan, got in zip(plans, moments):
+        assert got.tobytes() == engine.run_plan(plan).tobytes()
+    # each callable runs its own plan, not the last one built
+    assert len({got.tobytes() for got in moments}) == len(plans)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_plan_fails_alone(workers):
+    # 1e-5 /m leaves replication 0's road empty; on 2 workers that block
+    # fails inside a worker, and the plans queued after it still return
+    good = plan_from_document({"engine": {"replications": 4}})
+    empty = plan_from_document(
+        {"scenario": {"vehicle_intensity_per_m": 1e-5}, "engine": {"replications": 4}}
+    )
+    with engine.pool(workers) as executor:
+        runs = engine.run_plans([good, empty, good], executor)
+        with pytest.raises(
+            ScenarioError, match="^replication 0: no vehicles on the road; cannot form clusters$"
+        ):
+            runs[1]()
+        assert runs[2]().tobytes() == runs[0]().tobytes() == engine.run_plan(good).tobytes()
+
+
 def test_pooled_statistics_match_the_packet_level_oracle():
     # 5 replications of 2 periods x 10 VRUs: the pooled moments give the
     # mean and sample std of all 100 packets

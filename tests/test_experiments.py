@@ -563,6 +563,33 @@ def test_pool_is_reentrant_per_worker_count():
             assert again is outer
 
 
+def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypatch):
+    # the whole sweep is queued at once; a bug in the parent at its first
+    # point must not wait for every other point's blocks to run
+    block_moments = engine._block_moments
+
+    def counted(plan, block):  # runs in the forked workers
+        (tmp_path / f"{plan.radio.cluster_size}-{block.start}").touch()
+        return block_moments(plan, block)
+
+    def broken(moments, packets_per_replication):
+        raise RuntimeError("aggregate failed")
+
+    monkeypatch.setattr(engine, "_block_moments", counted)
+    monkeypatch.setattr(engine, "aggregate", broken)
+    base = plan_from_document({"engine": {"replications": 20, "workers": 2}})
+    spec = SweepSpec("cluster_size", (1, 3, 5, 7, 9), base)
+    total = sum(
+        len(engine._blocks(override_parameter(base, "cluster_size", m), range(20)))
+        for m in spec.values
+    )
+    assert total == 19
+    with pytest.raises(RuntimeError, match="aggregate failed"):
+        run_sweep(spec)
+    assert multiprocessing.active_children() == []
+    assert 1 <= len(list(tmp_path.iterdir())) < total
+
+
 def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
     started = []
 
