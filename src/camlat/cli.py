@@ -118,6 +118,13 @@ def _dispatch(args, plan) -> list[SweepResult]:
     return [_run_sweep_command(plan, args.parameter, values, args.out_dir)]
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CamlatError(f"cannot create output directory {path!r}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -132,8 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
+        if args.command != "run":  # only the sweeps write files
+            _make_out_dir(args.out_dir)
         with engine.pool(plan.workers):
             results = _dispatch(args, plan)
     except ConfigurationError as exc:

@@ -29,7 +29,7 @@ from .channel import PATHLOSS_MODELS, ChannelParams
 from .errors import ConfigurationError
 from .latency import NetworkParams
 from .radio import RadioParams
-from .scenario import KMH_TO_MS, HardCoreParams, RoadGeometry, ScenarioParams
+from .scenario import KMH_TO_MS, ScenarioParams
 from .traffic import TrafficParams
 
 PROFILES = {
@@ -277,8 +277,7 @@ def plan_from_document(document: dict) -> SimulationPlan:
     )
 
     # Cross-field invariants that need valid pieces first.
-    intensity, min_gap = scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"]
-    _check_density(v, intensity, min_gap)
+    _check_density(v, scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"])
     lane_length_km, enb_pos = scn["lane_length_km"], scn["enb_position_m"]
     if lane_length_km is not None and enb_pos is not None:
         if not 0.0 <= enb_pos[0] <= lane_length_km * 1000.0:
@@ -298,18 +297,11 @@ def plan_from_document(document: dict) -> SimulationPlan:
             "invalid configuration:\n" + "\n".join(f"  - {e}" for e in v.errors)
         )
 
-    road = RoadGeometry(
-        lane_length_m=lane_length_km * 1000.0,
-        lane_offset_m=scn["lane_width_m"] / 2.0 + 2.0,  # lanes straddle the pedestrian strip
-        enb_position_m=enb_pos,
-    )
     scenario = ScenarioParams(
-        road=road,
-        hardcore=HardCoreParams(intensity_per_m=intensity, hard_core_distance_m=min_gap),
-        speed_range_ms=tuple(kmh * KMH_TO_MS for kmh in scn["speed_kmh"]),
-        vru_count=scn["vru_count"],
-        vru_strip_m=scn["vru_strip_m"],
-        mobility=scn["mobility"],
+        lane_length_m=scn.pop("lane_length_km") * 1000.0,
+        lane_offset_m=scn.pop("lane_width_m") / 2.0 + 2.0,  # lanes straddle the pedestrian strip
+        speed_range_ms=tuple(kmh * KMH_TO_MS for kmh in scn.pop("speed_kmh")),
+        **scn,  # every other field keeps its document name and unit
     )
     traffic = TrafficParams(
         period_s=trf["period_ms"] / 1e3,
@@ -407,7 +399,8 @@ def override_parameter(plan: SimulationPlan, parameter: str, value) -> Simulatio
 
     The value is checked by its document field's rule, and a vehicle
     intensity also by the density rule, so a bad point fails with a one-line
-    message that starts with the field path.
+    message that starts with the field path. Every swept field keeps its
+    document name and unit in its section's record.
     """
     if parameter not in SWEEPS:
         raise ConfigurationError(
@@ -418,11 +411,7 @@ def override_parameter(plan: SimulationPlan, parameter: str, value) -> Simulatio
     v = _Validator()
     value = v.field(path, value, *_FIELDS[section][key])
     if key == "vehicle_intensity_per_m":
-        _check_density(v, value, plan.scenario.hardcore.hard_core_distance_m)
+        _check_density(v, value, plan.scenario.inter_vehicle_distance_m)
     if v.errors:
         raise ConfigurationError("; ".join(v.errors))
-    if key == "vehicle_intensity_per_m":  # the plan keeps it in the hard-core process
-        hardcore = replace(plan.scenario.hardcore, intensity_per_m=value)
-        return replace(plan, scenario=replace(plan.scenario, hardcore=hardcore))
-    # Every other swept field keeps its document name in its section's record.
     return replace(plan, **{section: replace(getattr(plan, section), **{key: value})})

@@ -168,8 +168,7 @@ def evaluate_period(
     n = sizes.shape[-1]
     n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
 
-    road = plan.scenario.road
-    enb_x, enb_y = road.enb_position_m
+    enb_x, enb_y = plan.scenario.enb_position_m
     # A VRU's eNB distance is fixed for its replication: one mean per VRU,
     # broadcast over the periods.
     ul_budget = plan.channel.ul_budget()
@@ -196,7 +195,8 @@ def evaluate_period(
     members = radio.nearest_member_indices(vru_x, vehicle_x, plan.radio.cluster_size)
     m = members.shape[-1]
     # One mean SNR per (replication, period, vehicle), gathered for the members.
-    lane_dy = np.subtract((road.lane_offset_m, -road.lane_offset_m), enb_y)
+    offset = plan.scenario.lane_offset_m
+    lane_dy = np.subtract((offset, -offset), enb_y)
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[vehicle_lane][:, None]).reshape(rows, v)
     dl_budget = plan.channel.dl_budget()
     dl_mean = np.take_along_axis(
@@ -221,19 +221,19 @@ def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scen
     The rule and why it changes no output are in the module docstring.
     """
     m = plan.radio.cluster_size
-    road = plan.scenario.road
+    length = plan.scenario.lane_length_m
     if scn.vehicle_count <= m:
         return scn
     reach = 0.0
     if plan.scenario.mobility:
         reach = (plan.periods - 1) * plan.traffic.period_s * float(np.abs(scn.vehicle_speed).max())
-    slack = REACH_SLACK * plan.periods * road.lane_length_m
+    slack = REACH_SLACK * plan.periods * length
     xs = np.sort(scn.vehicle_x)
     below = int(np.searchsorted(xs, scn.vru_x.min()))
     above = int(np.searchsorted(xs, scn.vru_x.max(), side="right"))
     low = xs[below - m] - 2 * reach - slack if below >= m else -np.inf
     high = xs[above + m - 1] + 2 * reach + slack if xs.size - above >= m else np.inf
-    if reach > 0 and (low < reach + slack or high > road.lane_length_m - reach - slack):
+    if reach > 0 and (low < reach + slack or high > length - reach - slack):
         return scn
     keep = (low <= scn.vehicle_x) & (scn.vehicle_x <= high)
     return replace(
@@ -277,7 +277,7 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
         for p in range(periods):
             if p and plan.scenario.mobility:
                 x = scenario.advance_vehicles(
-                    x, speed, plan.traffic.period_s, plan.scenario.road.lane_length_m
+                    x, speed, plan.traffic.period_s, plan.scenario.lane_length_m
                 )
             vehicle_x[:, p] = x
         # Pad after stepping, so every real vehicle sorts before the padding.

@@ -1,4 +1,8 @@
-"""Freeway scenario: road geometry, vehicle point process, VRU placement, mobility.
+"""Freeway scenario: the scenario section's record, vehicle process, VRUs, mobility.
+
+``ScenarioParams`` holds the config document's scenario section in SI units:
+a two-lane road, the vehicles' hard-core process, the VRU strip, the eNB and
+mobility. ``hardcore`` is a derived view of its two vehicle-process fields.
 
 Vehicles are dropped on each lane as a stationary 1-D hard-core renewal
 process: successive gaps are delta + Exp(theta) with
@@ -24,19 +28,6 @@ LANES = 2
 
 
 @dataclass(frozen=True)
-class RoadGeometry:
-    """Two-lane freeway segment with a pedestrian strip between the lanes (see ``LANES``)."""
-
-    lane_length_m: float
-    lane_offset_m: float
-    enb_position_m: tuple[float, float]
-
-    def lane_direction(self, lane_index: int) -> int:
-        """Direction of travel: +x on even lanes, -x on odd lanes."""
-        return 1 if lane_index % 2 == 0 else -1
-
-
-@dataclass(frozen=True)
 class HardCoreParams:
     """Target intensity (vehicles/m per lane) and minimum inter-vehicle gap."""
 
@@ -46,14 +37,22 @@ class HardCoreParams:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Everything needed to realize one scenario snapshot."""
+    """The scenario section in SI units: everything needed to realize one snapshot."""
 
-    road: RoadGeometry
-    hardcore: HardCoreParams
+    lane_length_m: float
+    lane_offset_m: float
+    vehicle_intensity_per_m: float
+    inter_vehicle_distance_m: float
     speed_range_ms: tuple[float, float]
     vru_count: int
     vru_strip_m: tuple[float, float]
+    enb_position_m: tuple[float, float]
     mobility: bool
+
+    @property
+    def hardcore(self) -> HardCoreParams:
+        """Each lane's vehicle process, as ``sample_hardcore_positions`` takes it."""
+        return HardCoreParams(self.vehicle_intensity_per_m, self.inter_vehicle_distance_m)
 
 
 def sample_hardcore_positions(
@@ -88,24 +87,6 @@ def sample_hardcore_positions(
     return np.concatenate(chunks)
 
 
-def sample_vehicles(
-    params: HardCoreParams,
-    road: RoadGeometry,
-    lane_index: int,
-    speed_range_ms: tuple[float, float],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop one lane's vehicles: x-positions and speeds signed by the lane direction."""
-    xs = sample_hardcore_positions(params, road.lane_length_m, rng)
-    speeds = rng.uniform(speed_range_ms[0], speed_range_ms[1], size=xs.size)
-    return xs, road.lane_direction(lane_index) * speeds
-
-
-def sample_vrus(n: int, strip_m: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
-    """x-positions of n VRUs placed i.i.d. uniform on the strip."""
-    return rng.uniform(strip_m[0], strip_m[1], size=n)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Frozen snapshot of one realization, stored as flat arrays.
@@ -126,21 +107,25 @@ class Scenario:
 
 
 def sample_scenario(params: ScenarioParams, streams, replication: int) -> Scenario:
-    """Realize one scenario from the per-replication substreams."""
-    road = params.road
-    xs, speeds = zip(*(
-        sample_vehicles(
-            params.hardcore, road, lane, params.speed_range_ms,
-            streams.stream("vehicles", replication, lane),
-        )
-        for lane in range(LANES)
-    ))
-    vru_x = sample_vrus(params.vru_count, params.vru_strip_m, streams.stream("vrus", replication))
+    """Realize one scenario from the per-replication substreams.
+
+    Each lane's stream gives its vehicles' positions, then their speeds,
+    signed +x on lane 0 and -x on lane 1; the VRUs are placed i.i.d. uniform
+    on the strip.
+    """
+    hardcore = params.hardcore
+    xs, speeds = [], []
+    for lane in range(LANES):
+        rng = streams.stream("vehicles", replication, lane)
+        x = sample_hardcore_positions(hardcore, params.lane_length_m, rng)
+        xs.append(x)
+        speeds.append((1 - 2 * lane) * rng.uniform(*params.speed_range_ms, size=x.size))
+    vrus = streams.stream("vrus", replication)
     return Scenario(
         vehicle_x=np.concatenate(xs),
         vehicle_speed=np.concatenate(speeds),
         vehicle_lane=np.repeat(np.arange(LANES), [x.size for x in xs]),
-        vru_x=vru_x,
+        vru_x=vrus.uniform(*params.vru_strip_m, size=params.vru_count),
     )
 
 

@@ -154,8 +154,8 @@ def test_lanes_sit_at_plus_and_minus_the_offset_in_the_enb_distance():
         "radio": {"cluster_size": 1},
         "engine": {"replications": 1, "periods": 1},
     })
-    assert plan.scenario.road.lane_offset_m == 8.0 / 2 + 2.0
-    assert plan_from_document({}).scenario.road.lane_offset_m == 4.0 / 2 + 2.0
+    assert plan.scenario.lane_offset_m == 8.0 / 2 + 2.0
+    assert plan_from_document({}).scenario.lane_offset_m == 4.0 / 2 + 2.0
     scn = Scenario(
         vehicle_x=np.array([1600.0, 1400.0]),
         vehicle_speed=np.array([30.0, -30.0]),
@@ -210,7 +210,7 @@ def test_ul_mean_equals_its_quadrature_oracle_at_the_default_point():
     budget = plan.channel.ul_budget()
     low, high = plan.scenario.vru_strip_m
     x = low + (np.arange(2000) + 0.5) * (high - low) / 2000
-    enb_x, enb_y = plan.scenario.road.enb_position_m
+    enb_x, enb_y = plan.scenario.enb_position_m
     z, weights = hermegauss(60)
     std = math.hypot(budget.channel.shadowing_std_db, budget.channel.fast_fading_std_db)
     snr_db = channel.mean_snr_db(budget, np.hypot(x - enb_x, enb_y))[:, None] - std * z

@@ -14,6 +14,7 @@ import pytest
 from camlat import cli, engine
 from camlat.config import (
     PROFILES,
+    SWEEPS,
     default_document,
     load_config,
     override_parameter,
@@ -287,7 +288,7 @@ def test_load_config_cli_overrides(tmp_path):
 def test_unit_conversions():
     plan = plan_from_document({"scenario": {"speed_kmh": [72, 108]}})
     assert plan.scenario.speed_range_ms == pytest.approx((20.0, 30.0))
-    assert plan.scenario.road.lane_length_m == 3000.0
+    assert plan.scenario.lane_length_m == 3000.0
     assert plan.traffic.size_bits_range == (8000.0, 12000.0)
     assert plan.traffic.period_s == pytest.approx(0.1)
 
@@ -363,6 +364,17 @@ def test_numpy_sweep_value_sets_a_plain_number():
         assert override_parameter(plan, parameter, np.array(value)[()]) == override_parameter(
             plan, parameter, value
         )
+    # a sweep point is the plan of the base document with the swept field set
+    document = {
+        "scenario": {"vru_count": 10},
+        "engine": {"replications": 3, "periods": 2, "master_seed": 5},
+    }
+    base = plan_from_document(document)
+    for parameter, sweep in SWEEPS.items():
+        section, key = sweep.field.split(".")
+        for value in sweep.values:
+            swept = {**document, section: {**document.get(section, {}), key: value}}
+            assert override_parameter(base, parameter, value) == plan_from_document(swept)
 
 
 def test_gain_is_well_defined_and_positive():
@@ -477,6 +489,23 @@ def test_cli_run_single_point(tmp_path, capsys):
     rc = cli.main(["--replications", "2", "--out-dir", str(tmp_path), "run"])
     assert rc == 0
     assert "edge-processing gain" in capsys.readouterr().out
+
+
+def test_cli_run_creates_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--replications", "2", "--out-dir", "missing", "run"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_cli_out_dir_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, out_dir):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    argv = ["--replications", "2", "--out-dir", str(tmp_path / out_dir)]
+    assert cli.main(argv + ["sweep-vru", "--values", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: cannot create output directory ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_config_error_exit_code(tmp_path):

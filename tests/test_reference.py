@@ -39,9 +39,8 @@ def reference_replication(plan, rep):
     tn_cn = streams.stream("tn_cn", rep).uniform(*plan.network.tn_cn_one_way_s, size=(periods, n))
     dl_noise = streams.stream("dl", rep).standard_normal((periods, n, m_r)) * std
 
-    road = plan.scenario.road
-    enb_x, enb_y = road.enb_position_m
-    lane_y = (road.lane_offset_m, -road.lane_offset_m)
+    enb_x, enb_y = plan.scenario.enb_position_m
+    lane_y = (plan.scenario.lane_offset_m, -plan.scenario.lane_offset_m)
     ul_budget, dl_budget = plan.channel.ul_budget(), plan.channel.dl_budget()
     prbs = plan.radio.total_prbs
     x, lane = scn.vehicle_x.tolist(), scn.vehicle_lane.tolist()
@@ -49,7 +48,7 @@ def reference_replication(plan, rep):
     for p in range(periods):
         if p and plan.scenario.mobility:
             x = [
-                float(np.mod(x0 + speed * plan.traffic.period_s, road.lane_length_m))
+                float(np.mod(x0 + speed * plan.traffic.period_s, plan.scenario.lane_length_m))
                 for x0, speed in zip(x, scn.vehicle_speed)
             ]
         bins = packets["offset_bin"][p].tolist()

@@ -14,8 +14,6 @@ from camlat.scenario import (
     advance_vehicles,
     sample_hardcore_positions,
     sample_scenario,
-    sample_vehicles,
-    sample_vrus,
 )
 
 LANE_LENGTH = 3000.0
@@ -68,42 +66,46 @@ def test_zero_hardcore_distance_reduces_to_poisson():
 
 
 def test_sample_vehicles_speeds_and_lane_direction():
-    road = SCENARIO.road
-    params = SCENARIO.hardcore
-    speed_range = (70.0 / 3.6, 140.0 / 3.6)
-    rng = np.random.default_rng(11)
-    _, east = sample_vehicles(params, road, 0, speed_range, rng)
-    _, west = sample_vehicles(params, road, 1, speed_range, rng)
+    speed_range = SCENARIO.speed_range_ms
+    assert speed_range == pytest.approx((70.0 / 3.6, 140.0 / 3.6))
+    scn = sample_scenario(SCENARIO, SubstreamFactory(11), 0)
+    east = scn.vehicle_speed[scn.vehicle_lane == 0]
+    west = scn.vehicle_speed[scn.vehicle_lane == 1]
+    assert east.size and west.size
     assert np.all(east > 0)
     assert np.all(west < 0)
-    speeds = np.abs(np.concatenate([east, west]))
+    speeds = np.abs(scn.vehicle_speed)
     assert np.all((speed_range[0] <= speeds) & (speeds <= speed_range[1]))
-    # the assembled scenario tags each lane's vehicles with that lane, which
-    # places them on its centerline
-    scn = sample_scenario(SCENARIO, SubstreamFactory(11), 0)
-    for lane in (0, 1):
+    # each lane's stream gives its vehicles' positions, then their speeds,
+    # and the assembled scenario tags them with that lane, which places them
+    # on its centerline
+    for lane, sign in ((0, 1), (1, -1)):
         stream = SubstreamFactory(11).stream("vehicles", 0, lane)
-        xs, _ = sample_vehicles(params, road, lane, speed_range, stream)
+        xs = sample_hardcore_positions(SCENARIO.hardcore, SCENARIO.lane_length_m, stream)
         assert np.array_equal(scn.vehicle_x[scn.vehicle_lane == lane], xs)
+        speed = sign * stream.uniform(*speed_range, size=xs.size)
+        assert np.array_equal(scn.vehicle_speed[scn.vehicle_lane == lane], speed)
+
+
+def _vrus(count, strip_m, seed):
+    params = replace(SCENARIO, vru_count=count, vru_strip_m=strip_m)
+    return sample_scenario(params, SubstreamFactory(seed), 0).vru_x
 
 
 def test_sample_vrus_containment_and_mean():
-    rng = np.random.default_rng(17)
-    xs = sample_vrus(100, (1200.0, 1800.0), rng)
+    xs = _vrus(100, (1200.0, 1800.0), 17)
     assert xs.shape == (100,)
     assert np.all((xs >= 1200.0) & (xs <= 1800.0))
     assert abs(np.mean(xs) - 1500.0) < 60.0  # ~3.5 standard errors
 
 
 def test_sample_vrus_degenerate_strip():
-    rng = np.random.default_rng(0)
-    (x,) = sample_vrus(1, (1500.0, 1500.0 + 1e-6), rng)
+    (x,) = _vrus(1, (1500.0, 1500.0 + 1e-6), 0)
     assert x == pytest.approx(1500.0, abs=1e-5)
 
 
 def test_sample_vrus_range_containment_wide():
-    rng = np.random.default_rng(2)
-    xs = sample_vrus(3, (0.0, 3000.0), rng)
+    xs = _vrus(3, (0.0, 3000.0), 2)
     assert np.all((0.0 <= xs) & (xs <= 3000.0))
 
 
@@ -118,7 +120,7 @@ def _tiny_scenario() -> Scenario:
 
 def test_advance_vehicles_kinematics_and_wrap():
     scn = _tiny_scenario()
-    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, SCENARIO.road.lane_length_m)
+    moved = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 1.0, SCENARIO.lane_length_m)
     assert moved[0] == pytest.approx(120.0)
     assert moved[1] == pytest.approx(10.0)  # wraps past the end
     assert moved[2] == pytest.approx(2985.0)  # wraps below zero
@@ -127,7 +129,7 @@ def test_advance_vehicles_kinematics_and_wrap():
 
 def test_advance_vehicles_zero_dt_is_identity():
     scn = _tiny_scenario()
-    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, SCENARIO.road.lane_length_m)
+    same = advance_vehicles(scn.vehicle_x, scn.vehicle_speed, 0.0, SCENARIO.lane_length_m)
     assert np.array_equal(same, scn.vehicle_x)
 
 
