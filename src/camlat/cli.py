@@ -2,9 +2,10 @@
 
 Subcommands map onto the three canonical experiments plus a single-point
 run; ``reproduce`` executes all three sweeps and writes their CSV tables
-and SVG charts. With ``--workers N > 1`` one process pool serves the whole
-invocation and is shut down before ``main`` returns; each sweep queues all
-of its points' blocks on it at once.
+and SVG charts. ``main`` checks the config and every sweep's values before
+it creates the output directory. With ``--workers N > 1`` one process pool
+serves all the sweeps of a command and is shut down before ``main``
+returns; each sweep queues all of its points' blocks on it at once.
 
 Exit codes: 0 success, 1 config error, 2 runtime error. A sweep point that
 fails is not fatal: its failure goes to stderr, the rows that succeeded are
@@ -82,40 +83,26 @@ def _print_rows(result: SweepResult) -> None:
         print(f"  {result.parameter}={value:g}: FAILED ({message})", file=sys.stderr)
 
 
-def _run_sweep_command(plan, parameter: str, values: tuple, out_dir: str) -> SweepResult:
-    result = run_sweep(SweepSpec(parameter=parameter, values=values, base_plan=plan))
-    base = os.path.join(out_dir, SWEEPS[parameter].basename)
+def _run_point_command(plan) -> None:
+    stats = run_point(plan)
+    print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
+    for key in COMPONENT_KEYS:
+        s = stats[key]
+        print(
+            f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
+            f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
+        )
+    print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
+
+
+def _run_sweep_command(spec: SweepSpec, out_dir: str) -> SweepResult:
+    result = run_sweep(spec)
+    base = os.path.join(out_dir, SWEEPS[spec.parameter].basename)
     emit_csv(result, base + ".csv")
     emit_plot(result, base + ".svg")
-    print(f"{parameter} sweep -> {base}.csv, {base}.svg")
+    print(f"{spec.parameter} sweep -> {base}.csv, {base}.svg")
     _print_rows(result)
     return result
-
-
-def _dispatch(args, plan) -> list[SweepResult]:
-    """Run the subcommand; the results of the sweeps it ran."""
-    if args.command == "run":
-        stats = run_point(plan)
-        print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
-        for key in COMPONENT_KEYS:
-            s = stats[key]
-            print(
-                f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
-                f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
-            )
-        print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
-        return []
-    if args.command == "reproduce":
-        return [
-            _run_sweep_command(plan, parameter, values, args.out_dir)
-            for parameter, values in DEFAULT_SWEEPS.items()
-        ]
-    values = (
-        _parse_values(args.values, args.parameter)
-        if args.values
-        else DEFAULT_SWEEPS[args.parameter]
-    )
-    return [_run_sweep_command(plan, args.parameter, values, args.out_dir)]
 
 
 def _make_out_dir(path: str) -> None:
@@ -135,15 +122,20 @@ def main(argv: list[str] | None = None) -> int:
             replications=args.replications,
             workers=args.workers,
         )
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command != "run":  # only the sweeps write files
-            _make_out_dir(args.out_dir)
-        with engine.pool(plan.workers):
-            results = _dispatch(args, plan)
+        if args.command == "run":
+            _run_point_command(plan)
+            return 0
+        if args.command == "reproduce":
+            sweeps = DEFAULT_SWEEPS.items()
+        elif args.values is None:
+            sweeps = [(args.parameter, DEFAULT_SWEEPS[args.parameter])]
+        else:
+            sweeps = [(args.parameter, _parse_values(args.values, args.parameter))]
+        # Every sweep is checked before the output directory is created.
+        specs = [SweepSpec(parameter, values, plan) for parameter, values in sweeps]
+        _make_out_dir(args.out_dir)
+        with engine.pool(plan.workers):  # one pool for every sweep
+            results = [_run_sweep_command(spec, args.out_dir) for spec in specs]
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -128,10 +128,6 @@ _FIELDS: dict[str, dict[str, tuple[Any, dict]]] = {
 
 def default_document(profile: str = DEFAULT_PROFILE) -> dict[str, dict[str, Any]]:
     """The full config document a profile implies, before any user overrides."""
-    if profile not in PROFILES:
-        raise ConfigurationError(
-            f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}"
-        )
     doc = {
         section: {key: default for key, (default, _) in fields.items()}
         for section, fields in _FIELDS.items()
@@ -241,8 +237,7 @@ def _check_density(v: _Validator, intensity, min_gap) -> None:
 
 def _merge_document(user: dict, validator: _Validator) -> dict:
     profile = user.get("profile", DEFAULT_PROFILE)
-    if profile not in PROFILES:
-        validator.fail("profile", f"expected one of {sorted(PROFILES)}, got {profile!r}")
+    if validator.choice("profile", profile, options=tuple(PROFILES)) is None:
         profile = DEFAULT_PROFILE
     doc = default_document(profile)
     for section, fields in user.items():
@@ -278,10 +273,13 @@ def plan_from_document(document: dict) -> SimulationPlan:
 
     # Cross-field invariants that need valid pieces first.
     _check_density(v, scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"])
-    lane_length_km, enb_pos = scn["lane_length_km"], scn["enb_position_m"]
-    if lane_length_km is not None and enb_pos is not None:
-        if not 0.0 <= enb_pos[0] <= lane_length_km * 1000.0:
+    enb_pos, strip = scn["enb_position_m"], scn["vru_strip_m"]
+    if scn["lane_length_km"] is not None:
+        road_m = scn["lane_length_km"] * 1000.0
+        if enb_pos is not None and not 0.0 <= enb_pos[0] <= road_m:
             v.fail("scenario.enb_position_m", "x-coordinate must lie on the lane segment")
+        if strip is not None and (strip[0] < 0.0 or strip[1] > road_m):
+            v.fail("scenario.vru_strip_m", "bounds must lie on the lane segment")
     if chn["pathloss_model"] == "winner-plus":
         for name in ("enb_height_m", "vru_height_m", "vehicle_height_m"):
             if chn[name] is not None and chn[name] <= 1.0:

@@ -85,8 +85,8 @@ the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
 The block is the only partition of a run's replications: each pool task is
-one block, returned as its moments array, and the results are written back
-in replication order, as a serial run writes its blocks. ``run_plans``
+one block, returned as its moments array, and the blocks' arrays are
+joined in replication order, as a serial run joins its blocks. ``run_plans``
 takes many plans, such as a sweep's points, and submits every block of
 every plan at once, one future per block, so the workers never wait at a
 plan boundary and a block that raises fails only its own plan. A serial
@@ -383,12 +383,9 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
             executor.shutdown(cancel_futures=failed)
 
 
-def _collect(plan: SimulationPlan, blocks: list[range], results: list) -> np.ndarray:
-    """The plan's moments, shape (7, R, 2): each block's ``result()`` in replication order."""
-    moments = np.empty((len(COMPONENT_KEYS), plan.replications, 2))
-    for block, result in zip(blocks, results):
-        moments[:, block.start : block.stop] = result()
-    return moments
+def _collect(results: list) -> np.ndarray:
+    """The plan's moments: each block's ``result()``, joined in replication order."""
+    return np.concatenate([result() for result in results], axis=1)
 
 
 def run_plans(
@@ -410,7 +407,7 @@ def run_plans(
             results = [partial(_block_moments, plan, block) for block in blocks]
         else:
             results = [executor.submit(_replication_task, (plan, block)).result for block in blocks]
-        runs.append(partial(_collect, plan, blocks, results))
+        runs.append(partial(_collect, results))
     return runs
 
 

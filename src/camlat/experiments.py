@@ -131,14 +131,18 @@ def csv_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def emit_csv(result: SweepResult, path: str) -> None:
-    """UTF-8 CSV: header plus one row per sweep value, 4-decimal milliseconds."""
-    content = "\n".join(csv_lines(result)) + "\n"
+def _write(path: str, content: str, kind: str) -> None:
+    """Write ``content`` as UTF-8 to ``path``; an OSError becomes a ``CamlatError``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
     except OSError as exc:
-        raise CamlatError(f"cannot write CSV to {path!r}: {exc}") from exc
+        raise CamlatError(f"cannot write {kind} to {path!r}: {exc}") from exc
+
+
+def emit_csv(result: SweepResult, path: str) -> None:
+    """UTF-8 CSV: header plus one row per sweep value, 4-decimal milliseconds."""
+    _write(path, "\n".join(csv_lines(result)) + "\n", "CSV")
 
 
 # --- SVG bar charts ---------------------------------------------------------
@@ -289,8 +293,4 @@ def render_svg(result: SweepResult) -> str:
 
 def emit_plot(result: SweepResult, path: str) -> None:
     """Self-contained SVG; byte-deterministic for a fixed result."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_svg(result))
-    except OSError as exc:
-        raise CamlatError(f"cannot write plot to {path!r}: {exc}") from exc
+    _write(path, render_svg(result), "plot")

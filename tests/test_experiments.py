@@ -90,7 +90,7 @@ def _violation(path, value, reported=None):
 
 # One case per side of every rule: the field rules, the pair rules (the
 # speed and packet minimums among them), the density and PRB products, the
-# winner-plus heights and the eNB on the segment.
+# winner-plus heights and the eNB and VRU strip on the segment.
 @pytest.mark.parametrize("document, path", [
     _violation("scenario.lane_length_km", 0),
     _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
@@ -105,6 +105,8 @@ def _violation(path, value, reported=None):
     _violation("scenario.vru_count", 0),
     _violation("scenario.vru_strip_m", [1500, 1500]),
     _violation("scenario.vru_strip_m", [1800, 1200]),
+    _violation("scenario.vru_strip_m", [-1, 300]),
+    _violation("scenario.vru_strip_m", [2800, 3001]),
     _violation("traffic.period_ms", 0),
     _violation("traffic.offset_bins", 0),
     _violation("traffic.packet_kbits", [0, 12]),
@@ -265,6 +267,19 @@ def test_unknown_fields_and_sections_rejected():
         plan_from_document({"radios": {}})
     with pytest.raises(ConfigurationError, match="profile"):
         plan_from_document({"profile": "fastest"})
+
+
+@pytest.mark.parametrize("profile", [[], {"a": 1}], ids=["list", "object"])
+def test_unhashable_profile_is_a_config_error(tmp_path, capsys, profile):
+    # the profile is checked by the field table's choice rule, which needs no hash
+    with pytest.raises(ConfigurationError, match="profile: expected one of"):
+        plan_from_document({"profile": profile})
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"profile": profile}), encoding="utf-8")
+    assert cli.main(["--config", str(conf), "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
 
 
 def test_load_config_parse_error_carries_line_info(tmp_path):
@@ -552,10 +567,28 @@ def test_cli_non_finite_sweep_value_fails_its_point(tmp_path, capsys, bad):
 
 
 def test_cli_unordered_sweep_around_a_nan_is_a_config_error(tmp_path, capsys):
-    argv = ["--replications", "2", "--out-dir", str(tmp_path)]
+    argv = ["--replications", "2", "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv + ["sweep-density", "--values", "0.05,nan,0.01"]) == 1
     assert "strictly increasing" in capsys.readouterr().err
-    assert not (tmp_path / "density_sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["", "50,"], ids=["empty", "trailing-comma"])
+def test_cli_unparsable_values_are_a_config_error_before_any_point(
+    tmp_path, capsys, monkeypatch, values
+):
+    # an empty --values is parsed like any other, not read as "the default sweep"
+    def no_sweep(spec):
+        raise AssertionError(f"ran a sweep of {spec.values}")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    argv = ["--replications", "2", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["sweep-vru", "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: invalid --values {values!r}: " \
+        "invalid literal for int() with base 10: ''\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("zero, component", [
