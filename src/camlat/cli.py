@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override engine.master_seed")
     parser.add_argument("--replications", type=int, help="override engine.replications")
     parser.add_argument("--workers", type=int, help="override engine.workers")
-    parser.add_argument("--profile", choices=sorted(PROFILES), help=f"parameter profile (default {DEFAULT_PROFILE})")
+    parser.add_argument("--profile", help=f"{' or '.join(PROFILES)} (default {DEFAULT_PROFILE})")
     parser.add_argument("--out-dir", default="results", help="directory for CSV/SVG outputs")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="simulate the configured single operating point")

@@ -287,7 +287,14 @@ def plan_from_document(document: dict) -> SimulationPlan:
     bandwidth_mhz, prb_khz = rad["bandwidth_mhz"], rad["prb_bandwidth_khz"]
     if bandwidth_mhz is not None and prb_khz is not None:
         radio = RadioParams(bandwidth_mhz * 1e6, prb_khz * 1e3, rad["cluster_size"])
-        if radio.total_prbs < 1:
+        # The quotient ``total_prbs`` truncates; a subnormal PRB bandwidth overflows it.
+        if not math.isfinite(radio.bandwidth_hz // radio.prb_bandwidth_hz):
+            v.fail(
+                "radio.prb_bandwidth_khz",
+                f"bandwidth / PRB bandwidth must be finite, "
+                f"got {bandwidth_mhz!r} MHz / {prb_khz!r} kHz",
+            )
+        elif radio.total_prbs < 1:
             v.fail("radio.bandwidth_mhz", "bandwidth must fit at least one PRB")
 
     if v.errors:
@@ -393,17 +400,13 @@ SWEEPS = {
 
 
 def override_parameter(plan: SimulationPlan, parameter: str, value) -> SimulationPlan:
-    """Return a plan with one swept parameter replaced (used by sweeps).
+    """Return a plan with one swept parameter, a ``SWEEPS`` key, replaced (used by sweeps).
 
     The value is checked by its document field's rule, and a vehicle
     intensity also by the density rule, so a bad point fails with a one-line
     message that starts with the field path. Every swept field keeps its
     document name and unit in its section's record.
     """
-    if parameter not in SWEEPS:
-        raise ConfigurationError(
-            f"unknown sweep parameter {parameter!r}; expected one of {tuple(SWEEPS)}"
-        )
     path = SWEEPS[parameter].field
     section, key = path.split(".")
     v = _Validator()

@@ -80,6 +80,8 @@ so it does not depend on the block it was evaluated in.
 With several workers, replications run on a process pool. ``pool`` opens it
 lazily and lets callers share it: the CLI holds one pool for the whole
 invocation, so every sweep point of ``reproduce`` reuses the same workers.
+It opens no more workers than ``os.cpu_count()``: the fork start method forks
+every worker at the first submit, and no output depends on the worker count.
 The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
 the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
@@ -97,6 +99,7 @@ cancelled before the workers are joined.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -357,7 +360,7 @@ _open_pool: tuple[int, ProcessPoolExecutor] | None = None
 
 @contextmanager
 def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
-    """A process pool of ``workers`` workers, or None for a serial run.
+    """A process pool of ``workers`` workers, at most one per CPU, or None for a serial run.
 
     Reentrant: inside a block that already holds a pool of the same size,
     that pool is reused; otherwise a new one is opened here and shut down,
@@ -372,7 +375,7 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     else:
         outer = _open_pool
         executor_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        executor = executor_type(max_workers=workers)
+        executor = executor_type(max_workers=min(workers, os.cpu_count() or 1))
         _open_pool = (workers, executor)
         failed = True
         try:

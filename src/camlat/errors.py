@@ -14,7 +14,7 @@ class ScenarioError(CamlatError):
 
 
 class UnreachableLinkError(CamlatError):
-    """A radio link has zero achievable rate, so no finite latency exists."""
+    """A radio link's achievable rate is zero, NaN or infinite, so its latency means nothing."""
 
 
 class AggregationError(CamlatError):

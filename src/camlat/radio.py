@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError, UnreachableLinkError
+from .errors import UnreachableLinkError
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     distance over its whole row.
     """
     reps, periods, v = vehicle_x.shape
-    if v == 0:
-        raise ScenarioError("no vehicles on the road; cannot form clusters")
     rows = reps * periods
     n = vru_x.shape[1]
     framed = np.empty((rows, v + 2))  # each row's vehicles, +inf, NaN
@@ -151,12 +149,20 @@ def link_rate_bps(prbs, snr_db, radio: RadioParams):
     return np.asarray(prbs, dtype=float) * radio.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
 
 
-def ul_latency(size_bits, prbs, snr_db, radio: RadioParams):
-    """Uplink transmission time size / rate; a zero-rate link is an error."""
-    rate = link_rate_bps(prbs, snr_db, radio)
+def _latency(size_bits, prbs, snr_db, radio: RadioParams, direction, unreachable):
+    """size / rate; a zero or NaN rate raises ``unreachable``, an infinite one an overflow error."""
+    with np.errstate(over="ignore"):  # an SNR above about 3,083 dB overflows the rate to +inf
+        rate = link_rate_bps(prbs, snr_db, radio)
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
-        raise UnreachableLinkError("uplink has zero achievable rate")
+        if np.any(rate == np.inf):
+            raise UnreachableLinkError(f"{direction} rate is not finite: its SNR overflows")
+        raise UnreachableLinkError(unreachable)
     return np.asarray(size_bits, dtype=float) / rate
+
+
+def ul_latency(size_bits, prbs, snr_db, radio: RadioParams):
+    """Uplink transmission time size / rate; a zero, NaN or infinite rate is an error."""
+    return _latency(size_bits, prbs, snr_db, radio, "uplink", "uplink has zero achievable rate")
 
 
 def dl_latency(size_bits, prbs, member_snr_db, radio: RadioParams) -> np.ndarray:
@@ -177,7 +183,5 @@ def dl_latency(size_bits, prbs, member_snr_db, radio: RadioParams) -> np.ndarray
     slowest = snr[:, 0].copy()
     for column in snr.T[1:]:
         np.minimum(slowest, column, out=slowest)
-    rate = link_rate_bps(prbs, slowest, radio)
-    if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
-        raise UnreachableLinkError("a downlink cluster has an unreachable member")
-    return sizes / rate
+    unreachable = "a downlink cluster has an unreachable member"
+    return _latency(sizes, prbs, slowest, radio, "downlink", unreachable)

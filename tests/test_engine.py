@@ -309,6 +309,25 @@ def test_a_failing_plan_fails_alone(workers):
         assert runs[2]().tobytes() == runs[0]().tobytes() == engine.run_plan(good).tobytes()
 
 
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1), (8000, 5000)])
+def test_pool_opens_at_most_one_worker_per_cpu(monkeypatch, cpus, expected):
+    # a recording fake: no process is started
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def shutdown(self, cancel_futures):
+            opened.append("shutdown")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with engine.pool(5000) as executor, engine.pool(5000) as inner:
+        assert inner is executor
+    assert opened == [expected, "shutdown"]
+
+
 def test_pooled_statistics_match_the_packet_level_oracle():
     # 5 replications of 2 periods x 10 VRUs: the pooled moments give the
     # mean and sample std of all 100 packets

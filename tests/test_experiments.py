@@ -90,7 +90,8 @@ def _violation(path, value, reported=None):
 
 # One case per side of every rule: the field rules, the pair rules (the
 # speed and packet minimums among them), the density and PRB products, the
-# winner-plus heights and the eNB and VRU strip on the segment.
+# finite PRB quotient, the winner-plus heights and the eNB and VRU strip on
+# the segment.
 @pytest.mark.parametrize("document, path", [
     _violation("scenario.lane_length_km", 0),
     _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
@@ -124,6 +125,8 @@ def _violation(path, value, reported=None):
     _violation("radio.bandwidth_mhz", 0.17),
     _violation("radio.prb_bandwidth_khz", 0),
     _violation("radio.prb_bandwidth_khz", 10_000, "radio.bandwidth_mhz"),
+    _violation("radio.prb_bandwidth_khz", 1e-310),
+    _violation("radio.bandwidth_mhz", 1e303, "radio.prb_bandwidth_khz"),
     _violation("radio.cluster_size", 0),
     _violation("network.backhaul_mbps", 0),
     _violation("network.server_gcycles_per_s", 0),
@@ -280,6 +283,29 @@ def test_unhashable_profile_is_a_config_error(tmp_path, capsys, profile):
     err = capsys.readouterr().err
     assert err.count("config error:") == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+def test_unknown_cli_profile_is_a_config_error(capsys):
+    # the profile rule lives in the config module, so the flag and a file fail alike
+    assert cli.main(["--profile", "nope", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "profile: expected one of" in err
+    assert "usage:" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("channel, direction", [
+    ({"dl_tx_power_dbm": 4000}, "downlink"),
+    ({"thermal_noise_dbm": -4000}, "uplink"),
+])
+def test_overflowing_link_budget_fails_with_one_typed_line(tmp_path, capsys, channel, direction):
+    # an SNR above about 3,083 dB overflows the rate to +inf: a runtime error
+    # that names the direction, with no numpy warning
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"channel": channel}), encoding="utf-8")
+    assert cli.main(["--config", str(conf), "--replications", "2", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: replication 0: {direction} rate is not finite: its SNR overflows\n"
 
 
 def test_load_config_parse_error_carries_line_info(tmp_path):
@@ -653,6 +679,7 @@ def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypat
 
 
 def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # the pool is capped at the CPU count
     started = []
 
     class CountingPool(engine.ProcessPoolExecutor):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlat.config import default_plan
-from camlat.errors import ScenarioError, UnreachableLinkError
+from camlat.errors import UnreachableLinkError
 from camlat.radio import (
     _lower_bound,
     dl_latency,
@@ -53,8 +53,10 @@ def test_select_cluster_tie_breaks_toward_lower_x():
 
 
 def test_select_cluster_empty_road():
-    with pytest.raises(ScenarioError):
-        _nearest(0.0, [], 1)
+    # an empty road is the engine's ScenarioError; the search itself returns no members
+    assert _nearest(0.0, [], 1).shape == (0,)
+    block = nearest_member_indices(np.zeros((2, 3)), np.empty((2, 4, 0)), 5)
+    assert block.shape == (8, 3, 0)
 
 
 def _lane_y(lanes):
@@ -310,6 +312,18 @@ def test_ul_latency_unreachable():
         ul_latency(1e4, 0.0, 10.0, RADIO)
     with pytest.raises(UnreachableLinkError):
         ul_latency(1e4, 5.0, -np.inf, RADIO)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_snr_is_an_infinite_rate_not_a_zero_one():
+    # 10 ** (SNR / 10) overflows above about 3,083 dB: the rate is +inf, so
+    # the error says so, and numpy's overflow warning is not raised
+    with pytest.raises(UnreachableLinkError, match="^uplink rate is not finite: its SNR overflows$"):
+        ul_latency(1e4, 5.0, np.array([10.0, 4000.0]), RADIO)
+    with pytest.raises(UnreachableLinkError, match="^downlink rate is not finite: its SNR overflows$"):
+        _dl_one(1e4, 1.0, [4000.0, 5000.0])
+    # an overflowing member that is not the slowest one leaves the rate finite
+    assert _dl_one(1e4, 1.0, [12.0, 4000.0]) == _dl_one(1e4, 1.0, [12.0])
 
 
 def test_dl_allocation_examples():
