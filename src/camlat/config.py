@@ -66,6 +66,11 @@ class SimulationPlan:
     workers: int
 
 
+# The most vehicles a lane may hold on average, intensity * length: a bound on
+# what one replication samples. The default road holds 30, the densest
+# feasible one (0.1 /m, 10 m apart) on the default 3 km holds 300.
+MAX_VEHICLES_PER_LANE = 100_000
+
 _POSITIVE = {"positive": True}
 _NON_NEGATIVE = {"minimum": 0.0}
 _AT_LEAST_ONE = {"minimum": 1}
@@ -225,13 +230,27 @@ class _Validator:
         return value
 
 
-def _check_density(v: _Validator, intensity, min_gap) -> None:
-    """The hard-core process needs intensity * minimum gap < 1; skipped if either is invalid."""
+def _check_density(v: _Validator, intensity, min_gap, road_m) -> None:
+    """The vehicle process's rules; each is skipped if a field it reads is invalid.
+
+    The hard-core process needs intensity * minimum gap < 1, and a lane holds
+    intensity * length <= ``MAX_VEHICLES_PER_LANE`` vehicles on average.
+    """
     if intensity is not None and min_gap is not None and intensity * min_gap >= 1.0:
         v.fail(
             "scenario.vehicle_intensity_per_m",
             f"infeasible density: intensity * inter_vehicle_distance must be < 1 "
             f"(got {intensity} * {min_gap})",
+        )
+    if road_m is None:
+        return
+    if not math.isfinite(road_m):
+        v.fail("scenario.lane_length_km", f"must be finite in metres, got {road_m!r} m")
+    elif intensity is not None and intensity * road_m > MAX_VEHICLES_PER_LANE:
+        v.fail(
+            "scenario.lane_length_km",
+            f"expected vehicles per lane, intensity * length, must be <= "
+            f"{MAX_VEHICLES_PER_LANE} (got {intensity} * {road_m} m)",
         )
 
 
@@ -272,10 +291,10 @@ def plan_from_document(document: dict) -> SimulationPlan:
     )
 
     # Cross-field invariants that need valid pieces first.
-    _check_density(v, scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"])
+    road_m = None if scn["lane_length_km"] is None else scn["lane_length_km"] * 1000.0
+    _check_density(v, scn["vehicle_intensity_per_m"], scn["inter_vehicle_distance_m"], road_m)
     enb_pos, strip = scn["enb_position_m"], scn["vru_strip_m"]
-    if scn["lane_length_km"] is not None:
-        road_m = scn["lane_length_km"] * 1000.0
+    if road_m is not None:
         if enb_pos is not None and not 0.0 <= enb_pos[0] <= road_m:
             v.fail("scenario.enb_position_m", "x-coordinate must lie on the lane segment")
         if strip is not None and (strip[0] < 0.0 or strip[1] > road_m):
@@ -412,7 +431,8 @@ def override_parameter(plan: SimulationPlan, parameter: str, value) -> Simulatio
     v = _Validator()
     value = v.field(path, value, *_FIELDS[section][key])
     if key == "vehicle_intensity_per_m":
-        _check_density(v, value, plan.scenario.inter_vehicle_distance_m)
+        scn = plan.scenario
+        _check_density(v, value, scn.inter_vehicle_distance_m, scn.lane_length_m)
     if v.errors:
         raise ConfigurationError("; ".join(v.errors))
     return replace(plan, **{section: replace(getattr(plan, section), **{key: value})})

@@ -16,16 +16,24 @@ vehicles' x, speed and lane go into (replications, vehicles) arrays, each
 row padded to the block's largest kept count; the positions are stepped
 together into a (replications, periods, vehicles) array, and the padding
 set to +inf after stepping. One ``evaluate_period`` call then takes these
-arrays and the ``SubstreamFactory``, and computes bin counts, uplink,
-downlink, backhaul, execution and composition for every packet of the block.
-Only the random draws stay per replication: each purpose draws its
-replication's whole block from ``streams.stream(purpose, replication)`` in
-one call, in (periods, VRUs) or, for the downlink members, (periods, VRUs,
-m_r) shape. Each VRU's downlink cluster comes from
-``radio.nearest_member_indices``, which merges the nearest vehicles on its
-two sides in m steps over all (replication, period) rows at once, m being
-the cluster size. A replication's clusters hold m_r = min(m, its vehicle
-count) members, so a road with fewer than m vehicles stays in its block.
+arrays and the ``SubstreamFactory``, and computes bin counts, the cluster
+search, uplink, backhaul, execution, downlink and composition for every
+packet of the block. Only the random draws stay per replication: each
+purpose draws its replication's whole block from
+``streams.stream(purpose, replication)`` in one call, in (periods, VRUs) or,
+for the downlink members, (periods, VRUs, m_r) shape. Each VRU's downlink
+cluster comes from ``radio.nearest_member_indices``, which merges the
+nearest vehicles on its two sides in m steps over all (replication, period)
+rows at once, m being the cluster size. A replication's clusters hold
+m_r = min(m, its vehicle count) members, so a road with fewer than m
+vehicles stays in its block.
+
+The downlink runs one replication at a time. The block holds one mean SNR
+per (replication, period, vehicle); each replication gathers its members'
+means from it, draws their SNRs and reduces them at once, in place, to the
+slowest member's, so only (periods, VRUs, m_r) member SNRs exist at a time.
+The five components are written straight into the rows of the block's
+output, which ``latency.compose_e2e`` completes with the two totals.
 
 Only the vehicles that can join a VRU's cluster in some period are stepped
 and ranked. With m the cluster size, take a replication's period-0 vehicle
@@ -54,10 +62,18 @@ kept vehicles keep their index order and their stepped positions, so the
 
 The input sets the block size: a block holds as many replications as fit
 ``BLOCK_PAIRS`` (packet, cluster member) pairs, periods * VRUs * cluster_size
-per replication, which bounds its working memory. Outputs do not depend on
-the blocking: a block's columns equal those of its replications run one by
-one. An error in a block is raised again naming the lowest failing
-replication, as a serial run would.
+per replication. Each block pays a fixed cost in numpy calls, about 0.3 ms
+whatever its length, so larger blocks are faster; memory is what bounds
+them. The block's one array per pair holds the cluster members' vehicle
+indices, 8 bytes each; the search's buffers and the block's output hold one
+value per packet. With no pair-wide SNR or mean array, a block's working
+set is about 32 bytes per pair at the default point and 26 at the dense one
+(0.09 /m, cluster 9), so a block of 90,000 pairs holds about 3 MB. On a
+pool of w > 1 workers, at most one per CPU, a block also holds at most
+ceil(R / (2 * w)) of the run's R replications, so every worker gets at
+least two blocks; a serial run is not capped. Outputs do not depend on the blocking: a block's columns equal
+those of its replications run one by one. An error in a block is raised
+again naming the lowest failing replication, as a serial run would.
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -118,8 +134,9 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 # The (packet, cluster member) pairs one block of replications may hold,
-# periods * VRUs * cluster_size per replication; it bounds the block's memory.
-BLOCK_PAIRS = 30_000
+# periods * VRUs * cluster_size per replication; it bounds the block's memory
+# (see the module docstring).
+BLOCK_PAIRS = 90_000
 
 # The reach cut's rounding slack per metre of road and per period; stepping
 # rounds each position by about 1e-16 of the road length per period.
@@ -170,52 +187,60 @@ def evaluate_period(
     sizes = packets["size_bits"]
     n = sizes.shape[-1]
     n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
+    # The cluster search runs first, before the block's output is held: its
+    # entry-wide buffers are the block's largest. It raises nothing, so the
+    # errors still come in pipeline order.
+    counts = np.count_nonzero(vehicle_x[:, 0] < np.inf, axis=1)
+    members = radio.nearest_member_indices(vru_x, vehicle_x, plan.radio.cluster_size)
+    # Each member's index into the block's flat (rows * V) per-vehicle means.
+    members += v * np.arange(rows)[:, None, None]
+    members = members.reshape(reps, periods, n, -1)
 
+    # The five components go straight into the rows of the block's output.
+    samples = np.empty((len(COMPONENT_KEYS), sizes.size))
+    t_ul, t_bh, t_tn_cn, t_exc, t_dl = samples[:5].reshape(5, reps, periods, n)
     enb_x, enb_y = plan.scenario.enb_position_m
     # A VRU's eNB distance is fixed for its replication: one mean per VRU,
-    # broadcast over the periods.
+    # broadcast over the periods. The UL row holds the SNRs until their latency.
     ul_budget = plan.channel.ul_budget()
     ul_mean = channel.mean_snr_db(ul_budget, np.hypot(vru_x - enb_x, enb_y))
-    snr_ul = np.empty(sizes.shape)
-    t_tn_cn = np.empty(sizes.shape)
     for b, rep in enumerate(replications):
-        snr_ul[b] = channel.sample_snr_db(
+        t_ul[b] = channel.sample_snr_db(
             ul_budget, np.broadcast_to(ul_mean[b], (periods, n)), streams.stream("ul", rep)
         )
         t_tn_cn[b] = latency.sample_tn_cn(
             plan.network, streams.stream("tn_cn", rep), size=(periods, n)
         )
-    t_ul = radio.ul_latency(sizes, radio.prb_share(plan.radio, n_hat, 1), snr_ul, plan.radio)
+    t_ul[...] = radio.ul_latency(sizes, radio.prb_share(plan.radio, n_hat, 1), t_ul, plan.radio)
 
-    t_bh = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
-    t_exc = latency.execution_latency(
+    t_bh[...] = latency.backhaul_latency(sizes, n_hat, plan.network.backhaul_bps)
+    t_exc[...] = latency.execution_latency(
         sizes, packets["compute_density"], n_hat, plan.network.server_cycles_per_s
     )
 
-    counts = np.count_nonzero(vehicle_x[:, 0] < np.inf, axis=1)
     if counts.min() == 0:
         raise ScenarioError("no vehicles on the road; cannot form clusters")
-    members = radio.nearest_member_indices(vru_x, vehicle_x, plan.radio.cluster_size)
-    m = members.shape[-1]
-    # One mean SNR per (replication, period, vehicle), gathered for the members.
     offset = plan.scenario.lane_offset_m
     lane_dy = np.subtract((offset, -offset), enb_y)
-    d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[vehicle_lane][:, None]).reshape(rows, v)
+    d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[vehicle_lane][:, None])
     dl_budget = plan.channel.dl_budget()
-    dl_mean = np.take_along_axis(
-        channel.mean_snr_db(dl_budget, d_vehicle), members.reshape(rows, n * m), axis=1
-    ).reshape(reps, periods, n, m)
-    # A short road's member slots past its m_r hold +inf: never the slowest member.
-    cluster = np.minimum(counts, m)
-    snr_dl = np.full(dl_mean.shape, np.inf)
+    dl_mean = channel.mean_snr_db(dl_budget, d_vehicle).ravel()
+    # One replication at a time: its m_r members' SNRs, reduced at once to
+    # the slowest member's, which the DL row holds until its latency.
+    cluster = np.minimum(counts, members.shape[-1])
     for b, rep in enumerate(replications):
-        snr_dl[b, ..., : cluster[b]] = channel.sample_snr_db(
-            dl_budget, dl_mean[b, ..., : cluster[b]], streams.stream("dl", rep)
+        snr = channel.sample_snr_db(
+            dl_budget, dl_mean[members[b, ..., : cluster[b]]], streams.stream("dl", rep)
         )
+        radio.slowest_member_snr(snr, out=t_dl[b])
+    del members, dl_mean  # freed before the DL latency's entry-wide temporaries
     dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None]).ravel()
-    t_dl = radio.dl_latency(sizes.ravel(), dl_prbs, snr_dl.reshape(-1, m), plan.radio)
+    # Each packet's one column is its slowest member's SNR.
+    t_dl[...] = radio.dl_latency(
+        sizes.ravel(), dl_prbs, t_dl.reshape(-1, 1), plan.radio
+    ).reshape(t_dl.shape)
 
-    return latency.compose_e2e(t_ul.ravel(), t_bh.ravel(), t_tn_cn.ravel(), t_exc.ravel(), t_dl)
+    return latency.compose_e2e(samples)
 
 
 def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scenario:
@@ -294,9 +319,18 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
 
 
 def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
-    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs."""
+    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs.
+
+    On a pool of w > 1 workers (see ``_pool_workers``) a block holds at most
+    ceil(R / (2 * w)) of the R replications, so each worker gets at least
+    two blocks.
+    """
     pairs = plan.periods * plan.scenario.vru_count * plan.radio.cluster_size
-    size = max(1, BLOCK_PAIRS // pairs)
+    size = BLOCK_PAIRS // pairs
+    workers = _pool_workers(plan.workers)
+    if workers > 1:
+        size = min(size, -(-len(replications) // (2 * workers)))
+    size = max(1, size)
     return [replications[i : i + size] for i in range(0, len(replications), size)]
 
 
@@ -328,9 +362,11 @@ def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np
     rows = samples.reshape(len(samples), -1, packets_per_replication)
     moments = np.empty(rows.shape[:2] + (2,))
     moments[..., 0] = rows.mean(axis=2)
-    deviations = rows - moments[..., :1]
-    deviations *= deviations
-    moments[..., 1] = deviations.sum(axis=2)
+    # One component at a time, so only one row of squared deviations is held.
+    for row, moment in zip(rows, moments):
+        deviations = row - moment[:, :1]
+        deviations *= deviations
+        moment[:, 1] = deviations.sum(axis=1)
     return moments
 
 
@@ -354,6 +390,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _pool_workers(workers: int) -> int:
+    """The processes a pool for ``workers`` workers opens: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
+
+
 # The innermost open pool and its worker count, shared by nested ``pool`` blocks.
 _open_pool: tuple[int, ProcessPoolExecutor] | None = None
 
@@ -375,7 +416,7 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     else:
         outer = _open_pool
         executor_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        executor = executor_type(max_workers=min(workers, os.cpu_count() or 1))
+        executor = executor_type(max_workers=_pool_workers(workers))
         _open_pool = (workers, executor)
         failed = True
         try:

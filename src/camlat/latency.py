@@ -56,18 +56,16 @@ def sample_tn_cn(network: NetworkParams, rng: np.random.Generator, size=None):
     return rng.uniform(*network.tn_cn_one_way_s, size=size)
 
 
-def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
-    """Stack per-packet components and both architectures' E2E figures.
+def compose_e2e(samples: np.ndarray) -> np.ndarray:
+    """Complete a (7, n) array of per-packet components with both architectures' E2E figures.
 
-    Takes five equal-length 1-D arrays and returns a (7, n) array whose rows
-    follow ``COMPONENT_KEYS``. The edge-host path skips backhaul and
+    Rows follow ``COMPONENT_KEYS``: the caller writes the five components
+    into the first five rows, and the two totals are written here, in place;
+    ``samples`` is returned. The edge-host path skips backhaul and
     transport/core entirely, so e2e_cloud == e2e_mec + 2*(t_bh + t_tn_cn)
     holds exactly by construction.
     """
-    # Written in place: one call composes a whole block of replications.
-    out = np.empty((len(COMPONENT_KEYS), len(t_ul)))
-    components = out[:5]
-    components[:] = (t_ul, t_bh, t_tn_cn, t_exc, t_dl)
+    components = samples[:5]
     valid = (components >= 0) & (components < np.inf)
     if not valid.all():
         bad = ", ".join(key for key, row in zip(COMPONENT_KEYS, valid) if not row.all())
@@ -75,6 +73,6 @@ def compose_e2e(t_ul, t_bh, t_tn_cn, t_exc, t_dl) -> np.ndarray:
     ul, bh, tn_cn, exc, dl = components
     # A total that overflows is left +inf; ``engine.aggregate`` rejects it by name.
     with np.errstate(over="ignore"):
-        np.add(ul + exc, dl, out=out[6])
-        np.add(out[6], 2.0 * (bh + tn_cn), out=out[5])
-    return out
+        np.add(ul + exc, dl, out=samples[6])
+        np.add(samples[6], 2.0 * (bh + tn_cn), out=samples[5])
+    return samples

@@ -61,9 +61,10 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     each side's rounded squared distance never falls, as rounded subtraction
     and squaring are monotone. m merge steps over every (row, VRU) entry at
     once take the nearer head, the left one on equal distance (it has the
-    lower x), and advance that side. A spent left side reaches a NaN, which
-    compares false, so it is never taken; the right side's +inf lies beyond
-    the at most V steps, and its padding comes last, in index order.
+    lower x), write the taken vehicle's index and advance that side. A
+    spent left side reaches a NaN, which compares false, so it is never
+    taken; the right side's +inf lies beyond the at most V steps, and its
+    padding comes last, in index order.
 
     Walked downward, a left run of equal distances comes out in descending
     (x, index) order, so an entry that takes a left head whose next-left
@@ -85,23 +86,28 @@ def nearest_member_indices(vru_x: np.ndarray, vehicle_x: np.ndarray, m: int) -> 
     xs, q = xs.ravel(), q.ravel()  # entry r * n_vru + u is row r's VRU u
 
     take = min(m, v)
-    picks = np.empty((q.size, take), dtype=order.dtype)
+    flat_order = order.ravel()
+    out = np.empty((q.size, take), dtype=order.dtype)
     left_tie = np.zeros(q.size, dtype=bool)
+    # Two entry-wide buffers serve every step: the taken head, and the right
+    # distances, which then hold the new left ones.
+    head = np.empty_like(left)
+    dr = np.empty_like(q)
     dl = q - xs[left]
     dl *= dl
     for k in range(take):
         # After k steps the right head lies k + 1 past the left one.
-        right = left + (k + 1)
-        dr = q - xs[right]
+        np.add(left, k + 1, out=head)
+        np.subtract(q, xs[head], out=dr)
         dr *= dr
         took_left = dl <= dr
-        picks[:, k] = np.where(took_left, left, right)
+        np.copyto(head, left, where=took_left)
+        out[:, k] = flat_order[head]
         left -= took_left
-        d = q - xs[left]
-        d *= d
-        left_tie |= took_left & (d == dl)
-        dl = d
-    out = order.ravel()[picks]
+        np.subtract(q, xs[left], out=dr)
+        dr *= dr
+        left_tie |= took_left & (dr == dl)
+        dl, dr = dr, dl
     # Re-rank the entries that took a left run of equal distances.
     tied = np.flatnonzero(left_tie)
     d2 = q[tied, None] - xs.reshape(rows, -1)[tied // n]
@@ -145,8 +151,14 @@ def prb_share(radio: RadioParams, n_hat, members):
 
 def link_rate_bps(prbs, snr_db, radio: RadioParams):
     """Achievable rate of a link holding ``prbs`` (possibly fractional) PRBs."""
-    snr_linear = np.power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
-    return np.asarray(prbs, dtype=float) * radio.prb_bandwidth_hz * np.log2(1.0 + snr_linear)
+    # In place on one array: prbs * bandwidth * log2(1 + 10^(snr / 10)).
+    rate = np.array(snr_db, dtype=float)
+    rate /= 10.0
+    np.power(10.0, rate, out=rate)
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= np.asarray(prbs, dtype=float) * radio.prb_bandwidth_hz
+    return rate
 
 
 def _latency(size_bits, prbs, snr_db, radio: RadioParams, direction, unreachable):
@@ -178,10 +190,21 @@ def dl_latency(size_bits, prbs, member_snr_db, radio: RadioParams) -> np.ndarray
     snr = np.asarray(member_snr_db, dtype=float)
     if snr.ndim != 2 or snr.shape[0] != sizes.size:
         raise ValueError("one row of member SNRs per packet is required")
-    # One elementwise minimum per member column: np.min(snr, axis=1) would run
-    # one short reduction per row, in the same order and to the same values.
-    slowest = snr[:, 0].copy()
-    for column in snr.T[1:]:
-        np.minimum(slowest, column, out=slowest)
     unreachable = "a downlink cluster has an unreachable member"
-    return _latency(sizes, prbs, slowest, radio, "downlink", unreachable)
+    return _latency(sizes, prbs, slowest_member_snr(snr), radio, "downlink", unreachable)
+
+
+def slowest_member_snr(member_snr_db: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each packet's lowest member SNR: the minimum over the last axis, into ``out`` if given.
+
+    One elementwise minimum per member column: ``np.min(snr, axis=-1)``
+    would run one short reduction per packet, in the same order and to the
+    same values.
+    """
+    if out is None:
+        out = member_snr_db[..., 0].copy()
+    else:
+        out[...] = member_snr_db[..., 0]
+    for k in range(1, member_snr_db.shape[-1]):
+        np.minimum(out, member_snr_db[..., k], out=out)
+    return out

@@ -65,8 +65,8 @@ def sample_hardcore_positions(
 
     # Equilibrium delay of the first point. All three variates are drawn
     # unconditionally so stream consumption does not depend on the branch.
-    u = rng.uniform()
-    w = rng.uniform()
+    u = rng.random()
+    w = rng.random()
     e0 = rng.standard_exponential()
     first = w * delta if u < lam * delta else delta + e0 * tail_scale
     if first >= length_m:

@@ -258,7 +258,8 @@ def _default_point(**engine_overrides):
     [(_small_plan, [3]), (_default_point, [6, 6, 1])],
     ids=["one-block", "three-blocks"],
 )
-def test_workers_do_not_change_aggregates(make_plan, block_sizes):
+def test_workers_do_not_change_aggregates(monkeypatch, make_plan, block_sizes):
+    monkeypatch.setattr(engine, "BLOCK_PAIRS", 30_000)
     plan = make_plan()
     assert [len(block) for block in engine._blocks(plan, range(plan.replications))] == block_sizes
     serial = engine.run_plan(make_plan(workers=1))
@@ -269,9 +270,49 @@ def test_workers_do_not_change_aggregates(make_plan, block_sizes):
     assert engine.aggregate(serial, width) == engine.aggregate(parallel, width)
 
 
+def test_a_pool_plan_gets_at_least_two_blocks_per_worker(monkeypatch):
+    # a serial run fills each block up to BLOCK_PAIRS; on a pool of w workers
+    # a block holds at most ceil(R / 2w) replications, so no worker idles;
+    # w counts only the workers the pool opens, at most one per CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial, pooled = _default_point(), _default_point(workers=2)
+    assert engine._blocks(_default_point(workers=8), range(13)) == engine._blocks(pooled, range(13))
+    fits = engine.BLOCK_PAIRS // (serial.periods * serial.scenario.vru_count * 5)
+    assert max(len(block) for block in engine._blocks(serial, range(13))) == min(13, fits)
+    assert [len(block) for block in engine._blocks(pooled, range(13))] == [4, 4, 4, 1]
+    for replications in (4, 20, 200):
+        assert len(engine._blocks(pooled, range(replications))) >= 4
+    assert engine.run_plan(pooled).tobytes() == engine.run_plan(serial).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("document", "budget"),
+    # 31.9 and 25.7 bytes per (packet, cluster member) pair measured with
+    # numpy 2.4.6, plus a margin of about 15 %
+    [
+        ({}, 37.0),
+        ({"scenario": {"vehicle_intensity_per_m": 0.09}, "radio": {"cluster_size": 9}}, 30.0),
+    ],
+    ids=["default", "dense"],
+)
+def test_block_working_set_stays_within_its_bytes_per_pair_budget(document, budget):
+    plan = plan_from_document(document)
+    block = engine._blocks(plan, range(plan.replications))[0]
+    pairs = len(block) * plan.periods * plan.scenario.vru_count * plan.radio.cluster_size
+    engine._block_moments(plan, block)  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        engine._block_moments(plan, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / pairs <= budget, peak / pairs
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_plans_gives_each_plan_its_own_moments(workers):
+def test_run_plans_gives_each_plan_its_own_moments(monkeypatch, workers):
     # 1, 2, 4, 7 and 3 blocks: the blocks of every plan share one task list
+    monkeypatch.setattr(engine, "BLOCK_PAIRS", 30_000)
     documents = [
         {"radio": {"cluster_size": 1}},
         {"scenario": {"vru_count": 50}},
@@ -343,7 +384,8 @@ def test_pooled_statistics_match_the_packet_level_oracle():
 
 def _constant_packets(n):
     """n packets whose components are 1, 2, 3, 4 and 5 ms."""
-    return compose_e2e(*np.repeat([[1e-3], [2e-3], [3e-3], [4e-3], [5e-3]], n, axis=1))
+    # the last two rows are the totals compose_e2e writes
+    return compose_e2e(np.repeat([[1e-3], [2e-3], [3e-3], [4e-3], [5e-3], [0.0], [0.0]], n, axis=1))
 
 
 def test_aggregate_singleton_and_constant():
@@ -369,7 +411,8 @@ def test_ci_shrinks_like_sqrt_n():
 
     def synthetic(n):
         # each row of draws is one packet's five components
-        return compose_e2e(*np.abs(rng.normal(1e-3, 2e-4, size=(n, 5))).T)
+        components = np.abs(rng.normal(1e-3, 2e-4, size=(n, 5))).T
+        return compose_e2e(np.vstack([components, np.empty((2, n))]))
 
     small = _aggregate_packets(synthetic(2000), 100)
     large = _aggregate_packets(synthetic(8000), 100)
@@ -518,9 +561,9 @@ def _build_roads(monkeypatch, vehicles):
 @pytest.mark.parametrize(
     ("cluster_size", "replications", "block_pairs", "block_sizes", "short"),
     [
-        pytest.param(9, 16, engine.BLOCK_PAIRS, [16], 3, id=str(engine.BLOCK_PAIRS)),
+        pytest.param(9, 16, 30_000, [16], 3, id="30000"),
         pytest.param(9, 16, 5 * 3 * 10 * 9, [5, 5, 5, 1], 3, id=str(5 * 3 * 10 * 9)),
-        pytest.param(13, 8, engine.BLOCK_PAIRS, [8], 8, id="all-short"),
+        pytest.param(13, 8, 30_000, [8], 8, id="all-short"),
     ],
 )
 def test_blocks_match_replications_run_one_by_one(
@@ -732,10 +775,12 @@ def test_reach_cut_slack_keeps_a_vehicle_that_ties_the_edge(monkeypatch):
     assert _cut_matches_every_vehicle(monkeypatch, plan)
 
 
-def test_memory_does_not_grow_with_replications():
-    # 20 VRUs x 5 periods at cluster size 5: 60 replications fill a block.
-    # Each block is reduced to moments before the next one runs, so ten
-    # times the replications may not need more than 1.25 times the memory.
+def test_memory_does_not_grow_with_replications(monkeypatch):
+    # 20 VRUs x 5 periods at cluster size 5: 60 replications fill a block of
+    # 30,000 pairs. Each block is reduced to moments before the next one
+    # runs, so ten times the replications may not need more than 1.25 times
+    # the memory.
+    monkeypatch.setattr(engine, "BLOCK_PAIRS", 30_000)
     def plan(replications):
         return plan_from_document({
             "scenario": {"vru_count": 20},

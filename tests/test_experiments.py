@@ -95,6 +95,8 @@ def _violation(path, value, reported=None):
 @pytest.mark.parametrize("document, path", [
     _violation("scenario.lane_length_km", 0),
     _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
+    _violation("scenario.lane_length_km", 1e306),  # finite in km, infinite in metres
+    _violation("scenario.lane_length_km", 2e4),  # 200,000 vehicles per lane at 0.01 /m
     _violation("scenario.enb_position_m", [-1, 10]),
     _violation("scenario.enb_position_m", [3001, 10]),
     _violation("scenario.vehicle_intensity_per_m", 0),
@@ -155,6 +157,28 @@ def test_bad_sweep_value_fails_its_point_with_field_path(parameter, value, path)
     ((_, message),) = result.failures
     assert message.startswith(f"{path}: ")
     assert "\n" not in message
+
+
+def test_sweep_value_past_the_vehicles_per_lane_bound_fails_its_point():
+    # with no minimum gap any intensity is feasible, but 40 /m puts 120,000
+    # vehicles on each lane of the 3 km road
+    plan = _small_plan(inter_vehicle_distance_m=0.0)
+    result = run_sweep(SweepSpec("vehicle_intensity", (0.01, 40.0), plan))
+    assert [row.value for row in result.rows] == [0.01]
+    ((value, message),) = result.failures
+    assert value == 40.0
+    assert message.startswith("scenario.lane_length_km: expected vehicles per lane")
+
+
+def test_overflowing_lane_length_is_a_config_error(tmp_path, capsys):
+    # 1e306 km is finite, its metres are not: a config error naming the
+    # field, not an overflow in the scenario sampler
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"scenario": {"lane_length_km": 1e306}}), encoding="utf-8")
+    assert cli.main(["--config", str(conf), "--replications", "2", "run"]) == 1
+    err = capsys.readouterr().err
+    assert "scenario.lane_length_km: must be finite in metres" in err
+    assert "Traceback" not in err
 
 
 def test_readme_parameter_table_matches_default_document():
@@ -665,13 +689,15 @@ def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypat
 
     monkeypatch.setattr(engine, "_block_moments", counted)
     monkeypatch.setattr(engine, "aggregate", broken)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # the block cap counts the pool's workers
     base = plan_from_document({"engine": {"replications": 20, "workers": 2}})
     spec = SweepSpec("cluster_size", (1, 3, 5, 7, 9), base)
     total = sum(
         len(engine._blocks(override_parameter(base, "cluster_size", m), range(20)))
         for m in spec.values
     )
-    assert total == 19
+    # on 2 workers a block holds at most ceil(20 / 4) = 5 replications: 4 blocks a point
+    assert total == 20
     with pytest.raises(RuntimeError, match="aggregate failed"):
         run_sweep(spec)
     assert multiprocessing.active_children() == []

@@ -74,8 +74,10 @@ def test_tn_cn_sample_means(low_ms, high_ms, mean_ms):
 
 def _compose(t_ul, t_bh, t_tn_cn, t_exc, t_dl):
     """One packet's composed row, keyed by component name."""
-    out = compose_e2e(*(np.array([t]) for t in (t_ul, t_bh, t_tn_cn, t_exc, t_dl)))
-    assert out.shape == (len(COMPONENT_KEYS), 1)
+    samples = np.empty((len(COMPONENT_KEYS), 1))
+    samples[:5, 0] = (t_ul, t_bh, t_tn_cn, t_exc, t_dl)
+    out = compose_e2e(samples)
+    assert out is samples  # the totals are written in place
     return dict(zip(COMPONENT_KEYS, out[:, 0]))
 
 
