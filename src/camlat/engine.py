@@ -28,12 +28,14 @@ rows at once, m being the cluster size. A replication's clusters hold
 m_r = min(m, its vehicle count) members, so a road with fewer than m
 vehicles stays in its block.
 
-The downlink runs one replication at a time. The block holds one mean SNR
+The downlink draws one replication at a time. The block holds one mean SNR
 per (replication, period, vehicle); each replication gathers its members'
 means from it, draws their SNRs and reduces them at once, in place, to the
 slowest member's, so only (periods, VRUs, m_r) member SNRs exist at a time.
-The five components are written straight into the rows of the block's
-output, which ``latency.compose_e2e`` completes with the two totals.
+The block reduces each cluster this once; ``radio.dl_latency`` then takes
+the slowest members' SNRs of the whole block, as ``radio.ul_latency`` takes
+the senders'. The five components are written straight into the rows of the
+block's output, which ``latency.compose_e2e`` completes with the two totals.
 
 Only the vehicles that can join a VRU's cluster in some period are stepped
 and ranked. With m the cluster size, take a replication's period-0 vehicle
@@ -61,19 +63,22 @@ kept vehicles keep their index order and their stepped positions, so the
 (x, index) tie rule and every output are those of the whole road.
 
 The input sets the block size: a block holds as many replications as fit
-``BLOCK_PAIRS`` (packet, cluster member) pairs, periods * VRUs * cluster_size
-per replication. Each block pays a fixed cost in numpy calls, about 0.3 ms
-whatever its length, so larger blocks are faster; memory is what bounds
-them. The block's one array per pair holds the cluster members' vehicle
-indices, 8 bytes each; the search's buffers and the block's output hold one
-value per packet. With no pair-wide SNR or mean array, a block's working
-set is about 32 bytes per pair at the default point and 26 at the dense one
-(0.09 /m, cluster 9), so a block of 90,000 pairs holds about 3 MB. On a
-pool of w > 1 workers, at most one per CPU, a block also holds at most
-ceil(R / (2 * w)) of the run's R replications, so every worker gets at
-least two blocks; a serial run is not capped. Outputs do not depend on the blocking: a block's columns equal
-those of its replications run one by one. An error in a block is raised
-again naming the lowest failing replication, as a serial run would.
+``BLOCK_PAIRS``, at periods * max(VRUs * cluster_size, LANES * intensity *
+length) per replication: its (packet, cluster member) pairs or its road's
+expected vehicles, whichever is more. Each block pays a fixed cost in numpy
+calls, about 0.3 ms whatever its length, so larger blocks are faster;
+memory is what bounds them. A block's working set is about 32 bytes per
+pair at the default point and 26 at the dense one (0.09 /m, cluster 9): the
+members' vehicle indices, 8 bytes per pair, and the search's buffers and
+the output, per packet. Its vehicle arrays and the search's sort arrays
+take about 37 bytes per (period, kept vehicle), and the reach cut keeps the
+whole road when the VRU strip spans it, so counting the road's vehicles
+keeps such a block within about twice its budget. On a pool of w > 1
+workers, at most one per CPU, a block also holds at most ceil(R / (2 * w))
+of the run's R replications, so every worker gets at least two blocks; a
+serial run is not capped. Outputs do not depend on the blocking: a block's
+columns equal those of its replications run one by one. An error in a block
+is raised again naming the lowest failing replication, as a serial run would.
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -133,9 +138,9 @@ from .rng import SubstreamFactory
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-# The (packet, cluster member) pairs one block of replications may hold,
-# periods * VRUs * cluster_size per replication; it bounds the block's memory
-# (see the module docstring).
+# The (packet, cluster member) pairs, or (period, vehicle) slots where more,
+# one block of replications may hold; it bounds the block's memory (see the
+# module docstring).
 BLOCK_PAIRS = 90_000
 
 # The reach cut's rounding slack per metre of road and per period; stepping
@@ -150,7 +155,6 @@ _M_MMAP_THRESHOLD = -3
 @dataclass(frozen=True)
 class AggregateStats:
     mean_s: float
-    sample_std_s: float
     ci95_half_width_s: float
     sample_count: int
 
@@ -186,7 +190,7 @@ def evaluate_period(
     rows = reps * periods
     sizes = packets["size_bits"]
     n = sizes.shape[-1]
-    n_hat = traffic.n_hat(packets["offset_bin"].reshape(rows, n)).reshape(sizes.shape)
+    n_hat = traffic.n_hat(packets["offset_bin"])
     # The cluster search runs first, before the block's output is held: its
     # entry-wide buffers are the block's largest. It raises nothing, so the
     # errors still come in pipeline order.
@@ -234,11 +238,8 @@ def evaluate_period(
         )
         radio.slowest_member_snr(snr, out=t_dl[b])
     del members, dl_mean  # freed before the DL latency's entry-wide temporaries
-    dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None]).ravel()
-    # Each packet's one column is its slowest member's SNR.
-    t_dl[...] = radio.dl_latency(
-        sizes.ravel(), dl_prbs, t_dl.reshape(-1, 1), plan.radio
-    ).reshape(t_dl.shape)
+    dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None])
+    t_dl[...] = radio.dl_latency(sizes, dl_prbs, t_dl, plan.radio)
 
     return latency.compose_e2e(samples)
 
@@ -319,14 +320,16 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
 
 
 def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
-    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs.
+    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs or vehicles.
 
     On a pool of w > 1 workers (see ``_pool_workers``) a block holds at most
     ceil(R / (2 * w)) of the R replications, so each worker gets at least
     two blocks.
     """
-    pairs = plan.periods * plan.scenario.vru_count * plan.radio.cluster_size
-    size = BLOCK_PAIRS // pairs
+    scn = plan.scenario
+    vehicles = scenario.LANES * scn.vehicle_intensity_per_m * scn.lane_length_m
+    cost = plan.periods * max(scn.vru_count * plan.radio.cluster_size, vehicles)
+    size = int(BLOCK_PAIRS // cost)
     workers = _pool_workers(plan.workers)
     if workers > 1:
         size = min(size, -(-len(replications) // (2 * workers)))
@@ -466,7 +469,7 @@ def run_plan(plan: SimulationPlan) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, AggregateStats]:
-    """Mean, sample std and 95% CI half-width per component over every packet.
+    """Mean and 95% CI half-width per component over every packet.
 
     ``moments`` holds R replications of W = ``packets_per_replication``
     packets each, as ``run_plan`` returns them. The mean is the mean of the
@@ -485,10 +488,7 @@ def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, Ag
         m2 = float(np.sum(m2s)) + packets_per_replication * float(np.sum(np.square(means - mean)))
         std = float(np.sqrt(m2 / (n - 1))) if n > 1 else 0.0
         stats[key] = AggregateStats(
-            mean_s=mean,
-            sample_std_s=std,
-            ci95_half_width_s=1.96 * std / np.sqrt(n),
-            sample_count=n,
+            mean_s=mean, ci95_half_width_s=1.96 * std / np.sqrt(n), sample_count=n
         )
     bad = [k for k, s in stats.items() if not np.isfinite([s.mean_s, s.ci95_half_width_s]).all()]
     if bad:

@@ -6,7 +6,8 @@ every user scheduled in the same offset bin. A link's rate is
     r = prbs * prb_bandwidth * log2(1 + SNR_linear)   [bits/s]
 
 and its transmission latency is size / r. Downlink multicast to a VRU's
-vehicle cluster completes when the slowest member has received the packet.
+vehicle cluster completes when its slowest member, the one with the lowest
+SNR (``slowest_member_snr``), has received the packet.
 """
 
 from __future__ import annotations
@@ -177,34 +178,24 @@ def ul_latency(size_bits, prbs, snr_db, radio: RadioParams):
     return _latency(size_bits, prbs, snr_db, radio, "uplink", "uplink has zero achievable rate")
 
 
-def dl_latency(size_bits, prbs, member_snr_db, radio: RadioParams) -> np.ndarray:
-    """Multicast completion time per packet: its slowest cluster member's reception latency.
+def dl_latency(size_bits, prbs, slowest_snr_db, radio: RadioParams):
+    """Multicast completion time size / rate at each packet's slowest member's SNR.
 
-    ``member_snr_db`` holds one row per packet and one column per cluster
-    member; ``prbs`` holds, per packet, the PRB share of each of its members.
-    The members share the PRB share and the rate rises with the SNR, so the
-    slowest member is the one with the lowest SNR, and only its rate is
-    computed. A NaN SNR makes its packet's rate NaN, which is an error.
+    A cluster's members share its PRB share, so its lowest SNR gives its
+    slowest rate; a zero, NaN or infinite rate is an error.
     """
-    sizes = np.asarray(size_bits, dtype=float)
-    snr = np.asarray(member_snr_db, dtype=float)
-    if snr.ndim != 2 or snr.shape[0] != sizes.size:
-        raise ValueError("one row of member SNRs per packet is required")
     unreachable = "a downlink cluster has an unreachable member"
-    return _latency(sizes, prbs, slowest_member_snr(snr), radio, "downlink", unreachable)
+    return _latency(size_bits, prbs, slowest_snr_db, radio, "downlink", unreachable)
 
 
-def slowest_member_snr(member_snr_db: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each packet's lowest member SNR: the minimum over the last axis, into ``out`` if given.
+def slowest_member_snr(member_snr_db: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each packet's lowest member SNR: the minimum over the last axis, written into ``out``.
 
     One elementwise minimum per member column: ``np.min(snr, axis=-1)``
     would run one short reduction per packet, in the same order and to the
     same values.
     """
-    if out is None:
-        out = member_snr_db[..., 0].copy()
-    else:
-        out[...] = member_snr_db[..., 0]
+    out[...] = member_snr_db[..., 0]
     for k in range(1, member_snr_db.shape[-1]):
         np.minimum(out, member_snr_db[..., k], out=out)
     return out

@@ -42,10 +42,11 @@ def generate_period(vru_count: int, params: TrafficParams, rng: np.random.Genera
 def n_hat(offsets: np.ndarray) -> np.ndarray:
     """Per packet, how many packets (its own included) share its offset bin.
 
-    ``offsets`` is one period's bins, shape (n,), or one row per period (of
-    each replication of a block), shape (R, n); bins are counted within each
-    row.
+    ``offsets`` holds each period's bins along its last axis, in any leading
+    shape: (n,) for one period, (B, P, n) for a block of B replications of P
+    periods. Bins are counted within each period.
     """
     rows = np.atleast_2d(offsets)
-    keys = rows + (rows.max(initial=0) + 1) * np.arange(len(rows))[:, None]
+    periods = np.arange(np.prod(rows.shape[:-1], dtype=int))
+    keys = rows + (rows.max(initial=0) + 1) * periods.reshape(rows.shape[:-1] + (1,))
     return np.bincount(keys.ravel())[keys].reshape(np.shape(offsets))

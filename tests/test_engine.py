@@ -299,14 +299,39 @@ def test_block_working_set_stays_within_its_bytes_per_pair_budget(document, budg
     plan = plan_from_document(document)
     block = engine._blocks(plan, range(plan.replications))[0]
     pairs = len(block) * plan.periods * plan.scenario.vru_count * plan.radio.cluster_size
+    peak = _first_block_peak(plan)
+    assert peak / pairs <= budget, peak / pairs
+
+
+def _first_block_peak(plan):
+    """The tracemalloc peak of the plan's first block, after a warm-up run of it."""
+    block = engine._blocks(plan, range(plan.replications))[0]
     engine._block_moments(plan, block)  # warm-up: imports and caches
     tracemalloc.start()
     try:
         engine._block_moments(plan, block)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / pairs <= budget, peak / pairs
+
+
+def test_a_block_counts_the_vehicles_of_a_long_road():
+    # With the VRU strip spanning the road, the reach cut keeps every
+    # vehicle, so a block's vehicle arrays grow with the road. At 30 km and
+    # 0.09 /m a replication's 5,400 vehicles outnumber its 900 pairs per
+    # period, so its blocks shrink to one replication and the first one
+    # peaks no higher than the 3 km road's block of ten.
+    def plan(km):
+        return plan_from_document({
+            "scenario": {
+                "lane_length_km": km, "vehicle_intensity_per_m": 0.09,
+                "vru_strip_m": [0.0, km * 1e3], "enb_position_m": [km * 500.0, 10.0],
+            },
+            "radio": {"cluster_size": 9},
+        })
+
+    assert [len(engine._blocks(plan(km), range(10))[0]) for km in (3.0, 30.0)] == [10, 1]
+    assert _first_block_peak(plan(30.0)) <= _first_block_peak(plan(3.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -371,14 +396,15 @@ def test_pool_opens_at_most_one_worker_per_cpu(monkeypatch, cpus, expected):
 
 def test_pooled_statistics_match_the_packet_level_oracle():
     # 5 replications of 2 periods x 10 VRUs: the pooled moments give the
-    # mean and sample std of all 100 packets
+    # mean and CI half-width of all 100 packets
     plan = _small_plan(replications=5)
     stats = engine.aggregate(engine.run_plan(plan), _width(plan))
     packets = engine.run_replication(plan, range(plan.replications))
     assert packets.shape == (7, 5 * _width(plan))
     for key, values in zip(COMPONENT_KEYS, packets):
         assert stats[key].mean_s == pytest.approx(np.mean(values), rel=1e-12), key
-        assert stats[key].sample_std_s == pytest.approx(np.std(values, ddof=1), rel=1e-12), key
+        half_width = 1.96 * np.std(values, ddof=1) / math.sqrt(values.size)
+        assert stats[key].ci95_half_width_s == pytest.approx(half_width, rel=1e-12), key
         assert stats[key].sample_count == values.size
 
 
@@ -392,7 +418,6 @@ def test_aggregate_singleton_and_constant():
     one = _constant_packets(1)
     stats = _aggregate_packets(one, 1)
     assert stats["ul"].mean_s == 1e-3
-    assert stats["ul"].sample_std_s == 0.0
     assert stats["ul"].ci95_half_width_s == 0.0
     assert stats["ul"].sample_count == 1
 

@@ -2,17 +2,22 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlat import cli, engine
 from camlat.config import (
+    _FIELDS,
     PROFILES,
     SWEEPS,
     default_document,
@@ -21,7 +26,7 @@ from camlat.config import (
     plan_from_document,
 )
 from camlat.engine import AggregateStats
-from camlat.errors import ConfigurationError
+from camlat.errors import CamlatError, ConfigurationError
 from camlat.experiments import (
     CSV_HEADER,
     SweepResult,
@@ -358,6 +363,62 @@ def test_unit_conversions():
     assert plan.traffic.period_s == pytest.approx(0.1)
 
 
+# Every document sets 1-3 fields over this run size: 2 replications of 2
+# periods of 5 VRUs, serial.
+_GATE_RUN = {"scenario": {"vru_count": 5}, "engine": {"replications": 2, "periods": 2, "workers": 1}}
+_GATE_NUMBERS = st.one_of(
+    st.sampled_from([0, 1e-310, 1e300, 2**64, -1, -1e-310, -1e300, -(2**64)]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def _gate_documents(draw):
+    document = {section: dict(fields) for section, fields in _GATE_RUN.items()}
+    paths = [(section, key) for section, fields in _FIELDS.items() for key in fields]
+    for section, key in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        default, rule = _FIELDS[section][key]
+        if isinstance(default, tuple):
+            value = draw(st.lists(_GATE_NUMBERS, min_size=2, max_size=2))
+        elif isinstance(default, (bool, str)):
+            value = draw(st.one_of(st.sampled_from(rule.get("options", (True, False))), _GATE_NUMBERS))
+        else:
+            value = draw(_GATE_NUMBERS)
+        document.setdefault(section, {})[key] = value
+    return document
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_gate_documents())
+def test_every_document_is_a_config_error_or_a_finite_run(document):
+    # a ConfigurationError naming field paths, finite stats with no warning,
+    # or a typed run-time error: any other exception fails
+    try:
+        plan = plan_from_document(document)
+    except ConfigurationError as exc:
+        header, *lines = str(exc).split("\n")
+        assert header == "invalid configuration:" and lines, str(exc)
+        for line in lines:
+            path = re.match(r"  - (\w+)\.(\w+): ", line)
+            assert path and path[2] in _FIELDS.get(path[1], {}), line
+        return
+    scn = plan.scenario
+    if (
+        plan.workers > 1
+        or plan.replications * plan.periods * scn.vru_count > 20
+        or scn.vehicle_intensity_per_m * scn.lane_length_m > 5_000
+    ):
+        return  # a valid plan too large to run here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            stats = engine.aggregate(engine.run_plan(plan), plan.periods * scn.vru_count)
+        except CamlatError:
+            return
+    for s in stats.values():
+        assert math.isfinite(s.mean_s) and math.isfinite(s.ci95_half_width_s)
+
+
 # --- sweeps ------------------------------------------------------------------
 
 
@@ -452,7 +513,7 @@ def test_gain_is_well_defined_and_positive():
 
 
 def _stats(ms: float) -> AggregateStats:
-    return AggregateStats(mean_s=ms / 1e3, sample_std_s=1e-4, ci95_half_width_s=5e-5, sample_count=10)
+    return AggregateStats(mean_s=ms / 1e3, ci95_half_width_s=5e-5, sample_count=10)
 
 
 def _fake_result(n_rows=1) -> SweepResult:

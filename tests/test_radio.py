@@ -16,6 +16,7 @@ from camlat.radio import (
     link_rate_bps,
     nearest_member_indices,
     prb_share,
+    slowest_member_snr,
     ul_latency,
 )
 from camlat.traffic import n_hat
@@ -337,9 +338,15 @@ def _snr_for_rate(rate_bps, prbs):
     return 10.0 * math.log10(2.0 ** (rate_bps / (prbs * 180e3)) - 1.0)
 
 
+def _dl(sizes, prbs, member_snr_db):
+    """DL latency per packet, one row of ``member_snr_db`` each: the engine's two steps."""
+    slowest = slowest_member_snr(member_snr_db, out=np.empty(len(member_snr_db)))
+    return dl_latency(sizes, prbs, slowest, RADIO)
+
+
 def _dl_one(size, prbs, member_snrs):
     """DL latency of a single packet whose cluster members see ``member_snrs``."""
-    (t,) = dl_latency(np.array([size]), np.array([prbs]), np.array([member_snrs]), RADIO)
+    (t,) = _dl(np.array([size]), np.array([prbs]), np.array([member_snrs], dtype=float))
     return t
 
 
@@ -386,7 +393,7 @@ def test_dl_latency_unreachable_member():
 
 
 def _dl_oracle(sizes, prbs, member_snr_db):
-    """Per-member oracle of ``dl_latency``: every member's own rate, the slowest one decides."""
+    """Per-member oracle of the DL latency: every member's own rate, the slowest one decides."""
     return np.array([
         max(size / link_rate_bps(share, snr, RADIO) for snr in row)
         for size, share, row in zip(sizes, prbs, member_snr_db)
@@ -410,20 +417,12 @@ def test_dl_latency_equals_per_member_oracle(data):
     prbs = np.array(data.draw(st.lists(
         st.floats(0.01, 50.0), min_size=packets, max_size=packets
     ), label="prbs"))
-    assert np.array_equal(dl_latency(sizes, prbs, snr, RADIO), _dl_oracle(sizes, prbs, snr))
+    assert np.array_equal(_dl(sizes, prbs, snr), _dl_oracle(sizes, prbs, snr))
     # one member too weak to carry a bit makes its whole block unreachable
     row, col = data.draw(st.integers(0, packets - 1)), data.draw(st.integers(0, m - 1))
     snr[row, col] = -1e3
     with pytest.raises(UnreachableLinkError):
-        dl_latency(sizes, prbs, snr, RADIO)
-
-
-def test_dl_latency_requires_one_snr_per_member():
-    # one row of member SNRs per packet: a flat list or a missing row is refused
-    with pytest.raises(ValueError):
-        dl_latency(np.array([1e4]), np.array([1.0]), np.array([10.0, 12.0]), RADIO)
-    with pytest.raises(ValueError):
-        dl_latency(np.full(2, 1e4), np.ones(2), np.array([[10.0, 12.0]]), RADIO)
+        _dl(sizes, prbs, snr)
 
 
 # --- padded multi-replication blocks -----------------------------------------

@@ -59,6 +59,9 @@ def test_concurrent_count_examples():
     assert np.all(n_hat(np.full(100, 4)) == 100)
     # one row per period: bins are counted within each row only
     assert n_hat(np.array([[3, 3, 7], [7, 1, 7]])).tolist() == [[2, 2, 1], [2, 1, 2]]
+    # a block's (replications, periods, VRUs) bins: counted within each period
+    block = np.array([[[3, 3, 7], [7, 1, 7]], [[0, 0, 0], [3, 3, 7]]])
+    assert n_hat(block).tolist() == [[[2, 2, 1], [2, 1, 2]], [[3, 3, 3], [2, 2, 1]]]
 
 
 @settings(deadline=None)
