@@ -7,20 +7,13 @@ collocated with the serving base station.
 
 from .config import SimulationPlan, default_plan, load_config
 from .engine import AggregateStats, aggregate, replication_moments, run_plan, run_replication
-from .errors import (
-    AggregationError,
-    CamlatError,
-    ConfigurationError,
-    ScenarioError,
-    UnreachableLinkError,
-)
+from .errors import CamlatError, ConfigurationError, ScenarioError, UnreachableLinkError
 from .experiments import SweepResult, SweepSpec, emit_csv, emit_plot, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateStats",
-    "AggregationError",
     "CamlatError",
     "ConfigurationError",
     "ScenarioError",

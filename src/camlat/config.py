@@ -71,6 +71,10 @@ class SimulationPlan:
 # feasible one (0.1 /m, 10 m apart) on the default 3 km holds 300.
 MAX_VEHICLES_PER_LANE = 100_000
 
+# The most offset bins a period may have: numpy draws bins below 2**63, and
+# the engine counts each period's bins in a table of one slot per bin.
+MAX_OFFSET_BINS = 100_000
+
 _POSITIVE = {"positive": True}
 _NON_NEGATIVE = {"minimum": 0.0}
 _AT_LEAST_ONE = {"minimum": 1}
@@ -92,7 +96,7 @@ _FIELDS: dict[str, dict[str, tuple[Any, dict]]] = {
     },
     "traffic": {
         "period_ms": (100.0, _POSITIVE),
-        "offset_bins": (5, _AT_LEAST_ONE),
+        "offset_bins": (5, {"minimum": 1, "maximum": MAX_OFFSET_BINS}),
         "packet_kbits": ((8.0, 12.0), _POSITIVE),
         "compute_cycles_per_bit": ((100.0, 300.0), _NON_NEGATIVE),
     },
@@ -175,7 +179,7 @@ class _Validator:
             return self.choice(path, value, **rule)
         return self.number(path, value, integer=isinstance(default, int), **rule)
 
-    def number(self, path, value, *, minimum=None, positive=False, integer=False):
+    def number(self, path, value, *, minimum=None, maximum=None, positive=False, integer=False):
         if not _is_number(value):
             self.fail(path, f"expected a number, got {value!r}")
             return None
@@ -191,6 +195,9 @@ class _Validator:
             return None
         if minimum is not None and value < minimum:
             self.fail(path, f"must be >= {minimum}, got {value!r}")
+            return None
+        if maximum is not None and value > maximum:
+            self.fail(path, f"must be <= {maximum}, got {value!r}")
             return None
         return int(value) if integer else number
 

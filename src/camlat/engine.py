@@ -49,7 +49,9 @@ keeps, in index order, the vehicles whose period-0 x lies in
 the VRUs is kept whole. It keeps every vehicle when it holds at most m, or
 when vehicles move and the kept interval comes within D + eps of a road end
 (a side kept whole reaches it), where a vehicle wrapping around could come
-in. The scenario is still sampled whole, so no draw changes.
+in. The scenario is still sampled whole, so no draw changes; the cut is a
+mask over its vehicles (``slice(None)`` where it keeps them all), by which
+the replication gathers its kept x, speed and lane.
 
 The cut is exact. The search ranks by |dx| alone (both lanes sit at one
 lateral distance from the VRUs). A VRU at q has m vehicles between x- and q
@@ -64,10 +66,11 @@ kept vehicles keep their index order and their stepped positions, so the
 
 The input sets the block size: a block holds as many replications as fit
 ``BLOCK_PAIRS``, at periods * max(VRUs * cluster_size, LANES * intensity *
-length) per replication: its (packet, cluster member) pairs or its road's
-expected vehicles, whichever is more. Each block pays a fixed cost in numpy
-calls, about 0.3 ms whatever its length, so larger blocks are faster;
-memory is what bounds them. A block's working set is about 32 bytes per
+length, offset_bins) per replication: its (packet, cluster member) pairs,
+its road's expected vehicles or the slots of ``traffic.n_hat``'s table, one
+per period and offset bin, whichever is more. Each block pays a fixed cost
+in numpy calls, about 0.3 ms whatever its length, so larger blocks are
+faster; memory is what bounds them. A block's working set is about 32 bytes per
 pair at the default point and 26 at the dense one (0.09 /m, cluster 9): the
 members' vehicle indices, 8 bytes per pair, and the search's buffers and
 the output, per packet. Its vehicle arrays and the search's sort arrays
@@ -99,8 +102,10 @@ deviations from it. Each value comes from one replication's contiguous row,
 so it does not depend on the block it was evaluated in.
 
 With several workers, replications run on a process pool. ``pool`` opens it
-lazily and lets callers share it: the CLI holds one pool for the whole
-invocation, so every sweep point of ``reproduce`` reuses the same workers.
+lazily and lets callers share it: a ``pool`` block inside another reuses
+the open pool, whatever worker count it asks for. The CLI holds one pool
+for the whole invocation, so every sweep point of ``reproduce`` reuses the
+same workers.
 It opens no more workers than ``os.cpu_count()``: the fork start method forks
 every worker at the first submit, and no output depends on the worker count.
 The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
@@ -123,7 +128,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
@@ -131,7 +136,7 @@ import numpy as np
 
 from . import channel, latency, radio, scenario, traffic
 from .config import SimulationPlan
-from .errors import AggregationError, CamlatError, ScenarioError
+from .errors import CamlatError, ScenarioError
 from .latency import COMPONENT_KEYS
 from .rng import SubstreamFactory
 
@@ -244,15 +249,15 @@ def evaluate_period(
     return latency.compose_e2e(samples)
 
 
-def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scenario:
-    """``scn`` with only the vehicles that can join a VRU's cluster, in index order.
+def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> np.ndarray | slice:
+    """Which of ``scn``'s vehicles can join a VRU's cluster: a mask, or ``slice(None)`` for all.
 
     The rule and why it changes no output are in the module docstring.
     """
     m = plan.radio.cluster_size
     length = plan.scenario.lane_length_m
     if scn.vehicle_count <= m:
-        return scn
+        return slice(None)
     reach = 0.0
     if plan.scenario.mobility:
         reach = (plan.periods - 1) * plan.traffic.period_s * float(np.abs(scn.vehicle_speed).max())
@@ -263,14 +268,8 @@ def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> scenario.Scen
     low = xs[below - m] - 2 * reach - slack if below >= m else -np.inf
     high = xs[above + m - 1] + 2 * reach + slack if xs.size - above >= m else np.inf
     if reach > 0 and (low < reach + slack or high > length - reach - slack):
-        return scn
-    keep = (low <= scn.vehicle_x) & (scn.vehicle_x <= high)
-    return replace(
-        scn,
-        vehicle_x=scn.vehicle_x[keep],
-        vehicle_speed=scn.vehicle_speed[keep],
-        vehicle_lane=scn.vehicle_lane[keep],
-    )
+        return slice(None)
+    return (low <= scn.vehicle_x) & (scn.vehicle_x <= high)
 
 
 def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
@@ -286,20 +285,21 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
         packets = np.empty((len(replications), periods, n), traffic.PACKET_DTYPE)
         kept = []
         for b, rep in enumerate(replications):
-            scn = _within_reach(plan, scenario.sample_scenario(plan.scenario, streams, rep))
+            scn = scenario.sample_scenario(plan.scenario, streams, rep)
+            keep = _within_reach(plan, scn)
             vru_x[b] = scn.vru_x
             packets[b] = traffic.generate_period(
                 periods * n, plan.traffic, streams.stream("traffic", rep)
             ).reshape(periods, n)
-            kept.append(scn)
+            kept.append((scn.vehicle_x[keep], scn.vehicle_speed[keep], scn.vehicle_lane[keep]))
         # Row b of the block's vehicle arrays holds replication b's kept
         # vehicles, in index order, then padding.
-        counts = np.array([scn.vehicle_count for scn in kept])
+        counts = np.array([columns[0].size for columns in kept])
         real = np.arange(counts.max()) < counts[:, None]
         x, speed, lane = (np.zeros(real.shape, dtype) for dtype in (float, float, np.int64))
-        x[real] = np.concatenate([scn.vehicle_x for scn in kept])
-        speed[real] = np.concatenate([scn.vehicle_speed for scn in kept])
-        lane[real] = np.concatenate([scn.vehicle_lane for scn in kept])
+        for b, columns in enumerate(kept):
+            for block, column in zip((x, speed, lane), columns):
+                block[b, : column.size] = column
         vehicle_x = np.empty((len(replications), periods, x.shape[1]))
         # Step the positions period by period: the closed form (x0 + v*t) mod L
         # rounds differently and would change the sample path.
@@ -320,7 +320,7 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
 
 
 def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
-    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs or vehicles.
+    """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs, vehicles or bins.
 
     On a pool of w > 1 workers (see ``_pool_workers``) a block holds at most
     ceil(R / (2 * w)) of the R replications, so each worker gets at least
@@ -328,7 +328,9 @@ def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
     """
     scn = plan.scenario
     vehicles = scenario.LANES * scn.vehicle_intensity_per_m * scn.lane_length_m
-    cost = plan.periods * max(scn.vru_count * plan.radio.cluster_size, vehicles)
+    cost = plan.periods * max(
+        scn.vru_count * plan.radio.cluster_size, vehicles, plan.traffic.offset_bins
+    )
     size = int(BLOCK_PAIRS // cost)
     workers = _pool_workers(plan.workers)
     if workers > 1:
@@ -398,35 +400,33 @@ def _pool_workers(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-# The innermost open pool and its worker count, shared by nested ``pool`` blocks.
-_open_pool: tuple[int, ProcessPoolExecutor] | None = None
+# The open pool, shared by nested ``pool`` blocks.
+_open_pool: ProcessPoolExecutor | None = None
 
 
 @contextmanager
 def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     """A process pool of ``workers`` workers, at most one per CPU, or None for a serial run.
 
-    Reentrant: inside a block that already holds a pool of the same size,
-    that pool is reused; otherwise a new one is opened here and shut down,
-    its workers joined, when the block exits. If the block exits on an
+    Reentrant: inside a block that already holds a pool, that pool is
+    reused, whatever its size; otherwise a new one is opened here and shut
+    down, its workers joined, when the block exits. If the block exits on an
     exception, the tasks still queued on the pool are cancelled first.
     """
     global _open_pool
     if workers == 1:
         yield None
-    elif _open_pool is not None and _open_pool[0] == workers:
-        yield _open_pool[1]
+    elif _open_pool is not None:
+        yield _open_pool
     else:
-        outer = _open_pool
         executor_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        executor = executor_type(max_workers=_pool_workers(workers))
-        _open_pool = (workers, executor)
+        executor = _open_pool = executor_type(max_workers=_pool_workers(workers))
         failed = True
         try:
             yield executor
             failed = False
         finally:
-            _open_pool = outer
+            _open_pool = None
             executor.shutdown(cancel_futures=failed)
 
 
@@ -481,7 +481,7 @@ def aggregate(moments: np.ndarray, packets_per_replication: int) -> dict[str, Ag
     """
     n = moments.shape[1] * packets_per_replication
     if n == 0:
-        raise AggregationError("cannot aggregate an empty sample set")
+        raise CamlatError("cannot aggregate an empty sample set")
     stats: dict[str, AggregateStats] = {}
     for key, (means, m2s) in zip(COMPONENT_KEYS, moments.transpose(0, 2, 1)):
         mean = float(np.mean(means))

@@ -15,7 +15,3 @@ class ScenarioError(CamlatError):
 
 class UnreachableLinkError(CamlatError):
     """A radio link's achievable rate is zero, NaN or infinite, so its latency means nothing."""
-
-
-class AggregationError(CamlatError):
-    """Statistics were requested over an empty sample set."""

@@ -16,12 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from camlat import channel, engine, scenario
 from camlat.config import default_plan, plan_from_document
-from camlat.errors import (
-    AggregationError,
-    CamlatError,
-    ScenarioError,
-    UnreachableLinkError,
-)
+from camlat.errors import CamlatError, ScenarioError, UnreachableLinkError
 from camlat.latency import COMPONENT_KEYS, compose_e2e
 from camlat.radio import link_rate_bps
 from camlat.rng import SubstreamFactory
@@ -334,6 +329,15 @@ def test_a_block_counts_the_vehicles_of_a_long_road():
     assert _first_block_peak(plan(30.0)) <= _first_block_peak(plan(3.0))
 
 
+def test_a_block_counts_the_offset_bins_of_its_periods():
+    # traffic.n_hat counts a block's bins in a table of one slot per (period,
+    # bin): at 100,000 bins one replication's 10 periods hold 10**6 slots,
+    # past BLOCK_PAIRS, so each block holds one replication (about 8 MB).
+    plan = plan_from_document({"traffic": {"offset_bins": 100_000}})
+    assert len(engine._blocks(plan, range(plan.replications))[0]) == 1
+    assert _first_block_peak(plan) < 16e6
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_plans_gives_each_plan_its_own_moments(monkeypatch, workers):
     # 1, 2, 4, 7 and 3 blocks: the blocks of every plan share one task list
@@ -427,7 +431,7 @@ def test_aggregate_singleton_and_constant():
 
 
 def test_aggregate_empty_is_error():
-    with pytest.raises(AggregationError):
+    with pytest.raises(CamlatError, match="^cannot aggregate an empty sample set$"):
         engine.aggregate(np.empty((7, 0, 2)), 10)
 
 
@@ -660,7 +664,7 @@ def test_unreachable_link_inside_a_block_names_its_replication(monkeypatch):
 
 
 def _keep_every_vehicle(monkeypatch):
-    monkeypatch.setattr(engine, "_within_reach", lambda plan, scn: scn)
+    monkeypatch.setattr(engine, "_within_reach", lambda plan, scn: slice(None))
 
 
 # name -> (document, whether the cut drops vehicles at some replication:
@@ -694,9 +698,9 @@ def test_reach_cut_changes_no_output(monkeypatch, case, seed):
     dropped = []
 
     def counting(plan, scn):
-        kept = within_reach(plan, scn)
-        dropped.append(scn.vehicle_count - kept.vehicle_count)
-        return kept
+        keep = within_reach(plan, scn)
+        dropped.append(scn.vehicle_count - scn.vehicle_x[keep].size)
+        return keep
 
     monkeypatch.setattr(engine, "_within_reach", counting)
     cut = engine.run_plan(plan)
@@ -719,7 +723,13 @@ def _reach_plan(mobility=True):
 def _kept(plan):
     streams = SubstreamFactory(plan.master_seed)
     scn = scenario.sample_scenario(plan.scenario, streams, 0)
-    return scn, engine._within_reach(plan, scn)
+    keep = engine._within_reach(plan, scn)
+    return scn, replace(
+        scn,
+        vehicle_x=scn.vehicle_x[keep],
+        vehicle_speed=scn.vehicle_speed[keep],
+        vehicle_lane=scn.vehicle_lane[keep],
+    )
 
 
 def _cut_matches_every_vehicle(monkeypatch, plan):

@@ -12,7 +12,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camlat import cli, engine
@@ -117,6 +117,8 @@ def _violation(path, value, reported=None):
     _violation("scenario.vru_strip_m", [2800, 3001]),
     _violation("traffic.period_ms", 0),
     _violation("traffic.offset_bins", 0),
+    _violation("traffic.offset_bins", 2**64),  # beyond numpy's int64 draws
+    _violation("traffic.offset_bins", 1e300),  # an integer-valued float
     _violation("traffic.packet_kbits", [0, 12]),
     _violation("traffic.packet_kbits", [12, 8]),
     _violation("traffic.compute_cycles_per_bit", [-1, 300]),
@@ -390,6 +392,8 @@ def _gate_documents(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_gate_documents())
+@example({**_GATE_RUN, "traffic": {"offset_bins": 2**64}})
+@example({**_GATE_RUN, "traffic": {"offset_bins": 1e300}})
 def test_every_document_is_a_config_error_or_a_finite_run(document):
     # a ConfigurationError naming field paths, finite stats with no warning,
     # or a typed run-time error: any other exception fails
@@ -725,15 +729,16 @@ def test_cli_sweep_plots_a_zero_component(tmp_path, zero, component):
 
 
 def test_pool_is_reentrant_per_worker_count():
+    # a nested pool of any size is the open one; one worker stays serial
     with engine.pool(1) as serial:
         assert serial is None
     with engine.pool(2) as outer:
         with engine.pool(2) as inner:
             assert inner is outer
         with engine.pool(3) as other:
-            assert other is not outer
-        with engine.pool(2) as again:
-            assert again is outer
+            assert other is outer
+        with engine.pool(1) as serial:
+            assert serial is None
 
 
 def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypatch):
