@@ -77,9 +77,11 @@ the output, per packet. Its vehicle arrays and the search's sort arrays
 take about 37 bytes per (period, kept vehicle), and the reach cut keeps the
 whole road when the VRU strip spans it, so counting the road's vehicles
 keeps such a block within about twice its budget. On a pool of w > 1
-workers, at most one per CPU, a block also holds at most ceil(R / (2 * w))
-of the run's R replications, so every worker gets at least two blocks; a
-serial run is not capped. Outputs do not depend on the blocking: a block's
+workers, at most one per CPU, a block also holds at most max(1, T // (2 * w))
+replications, T counting every plan's replications in the task list it is
+submitted with (a sweep's T is its points times R; a lone plan's is its R),
+so the list gets at least min(T, 2 * w) blocks and no worker idles; a serial
+run is not capped. Outputs do not depend on the blocking: a block's
 columns equal those of its replications run one by one. An error in a block
 is raised again naming the lowest failing replication, as a serial run would.
 
@@ -117,8 +119,9 @@ one block, returned as its moments array, and the blocks' arrays are
 joined in replication order, as a serial run joins its blocks. ``run_plans``
 takes many plans, such as a sweep's points, and submits every block of
 every plan at once, one future per block, so the workers never wait at a
-plan boundary and a block that raises fails only its own plan. A serial
-run takes the same path, computing each block when its plan is read.
+plan boundary and a block that raises fails only its own plan. Its plans
+form one task list, so the pool's block cap counts all their replications.
+A serial run takes the same path, computing each block when its plan is read.
 If an exception leaves the pool's block, the blocks still queued are
 cancelled before the workers are joined.
 """
@@ -319,12 +322,13 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
         raise type(exc)(f"replication {replications[0]}: {exc}") from exc
 
 
-def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
+def _blocks(plan: SimulationPlan, replications: range, total: int | None = None) -> list[range]:
     """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs, vehicles or bins.
 
     On a pool of w > 1 workers (see ``_pool_workers``) a block holds at most
-    ceil(R / (2 * w)) of the R replications, so each worker gets at least
-    two blocks.
+    max(1, T // (2 * w)) replications, T being ``total``, the replications
+    of the whole task list this plan is submitted with (by default its own),
+    so the list gets at least min(T, 2 * w) blocks.
     """
     scn = plan.scenario
     vehicles = scenario.LANES * scn.vehicle_intensity_per_m * scn.lane_length_m
@@ -334,7 +338,8 @@ def _blocks(plan: SimulationPlan, replications: range) -> list[range]:
     size = int(BLOCK_PAIRS // cost)
     workers = _pool_workers(plan.workers)
     if workers > 1:
-        size = min(size, -(-len(replications) // (2 * workers)))
+        total = len(replications) if total is None else total
+        size = min(size, total // (2 * workers))
     size = max(1, size)
     return [replications[i : i + size] for i in range(0, len(replications), size)]
 
@@ -442,12 +447,14 @@ def run_plans(
 
     With an ``executor``, every block of every plan is submitted here, in
     plan order, so the workers never wait at a plan boundary; a block that
-    raises fails its own plan only. Without one, each block is computed when
-    its plan's callable is called.
+    raises fails its own plan only. The pool's block cap counts the
+    replications of all ``plans`` (see ``_blocks``). Without one, each block
+    is computed when its plan's callable is called.
     """
+    total = sum(plan.replications for plan in plans)
     runs = []
     for plan in plans:
-        blocks = _blocks(plan, range(plan.replications))
+        blocks = _blocks(plan, range(plan.replications), total)
         if executor is None:
             # Not through _replication_task: perfbench/tracer.py replaces it
             # with a wrapper that resets and spills the spans of a worker.

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,17 +269,80 @@ def test_workers_do_not_change_aggregates(monkeypatch, make_plan, block_sizes):
 
 def test_a_pool_plan_gets_at_least_two_blocks_per_worker(monkeypatch):
     # a serial run fills each block up to BLOCK_PAIRS; on a pool of w workers
-    # a block holds at most ceil(R / 2w) replications, so no worker idles;
+    # a block holds at most max(1, R // 2w) replications, so no worker idles;
     # w counts only the workers the pool opens, at most one per CPU
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial, pooled = _default_point(), _default_point(workers=2)
     assert engine._blocks(_default_point(workers=8), range(13)) == engine._blocks(pooled, range(13))
     fits = engine.BLOCK_PAIRS // (serial.periods * serial.scenario.vru_count * 5)
     assert max(len(block) for block in engine._blocks(serial, range(13))) == min(13, fits)
-    assert [len(block) for block in engine._blocks(pooled, range(13))] == [4, 4, 4, 1]
+    assert [len(block) for block in engine._blocks(pooled, range(13))] == [3, 3, 3, 3, 1]
     for replications in (4, 20, 200):
         assert len(engine._blocks(pooled, range(replications))) >= 4
     assert engine.run_plan(pooled).tobytes() == engine.run_plan(serial).tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_a_task_list_gets_at_least_two_blocks_per_worker_or_one_per_replication(
+    monkeypatch, workers
+):
+    # T replications on w workers make at least min(T, 2w) blocks, whether
+    # they come as one plan or split between two plans of one task list
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    plan = _default_point(workers=workers)
+    for total in range(1, 65):
+        assert len(engine._blocks(plan, range(total))) >= min(total, 2 * workers), total
+        for first in range(1, total):
+            blocks = [engine._blocks(plan, range(r), total) for r in (first, total - first)]
+            assert sum(map(len, blocks)) >= min(total, 2 * workers), (first, total)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The (plan, block) of every task submitted to a 2-worker pool, in order.
+
+    The pool is a serial stand-in: each task runs when its result is read.
+    """
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, task, args):
+            tasks.append(args)
+            return SimpleNamespace(result=partial(task, args))
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return tasks
+
+
+def test_pool_blocks_are_sized_by_the_whole_task_list(recording_pool):
+    # five plans of 20 on 2 workers: T = 100 caps a block at 25 replications,
+    # so only BLOCK_PAIRS cuts them (90, 30, 18, 12 and 10 fit), in 8 tasks
+    # where each plan's own R = 20 would cap them at 5, in 20
+    plans = [
+        plan_from_document({"radio": {"cluster_size": m}, "engine": {"replications": 20}})
+        for m in (1, 3, 5, 7, 9)
+    ]
+    with engine.pool(2) as executor:
+        runs = engine.run_plans([replace(plan, workers=2) for plan in plans], executor)
+        moments = [run() for run in runs]
+    assert [len(block) for _, block in recording_pool] == [20, 20, 18, 2, 12, 8, 10, 10]
+    for plan, got in zip(plans, moments):
+        assert got.tobytes() == engine.run_plan(plan).tobytes()
+
+
+def test_a_lone_pool_plan_keeps_its_own_blocks(recording_pool):
+    # run_plan submits a task list of its own plan: T = R = 13 on 2 workers
+    plan = _default_point(workers=2)
+    moments = engine.run_plan(plan)
+    assert [len(block) for _, block in recording_pool] == [3, 3, 3, 3, 1]
+    assert moments.tobytes() == engine.run_plan(_default_point()).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import re
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -741,13 +742,30 @@ def test_pool_is_reentrant_per_worker_count():
             assert serial is None
 
 
-def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypatch):
+@pytest.fixture
+def submitted(monkeypatch):
+    """Every task submitted to an ``engine.pool``, on at most 2 workers."""
+    tasks = []
+
+    class CountingPool(engine.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            tasks.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # the block cap counts the pool's workers
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    return tasks
+
+
+def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypatch, submitted):
     # the whole sweep is queued at once; a bug in the parent at its first
     # point must not wait for every other point's blocks to run
     block_moments = engine._block_moments
 
     def counted(plan, block):  # runs in the forked workers
         (tmp_path / f"{plan.radio.cluster_size}-{block.start}").touch()
+        if plan.radio.cluster_size > 1:
+            time.sleep(0.2)  # the later points' blocks outlast the first point's
         return block_moments(plan, block)
 
     def broken(moments, packets_per_replication):
@@ -755,19 +773,32 @@ def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypat
 
     monkeypatch.setattr(engine, "_block_moments", counted)
     monkeypatch.setattr(engine, "aggregate", broken)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)  # the block cap counts the pool's workers
     base = plan_from_document({"engine": {"replications": 20, "workers": 2}})
     spec = SweepSpec("cluster_size", (1, 3, 5, 7, 9), base)
-    total = sum(
-        len(engine._blocks(override_parameter(base, "cluster_size", m), range(20)))
-        for m in spec.values
-    )
-    # on 2 workers a block holds at most ceil(20 / 4) = 5 replications: 4 blocks a point
-    assert total == 20
     with pytest.raises(RuntimeError, match="aggregate failed"):
         run_sweep(spec)
     assert multiprocessing.active_children() == []
+    # on 2 workers the sweep's 100 replications cap a block at 25, so only
+    # BLOCK_PAIRS cuts the points: 1, 1, 2, 2 and 2 blocks
+    total = len(submitted)
+    assert total == 8
     assert 1 <= len(list(tmp_path.iterdir())) < total
+
+
+def test_reproduce_submits_one_task_per_sweep_block(tmp_path, submitted):
+    # each sweep's 5 points x 20 replications share one task list, so on 2
+    # workers a block may hold 25 replications and only BLOCK_PAIRS cuts
+    # them: 7 + 10 + 8 tasks, where blocks capped per point would be 60
+    def reproduce(workers):
+        out = tmp_path / f"w{workers}"
+        argv = ["--replications", "20", "--workers", str(workers), "--out-dir", str(out)]
+        assert cli.main(argv + ["reproduce"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    serial = reproduce(1)
+    assert submitted == []
+    assert reproduce(2) == serial
+    assert len(submitted) == 25
 
 
 def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
