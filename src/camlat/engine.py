@@ -76,14 +76,17 @@ members' vehicle indices, 8 bytes per pair, and the search's buffers and
 the output, per packet. Its vehicle arrays and the search's sort arrays
 take about 37 bytes per (period, kept vehicle), and the reach cut keeps the
 whole road when the VRU strip spans it, so counting the road's vehicles
-keeps such a block within about twice its budget. On a pool of w > 1
+keeps such a block within about twice its budget. A block shared by
+several cluster sizes (below) is sized at the largest. On a pool of w > 1
 workers, at most one per CPU, a block also holds at most max(1, T // (2 * w))
 replications, T counting every plan's replications in the task list it is
 submitted with (a sweep's T is its points times R; a lone plan's is its R),
-so the list gets at least min(T, 2 * w) blocks and no worker idles; a serial
-run is not capped. Outputs do not depend on the blocking: a block's
-columns equal those of its replications run one by one. An error in a block
-is raised again naming the lowest failing replication, as a serial run would.
+a shared block's once per plan, as it draws a DL and reduces packets once
+per plan. A list whose plans share no block thus gets at least min(T, 2 * w)
+blocks, so no worker idles; a serial run is not capped. Outputs do not
+depend on the blocking: a block's columns equal those of its replications
+run one by one. An error in a block is raised again naming the lowest
+failing replication, as a serial run would.
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -114,16 +117,26 @@ The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
 the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
-The block is the only partition of a run's replications: each pool task is
-one block, returned as its moments array, and the blocks' arrays are
-joined in replication order, as a serial run joins its blocks. ``run_plans``
-takes many plans, such as a sweep's points, and submits every block of
-every plan at once, one future per block, so the workers never wait at a
-plan boundary and a block that raises fails only its own plan. Its plans
-form one task list, so the pool's block cap counts all their replications.
-A serial run takes the same path, computing each block when its plan is read.
-If an exception leaves the pool's block, the blocks still queued are
-cancelled before the workers are joined.
+The block is the unit of work: each pool task is one block, returned as
+its moments, and a plan's blocks are joined in replication order, as a
+serial run joins them. ``run_plans`` takes a task list of plans, such as a
+sweep's points. Plans equal but for their cluster sizes draw the same
+roads, packets, UL SNRs and transport+core delays from the same streams;
+only the DL depends on the size. They form a group, equal plans counting
+once, and share its blocks. A group's block runs the pipeline once, at
+its largest size m: the reach cut at m keeps a superset of each smaller
+size's exact cut, and the search at m ranks each VRU's members nearest
+first, so size k's clusters are the first min(k, vehicles) of them. Each
+size, ascending, then draws its DL and is reduced to its moments before
+the next size overwrites the DL and total rows; every plan gets the bytes
+it gets alone. If a shared block raises a ``CamlatError``, each of its
+plans runs the block again alone, so each gets its own moments or error.
+``run_plans`` submits every block of every group at once, one future per
+block, so the workers never wait at a plan boundary and a block that
+raises fails only its own plans. A serial run takes the same path,
+computing a group's block when the first of its plans is read. If an
+exception leaves the pool's block, the blocks still queued are cancelled
+before the workers are joined.
 """
 
 from __future__ import annotations
@@ -131,7 +144,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
@@ -175,6 +188,7 @@ def evaluate_period(
     packets: np.ndarray,
     streams: SubstreamFactory,
     replications: range,
+    cluster_sizes: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """All latency components of a block of replications, shape (7, B * P * n).
 
@@ -193,6 +207,15 @@ def evaluate_period(
     one call: the UL SNRs and transport+core delays in shape (P, n), the DL
     SNRs in shape (P, n, m_r). Columns run over VRUs within a period, then
     periods, then replications.
+
+    With ``cluster_sizes``, ascending sizes whose largest is the plan's own,
+    the block serves every one of them (see ``run_plans``) and returns their
+    moments, shape (len(cluster_sizes), 7, B, 2). The search runs once, at
+    the plan's size, and ranks each VRU's members nearest first, so size k
+    takes the first min(k, vehicles) of them; each size then draws its DL
+    from the ``dl`` streams as a lone plan would, and its packets are
+    reduced by ``replication_moments`` before the next size's DL and totals
+    overwrite them.
     """
     reps, periods, v = vehicle_x.shape
     rows = reps * periods
@@ -237,19 +260,25 @@ def evaluate_period(
     d_vehicle = np.hypot(vehicle_x - enb_x, lane_dy[vehicle_lane][:, None])
     dl_budget = plan.channel.dl_budget()
     dl_mean = channel.mean_snr_db(dl_budget, d_vehicle).ravel()
-    # One replication at a time: its m_r members' SNRs, reduced at once to
-    # the slowest member's, which the DL row holds until its latency.
-    cluster = np.minimum(counts, members.shape[-1])
-    for b, rep in enumerate(replications):
-        snr = channel.sample_snr_db(
-            dl_budget, dl_mean[members[b, ..., : cluster[b]]], streams.stream("dl", rep)
-        )
-        radio.slowest_member_snr(snr, out=t_dl[b])
-    del members, dl_mean  # freed before the DL latency's entry-wide temporaries
-    dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None])
-    t_dl[...] = radio.dl_latency(sizes, dl_prbs, t_dl, plan.radio)
-
-    return latency.compose_e2e(samples)
+    moments = []
+    for size in cluster_sizes or (plan.radio.cluster_size,):
+        # One replication at a time: its m_r members' SNRs, reduced at once
+        # to the slowest member's, which the DL row holds until its latency.
+        cluster = np.minimum(counts, size)
+        for b, rep in enumerate(replications):
+            snr = channel.sample_snr_db(
+                dl_budget, dl_mean[members[b, ..., : cluster[b]]], streams.stream("dl", rep)
+            )
+            radio.slowest_member_snr(snr, out=t_dl[b])
+        if size == plan.radio.cluster_size:  # the last size
+            del members, dl_mean  # freed before the DL latency's entry-wide temporaries
+        dl_prbs = radio.prb_share(plan.radio, n_hat, cluster[:, None, None])
+        t_dl[...] = radio.dl_latency(sizes, dl_prbs, t_dl, plan.radio)
+        latency.compose_e2e(samples)
+        if cluster_sizes is None:
+            return samples
+        moments.append(replication_moments(samples, periods * n))
+    return np.stack(moments)
 
 
 def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> np.ndarray | slice:
@@ -275,11 +304,15 @@ def _within_reach(plan: SimulationPlan, scn: scenario.Scenario) -> np.ndarray | 
     return (low <= scn.vehicle_x) & (scn.vehicle_x <= high)
 
 
-def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
+def run_replication(
+    plan: SimulationPlan, replications: range, cluster_sizes: tuple[int, ...] | None = None
+) -> np.ndarray:
     """Simulate a block of replications for all periods of the plan, shape (7, n).
 
     The columns equal those of the replications run one by one, in order.
     An error names the lowest failing replication, as a serial run would.
+    With ``cluster_sizes`` the block serves several cluster sizes and
+    returns their moments (see ``evaluate_period``).
     """
     try:
         streams = SubstreamFactory(plan.master_seed)
@@ -314,21 +347,27 @@ def run_replication(plan: SimulationPlan, replications: range) -> np.ndarray:
             vehicle_x[:, p] = x
         # Pad after stepping, so every real vehicle sorts before the padding.
         np.copyto(vehicle_x, np.inf, where=~real[:, None])
-        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications)
+        return evaluate_period(
+            plan, vru_x, vehicle_x, lane, packets, streams, replications, cluster_sizes
+        )
     except CamlatError as exc:
         if len(replications) > 1:
             for rep in replications:
-                run_replication(plan, range(rep, rep + 1))
+                run_replication(plan, range(rep, rep + 1), cluster_sizes)
         raise type(exc)(f"replication {replications[0]}: {exc}") from exc
 
 
 def _blocks(plan: SimulationPlan, replications: range, total: int | None = None) -> list[range]:
     """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs, vehicles or bins.
 
-    On a pool of w > 1 workers (see ``_pool_workers``) a block holds at most
-    max(1, T // (2 * w)) replications, T being ``total``, the replications
-    of the whole task list this plan is submitted with (by default its own),
-    so the list gets at least min(T, 2 * w) blocks.
+    A block shared by several cluster sizes is cut by its largest size's
+    plan. On a pool of w > 1 workers (see ``_pool_workers``) a block holds
+    at most max(1, T // (2 * w)) replications, T being ``total``, the
+    replications of the whole task list this plan is submitted with (by
+    default its own). T counts every plan's replications, a shared block's
+    once per plan, as the block evaluates its DL, totals and moments once
+    per plan; so a list whose plans share no block gets at least
+    min(T, 2 * w) blocks.
     """
     scn = plan.scenario
     vehicles = scenario.LANES * scn.vehicle_intensity_per_m * scn.lane_length_m
@@ -386,8 +425,31 @@ def _block_moments(plan: SimulationPlan, block: range) -> np.ndarray:
     return replication_moments(run_replication(plan, block), plan.periods * plan.scenario.vru_count)
 
 
-def _replication_task(args: tuple[SimulationPlan, range]) -> np.ndarray:
-    return _block_moments(*args)
+def _group_moments(plans: tuple[SimulationPlan, ...], block: range) -> list:
+    """Each plan's ``_block_moments`` of ``block``, or the ``CamlatError`` it raises alone.
+
+    ``plans`` differ only in their cluster sizes, which ascend. One plan
+    runs alone and raises its own error. Several share one evaluation of
+    the block at the largest size; if that raises a ``CamlatError``, each
+    plan runs the block alone, and its moments or its error take its place.
+    """
+    if len(plans) == 1:
+        return [_block_moments(plans[0], block)]
+    _keep_freed_memory()
+    try:
+        return list(run_replication(plans[-1], block, tuple(p.radio.cluster_size for p in plans)))
+    except CamlatError:
+        outcomes = []
+        for plan in plans:
+            try:
+                outcomes.append(_block_moments(plan, block))
+            except CamlatError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
+def _replication_task(args: tuple[tuple[SimulationPlan, ...], range]) -> list:
+    return _group_moments(*args)
 
 
 def __getattr__(name: str):
@@ -435,9 +497,18 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
             executor.shutdown(cancel_futures=failed)
 
 
-def _collect(results: list) -> np.ndarray:
-    """The plan's moments: each block's ``result()``, joined in replication order."""
-    return np.concatenate([result() for result in results], axis=1)
+def _collect(results: list, index: int) -> np.ndarray:
+    """Plan ``index`` of a group's moments: its outcome of each block's ``result()``, joined.
+
+    The blocks are read in replication order; the first error is raised.
+    """
+    moments = []
+    for result in results:
+        outcome = result()[index]
+        if isinstance(outcome, CamlatError):
+            raise outcome
+        moments.append(outcome)
+    return np.concatenate(moments, axis=1)
 
 
 def run_plans(
@@ -445,24 +516,37 @@ def run_plans(
 ) -> list[Callable[[], np.ndarray]]:
     """One callable per plan, returning its ``run_plan`` moments or raising its error.
 
-    With an ``executor``, every block of every plan is submitted here, in
-    plan order, so the workers never wait at a plan boundary; a block that
-    raises fails its own plan only. The pool's block cap counts the
-    replications of all ``plans`` (see ``_blocks``). Without one, each block
-    is computed when its plan's callable is called.
+    Plans equal but for their cluster sizes form a group, equal plans
+    counting once, and each block of a group is one task: it evaluates the
+    block once for all the group's sizes (``_group_moments``). With an
+    ``executor``, every block of every group is submitted here, in the order
+    of each group's first plan, so the workers never wait at a plan
+    boundary; a block that raises fails its own plans only. The pool's
+    block cap counts the replications of all ``plans`` (see ``_blocks``).
+    Without one, a group's block is computed when the first of its plans is
+    read, and kept for the others.
     """
     total = sum(plan.replications for plan in plans)
-    runs = []
+    groups: dict[SimulationPlan, dict[int, SimulationPlan]] = {}
     for plan in plans:
-        blocks = _blocks(plan, range(plan.replications), total)
+        # Keyed by the plan at one fixed cluster size: equal for plans equal but for it.
+        key = replace(plan, radio=replace(plan.radio, cluster_size=1))
+        groups.setdefault(key, {})[plan.radio.cluster_size] = plan
+    runs = {}
+    for by_size in groups.values():
+        group = tuple(by_size[size] for size in sorted(by_size))
+        blocks = _blocks(group[-1], range(group[-1].replications), total)
         if executor is None:
             # Not through _replication_task: perfbench/tracer.py replaces it
             # with a wrapper that resets and spills the spans of a worker.
-            results = [partial(_block_moments, plan, block) for block in blocks]
+            results = [cache(partial(_group_moments, group, block)) for block in blocks]
         else:
-            results = [executor.submit(_replication_task, (plan, block)).result for block in blocks]
-        runs.append(partial(_collect, results))
-    return runs
+            results = [
+                executor.submit(_replication_task, (group, block)).result for block in blocks
+            ]
+        for index, plan in enumerate(group):
+            runs[plan] = partial(_collect, results, index)
+    return [runs[plan] for plan in plans]
 
 
 def run_plan(plan: SimulationPlan) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from camlat import channel, engine, scenario
+from camlat import channel, engine, radio, scenario
 from camlat.config import default_plan, plan_from_document
 from camlat.errors import CamlatError, ScenarioError, UnreachableLinkError
 from camlat.latency import COMPONENT_KEYS, compose_e2e
@@ -322,9 +322,11 @@ def recording_pool(monkeypatch):
 
 
 def test_pool_blocks_are_sized_by_the_whole_task_list(recording_pool):
-    # five plans of 20 on 2 workers: T = 100 caps a block at 25 replications,
-    # so only BLOCK_PAIRS cuts them (90, 30, 18, 12 and 10 fit), in 8 tasks
-    # where each plan's own R = 20 would cap them at 5, in 20
+    # five plans of 20 on 2 workers, equal but for their cluster sizes, share
+    # their blocks. T = 100 counts each plan's replications and caps a block
+    # at 25, so only BLOCK_PAIRS at the largest size (10 fit at 9) cuts them,
+    # in 2 tasks, where counting the shared blocks' 20 once would cap them at
+    # 5, in 4, and each plan's own blocks would be 8 tasks
     plans = [
         plan_from_document({"radio": {"cluster_size": m}, "engine": {"replications": 20}})
         for m in (1, 3, 5, 7, 9)
@@ -332,7 +334,7 @@ def test_pool_blocks_are_sized_by_the_whole_task_list(recording_pool):
     with engine.pool(2) as executor:
         runs = engine.run_plans([replace(plan, workers=2) for plan in plans], executor)
         moments = [run() for run in runs]
-    assert [len(block) for _, block in recording_pool] == [20, 20, 18, 2, 12, 8, 10, 10]
+    assert [len(block) for _, block in recording_pool] == [10, 10]
     for plan, got in zip(plans, moments):
         assert got.tobytes() == engine.run_plan(plan).tobytes()
 
@@ -343,6 +345,55 @@ def test_a_lone_pool_plan_keeps_its_own_blocks(recording_pool):
     moments = engine.run_plan(plan)
     assert [len(block) for _, block in recording_pool] == [3, 3, 3, 3, 1]
     assert moments.tobytes() == engine.run_plan(_default_point()).tobytes()
+
+
+def test_equal_plans_in_a_task_list_run_once(recording_pool):
+    # T = 26 on 2 workers caps a block at 6: one set of blocks serves both
+    plan = _default_point(workers=2)
+    with engine.pool(2) as executor:
+        runs = engine.run_plans([plan, replace(plan)], executor)
+        first, second = runs[0](), runs[1]()
+    assert [(plans, len(block)) for plans, block in recording_pool] == [
+        ((plan,), 6), ((plan,), 6), ((plan,), 1)
+    ]
+    assert first.tobytes() == second.tobytes() == engine.run_plan(_default_point()).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, workers):
+    # The DL fails at cluster size 9 in replication 3 only. The shared block
+    # raises and each plan runs it again alone, so the size-9 plan raises
+    # what it raises alone, and sizes 1 and 5 return their lone bytes.
+    plans = [
+        plan_from_document({
+            "scenario": {"vru_count": 10}, "traffic": {"offset_bins": 1},
+            "radio": {"cluster_size": m},
+            "engine": {"replications": 6, "periods": 2, "workers": workers},
+        })
+        for m in (1, 5, 9)
+    ]
+    streams = SubstreamFactory(plans[0].master_seed)
+    rep_3_sizes = generate_period(20, plans[0].traffic, streams.stream("traffic", 3))["size_bits"]
+    dl_latency = radio.dl_latency
+
+    def failing(size_bits, prbs, slowest_snr_db, params):
+        # one offset bin: every packet shares its PRBs with the 10 VRUs' packets
+        members = np.rint(params.total_prbs / (prbs * 10))
+        for sizes, row in zip(size_bits, members):
+            if np.array_equal(sizes.ravel(), rep_3_sizes) and np.all(row == 9):
+                raise UnreachableLinkError("a cluster of 9 in replication 3")
+        return dl_latency(size_bits, prbs, slowest_snr_db, params)
+
+    monkeypatch.setattr(radio, "dl_latency", failing)
+    message = "^replication 3: a cluster of 9 in replication 3$"
+    with pytest.raises(UnreachableLinkError, match=message):
+        engine.run_plan(plans[2])
+    lone = [engine.run_plan(plan).tobytes() for plan in plans[:2]]
+    with engine.pool(workers) as executor:
+        runs = engine.run_plans(plans, executor)
+        with pytest.raises(UnreachableLinkError, match=message):
+            runs[2]()
+        assert [run().tobytes() for run in runs[:2]] == lone
 
 
 @pytest.mark.parametrize(
@@ -363,13 +414,38 @@ def test_block_working_set_stays_within_its_bytes_per_pair_budget(document, budg
     assert peak / pairs <= budget, peak / pairs
 
 
+@pytest.mark.parametrize(
+    ("document", "budget"),
+    # 23.5 and 27.2 bytes per pair at cluster size 9 measured with numpy
+    # 2.4.6, within the budgets above
+    [({}, 37.0), ({"scenario": {"vehicle_intensity_per_m": 0.09}}, 30.0)],
+    ids=["default", "dense"],
+)
+def test_a_shared_block_stays_within_the_budget_of_its_largest_size(document, budget):
+    # the cluster sweep's five sizes share a block sized at 9: it holds its
+    # members at 9 only, and one size's DL and total rows at a time
+    plan = plan_from_document(document)
+    group = tuple(
+        replace(plan, radio=replace(plan.radio, cluster_size=m)) for m in (1, 3, 5, 7, 9)
+    )
+    block = engine._blocks(group[-1], range(plan.replications))[0]
+    pairs = len(block) * plan.periods * plan.scenario.vru_count * 9
+    peak = _peak(partial(engine._group_moments, group, block))
+    assert peak / pairs <= budget, peak / pairs
+
+
 def _first_block_peak(plan):
     """The tracemalloc peak of the plan's first block, after a warm-up run of it."""
     block = engine._blocks(plan, range(plan.replications))[0]
-    engine._block_moments(plan, block)  # warm-up: imports and caches
+    return _peak(partial(engine._block_moments, plan, block))
+
+
+def _peak(run):
+    """The tracemalloc peak of ``run()``, after a warm-up call of it."""
+    run()  # warm-up: imports and caches
     tracemalloc.start()
     try:
-        engine._block_moments(plan, block)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -759,12 +759,14 @@ def submitted(monkeypatch):
 
 def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypatch, submitted):
     # the whole sweep is queued at once; a bug in the parent at its first
-    # point must not wait for every other point's blocks to run
+    # point must not wait for every other point's blocks to run. The density
+    # points share no road, so each block is one point's own
     block_moments = engine._block_moments
 
     def counted(plan, block):  # runs in the forked workers
-        (tmp_path / f"{plan.radio.cluster_size}-{block.start}").touch()
-        if plan.radio.cluster_size > 1:
+        intensity = plan.scenario.vehicle_intensity_per_m
+        (tmp_path / f"{intensity}-{block.start}").touch()
+        if intensity > 0.01:
             time.sleep(0.2)  # the later points' blocks outlast the first point's
         return block_moments(plan, block)
 
@@ -774,21 +776,22 @@ def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypat
     monkeypatch.setattr(engine, "_block_moments", counted)
     monkeypatch.setattr(engine, "aggregate", broken)
     base = plan_from_document({"engine": {"replications": 20, "workers": 2}})
-    spec = SweepSpec("cluster_size", (1, 3, 5, 7, 9), base)
+    spec = SweepSpec("vehicle_intensity", (0.01, 0.03, 0.05, 0.07, 0.09), base)
     with pytest.raises(RuntimeError, match="aggregate failed"):
         run_sweep(spec)
     assert multiprocessing.active_children() == []
     # on 2 workers the sweep's 100 replications cap a block at 25, so only
-    # BLOCK_PAIRS cuts the points: 1, 1, 2, 2 and 2 blocks
+    # BLOCK_PAIRS cuts the points: 2 blocks each
     total = len(submitted)
-    assert total == 8
+    assert total == 10
     assert 1 <= len(list(tmp_path.iterdir())) < total
 
 
 def test_reproduce_submits_one_task_per_sweep_block(tmp_path, submitted):
     # each sweep's 5 points x 20 replications share one task list, so on 2
     # workers a block may hold 25 replications and only BLOCK_PAIRS cuts
-    # them: 7 + 10 + 8 tasks, where blocks capped per point would be 60
+    # them: 7 + 10 tasks, and 2 for the cluster sweep, whose points share
+    # their blocks; blocks capped per point and unshared would be 60
     def reproduce(workers):
         out = tmp_path / f"w{workers}"
         argv = ["--replications", "20", "--workers", str(workers), "--out-dir", str(out)]
@@ -798,7 +801,7 @@ def test_reproduce_submits_one_task_per_sweep_block(tmp_path, submitted):
     serial = reproduce(1)
     assert submitted == []
     assert reproduce(2) == serial
-    assert len(submitted) == 25
+    assert len(submitted) == 19
 
 
 def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):

@@ -6,23 +6,39 @@ of the VRUs. The reference below shares only the samplers with it (the
 scenario, the packets, and each purpose's stream, drawn in the engine's
 shapes), then walks period by period and VRU by VRU in plain Python over
 the whole road. It uses neither ``engine.evaluate_period`` nor
-``radio.nearest_member_indices``.
+``radio.nearest_member_indices``. It raises the engine's error types: a
+``ScenarioError`` for an empty road, an ``UnreachableLinkError`` for a rate
+that is zero, NaN or infinite.
+
+Each plan also runs in an ``engine.run_plans`` group with other cluster
+sizes, whose blocks it shares, and must give its lone bytes there.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from camlat import engine, scenario, traffic
 from camlat.channel import mean_snr_db
 from camlat.config import plan_from_document
+from camlat.errors import CamlatError, ConfigurationError, ScenarioError, UnreachableLinkError
 from camlat.rng import SubstreamFactory
 
 
 def _rate_bps(plan, prbs, snr_db):
-    return prbs * plan.radio.prb_bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    """The link's rate; one that is zero, NaN or infinite is an ``UnreachableLinkError``."""
+    try:
+        rate = prbs * plan.radio.prb_bandwidth_hz * math.log2(1.0 + 10.0 ** (float(snr_db) / 10.0))
+    except OverflowError:
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        raise UnreachableLinkError(f"rate {rate} at SNR {snr_db} dB")
+    return rate
 
 
 def reference_replication(plan, rep):
@@ -63,6 +79,8 @@ def reference_replication(plan, rep):
                 / plan.network.server_cycles_per_s
             )
             t_tn_cn = float(tn_cn[p, i])
+            if not x:
+                raise ScenarioError("no vehicles to form a cluster")
             ranked = sorted(range(len(x)), key=lambda j: ((q - x[j]) * (q - x[j]), x[j], j))
             # The k-th nearest member gets the k-th DL normal; the slowest decides.
             snr_dl = min(
@@ -85,14 +103,45 @@ def _plan(document, replications=6):
     })
 
 
+def _with_cluster_size(plan, size):
+    return replace(plan, radio=replace(plan.radio, cluster_size=size))
+
+
+def _runs_in_a_group(plan, sizes):
+    """Run ``plan`` in a ``run_plans`` group with the other cluster ``sizes``.
+
+    Every plan of the group returns its lone ``run_plan``'s bytes, or raises
+    its lone error.
+    """
+    plans = [_with_cluster_size(plan, size) for size in sizes] + [plan]
+    for member, run in zip(plans, engine.run_plans(plans, None)):
+        try:
+            lone = engine.run_plan(member)
+        except CamlatError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                run()
+        else:
+            assert run().tobytes() == lone.tobytes(), member.radio.cluster_size
+
+
 def _matches_reference(plan):
-    """The engine's packets, one block and one replication at a time, against the reference."""
+    """The engine's packets, one block and one replication at a time, against the reference.
+
+    The plan also runs in a group with cluster sizes 1 and 9, whose blocks
+    it shares; its moments match those of the reference packets.
+    """
     reference = [reference_replication(plan, rep) for rep in range(plan.replications)]
     block = engine.run_replication(plan, range(plan.replications))
     np.testing.assert_allclose(block, np.concatenate(reference, axis=1), rtol=1e-13, atol=0)
     for rep, packets in enumerate(reference):
         single = engine.run_replication(plan, range(rep, rep + 1))
         np.testing.assert_allclose(single, packets, rtol=1e-13, atol=0)
+    _runs_in_a_group(plan, (1, 9))
+    width = plan.periods * plan.scenario.vru_count
+    expected = [engine.replication_moments(packets, width) for packets in reference]
+    np.testing.assert_allclose(
+        engine.run_plan(plan), np.concatenate(expected, axis=1), rtol=1e-13, atol=0
+    )
 
 
 _CONFIGS = {
@@ -175,3 +224,59 @@ def test_a_stacked_lane_tie_matches_the_reference(monkeypatch):
     vru_x = [1200.0, 1650.0, 1125.0, 1275.0, 1350.0, 1200.0, 1225.0, 1150.0, 1100.0, 1650.0]
     _build_roads(monkeypatch, lambda rep: (x, lanes, vru_x))
     _matches_reference(_small_road_plan(5, mobility=False))
+
+
+@st.composite
+def _small_documents(draw):
+    """Small runs: roads of 50 m to 3 km, VRU strips up to the whole road,
+    vehicles up to 3,000 km/h or standing, and now and then a DL power that
+    overflows the rate."""
+    length_m = draw(st.floats(50.0, 3000.0))
+    return {
+        "scenario": {
+            "lane_length_km": length_m / 1e3,
+            "vehicle_intensity_per_m": draw(st.floats(1e-4, 0.05)),
+            "vru_count": draw(st.integers(1, 8)),
+            "vru_strip_m": sorted(draw(st.floats(0.0, length_m)) for _ in range(2)),
+            "enb_position_m": [draw(st.floats(0.0, length_m)), 10.0],
+            "speed_kmh": sorted(draw(st.floats(1.0, 3000.0)) for _ in range(2)),
+            "mobility": draw(st.booleans()),
+        },
+        "traffic": {"offset_bins": draw(st.integers(1, 50))},
+        "channel": {"dl_tx_power_dbm": draw(st.sampled_from([46.0, 46.0, 46.0, 4000.0]))},
+        "radio": {"cluster_size": draw(st.integers(1, 20))},
+        "engine": {
+            "replications": draw(st.integers(1, 6)),
+            "periods": draw(st.integers(1, 4)),
+            "master_seed": draw(st.integers(0, 2**32 - 1)),
+        },
+    }
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_small_documents(), st.integers(1, 20))
+def test_the_engine_matches_the_reference_on_small_documents(document, other_size):
+    # the reach cut, the merge search and the blocking against the plain
+    # walk; where the reference fails, the engine fails with the same error
+    # type at the same replication. The plan also shares its blocks with
+    # another cluster size.
+    try:
+        plan = plan_from_document(document)
+    except ConfigurationError:
+        event("config error")
+        return
+    reference = []
+    for rep in range(plan.replications):
+        try:
+            reference.append(reference_replication(plan, rep))
+        except CamlatError as exc:
+            event(f"both raise {type(exc).__name__}")
+            with pytest.raises(CamlatError, match=f"^replication {rep}: ") as raised:
+                engine.run_replication(plan, range(plan.replications))
+            assert raised.type is type(exc)
+            break
+    else:
+        event("a finite run")
+        block = engine.run_replication(plan, range(plan.replications))
+        np.testing.assert_allclose(block, np.concatenate(reference, axis=1), rtol=1e-13, atol=0)
+    _runs_in_a_group(plan, (other_size,))
