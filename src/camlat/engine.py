@@ -117,23 +117,24 @@ The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
 the first pool opens, so a serial run never imports them. The pool class is
 the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
 assigned to it beforehand opens every later pool.
-The block is the unit of work: each pool task is one block, returned as
-its moments, and a plan's blocks are joined in replication order, as a
-serial run joins them. ``run_plans`` takes a task list of plans, such as a
-sweep's points. Plans equal but for their cluster sizes draw the same
-roads, packets, UL SNRs and transport+core delays from the same streams;
-only the DL depends on the size. They form a group, equal plans counting
-once, and share its blocks. A group's block runs the pipeline once, at
-its largest size m: the reach cut at m keeps a superset of each smaller
-size's exact cut, and the search at m ranks each VRU's members nearest
-first, so size k's clusters are the first min(k, vehicles) of them. Each
-size, ascending, then draws its DL and is reduced to its moments before
-the next size overwrites the DL and total rows; every plan gets the bytes
-it gets alone. If a shared block raises a ``CamlatError``, each of its
-plans runs the block again alone, so each gets its own moments or error.
-``run_plans`` submits every block of every group at once, one future per
-block, so the workers never wait at a plan boundary and a block that
-raises fails only its own plans. A serial run takes the same path,
+The block is the unit of work: each pool task is one block, returned as its
+moments, and a plan's blocks are joined in replication order, as a serial
+run joins them. ``run_plans`` takes a task list of plans, such as a sweep's
+points. Plans equal but for their cluster sizes draw the same roads,
+packets, UL SNRs and transport+core delays from the same streams; only the
+DL depends on the size. They form a group, equal plans counting once, and
+share its blocks; a lone plan is a group of one size, so every block takes
+one path. It runs the pipeline once, at its group's largest size m: the
+reach cut at m keeps a superset of each smaller size's exact cut, and the
+search at m ranks each VRU's members nearest first, so size k's clusters
+are the first min(k, vehicles) of them. Each size, ascending, then draws
+its DL and is reduced to its moments before the next size overwrites the DL
+and total rows; every plan gets the bytes it gets alone. If a block raises
+a ``CamlatError``, a group of one returns it, and in a larger group each
+plan runs the block again as a group of one, so each gets its own moments
+or error. ``run_plans`` submits every block of every group at once, one
+future per block, so the workers never wait at a plan boundary and a block
+that raises fails only its own plans. A serial run takes the same path,
 computing a group's block when the first of its plans is read. If an
 exception leaves the pool's block, the blocks still queued are cancelled
 before the workers are joined.
@@ -311,8 +312,8 @@ def run_replication(
 
     The columns equal those of the replications run one by one, in order.
     An error names the lowest failing replication, as a serial run would.
-    With ``cluster_sizes`` the block serves several cluster sizes and
-    returns their moments (see ``evaluate_period``).
+    With ``cluster_sizes``, as every block of ``run_plans`` has, it returns
+    each size's moments instead (see ``evaluate_period``).
     """
     try:
         streams = SubstreamFactory(plan.master_seed)
@@ -419,33 +420,22 @@ def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np
     return moments
 
 
-def _block_moments(plan: SimulationPlan, block: range) -> np.ndarray:
-    """The moments of one block of replications, shape (7, len(block), 2)."""
-    _keep_freed_memory()
-    return replication_moments(run_replication(plan, block), plan.periods * plan.scenario.vru_count)
-
-
 def _group_moments(plans: tuple[SimulationPlan, ...], block: range) -> list:
-    """Each plan's ``_block_moments`` of ``block``, or the ``CamlatError`` it raises alone.
+    """Each plan's moments of ``block``, or the ``CamlatError`` it raises alone.
 
-    ``plans`` differ only in their cluster sizes, which ascend. One plan
-    runs alone and raises its own error. Several share one evaluation of
-    the block at the largest size; if that raises a ``CamlatError``, each
-    plan runs the block alone, and its moments or its error take its place.
+    ``plans`` differ only in their cluster sizes, which ascend; a lone plan
+    is a group of one size. One evaluation of the block, at the largest
+    size, gives every plan its moments, shape (7, len(block), 2). If it
+    raises a ``CamlatError``, a group of one returns it, and a larger group
+    runs the block again as a group of one per plan, for each one's outcome.
     """
-    if len(plans) == 1:
-        return [_block_moments(plans[0], block)]
     _keep_freed_memory()
     try:
         return list(run_replication(plans[-1], block, tuple(p.radio.cluster_size for p in plans)))
-    except CamlatError:
-        outcomes = []
-        for plan in plans:
-            try:
-                outcomes.append(_block_moments(plan, block))
-            except CamlatError as exc:
-                outcomes.append(exc)
-        return outcomes
+    except CamlatError as exc:
+        if len(plans) == 1:
+            return [exc]
+        return [_group_moments((plan,), block)[0] for plan in plans]
 
 
 def _replication_task(args: tuple[tuple[SimulationPlan, ...], range]) -> list:
@@ -517,14 +507,14 @@ def run_plans(
     """One callable per plan, returning its ``run_plan`` moments or raising its error.
 
     Plans equal but for their cluster sizes form a group, equal plans
-    counting once, and each block of a group is one task: it evaluates the
-    block once for all the group's sizes (``_group_moments``). With an
-    ``executor``, every block of every group is submitted here, in the order
-    of each group's first plan, so the workers never wait at a plan
-    boundary; a block that raises fails its own plans only. The pool's
-    block cap counts the replications of all ``plans`` (see ``_blocks``).
-    Without one, a group's block is computed when the first of its plans is
-    read, and kept for the others.
+    counting once, a lone plan being a group of one size. Each block of a
+    group is one task: it evaluates the block once for all the group's sizes
+    (``_group_moments``). With an ``executor``, every block of every group
+    is submitted here, in the order of each group's first plan, so the
+    workers never wait at a plan boundary; a block that raises fails its own
+    plans only. The pool's block cap counts the replications of all
+    ``plans`` (see ``_blocks``). Without one, a group's block is computed
+    when the first of its plans is read, and kept for the others.
     """
     total = sum(plan.replications for plan in plans)
     groups: dict[SimulationPlan, dict[int, SimulationPlan]] = {}

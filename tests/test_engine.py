@@ -384,16 +384,40 @@ def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, worker
                 raise UnreachableLinkError("a cluster of 9 in replication 3")
         return dl_latency(size_bits, prbs, slowest_snr_db, params)
 
+    evaluations = []  # each evaluate_period call's replications, seen in this process only
+    evaluate_period = engine.evaluate_period
+
+    def counted(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes):
+        evaluations.append(len(replications))
+        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes)
+
+    def cost():
+        """The evaluate_period calls and replication-evaluations since the last cost()."""
+        counts = len(evaluations), sum(evaluations)
+        evaluations.clear()
+        return counts
+
     monkeypatch.setattr(radio, "dl_latency", failing)
+    monkeypatch.setattr(engine, "evaluate_period", counted)
     message = "^replication 3: a cluster of 9 in replication 3$"
     with pytest.raises(UnreachableLinkError, match=message):
         engine.run_plan(plans[2])
-    lone = [engine.run_plan(plan).tobytes() for plan in plans[:2]]
+    costs = [cost()]
+    lone = []
+    for plan in plans[:2]:
+        lone.append(engine.run_plan(plan).tobytes())
+        costs.append(cost())
     with engine.pool(workers) as executor:
         runs = engine.run_plans(plans, executor)
         with pytest.raises(UnreachableLinkError, match=message):
             runs[2]()
         assert [run().tobytes() for run in runs[:2]] == lone
+    costs.append(cost())
+    if workers == 1:
+        # size 9 alone names replication 3 by rerunning 0 to 3 one by one: 5
+        # calls over 10 replications. The group does that once for all sizes,
+        # then runs each plan as a group of one: 5 + 1 + 1 + 5 calls
+        assert costs == [(5, 10), (1, 6), (1, 6), (12, 32)]
 
 
 @pytest.mark.parametrize(
@@ -437,7 +461,7 @@ def test_a_shared_block_stays_within_the_budget_of_its_largest_size(document, bu
 def _first_block_peak(plan):
     """The tracemalloc peak of the plan's first block, after a warm-up run of it."""
     block = engine._blocks(plan, range(plan.replications))[0]
-    return _peak(partial(engine._block_moments, plan, block))
+    return _peak(partial(engine._group_moments, (plan,), block))
 
 
 def _peak(run):

@@ -761,19 +761,20 @@ def test_an_error_leaving_the_pool_cancels_the_queued_blocks(tmp_path, monkeypat
     # the whole sweep is queued at once; a bug in the parent at its first
     # point must not wait for every other point's blocks to run. The density
     # points share no road, so each block is one point's own
-    block_moments = engine._block_moments
+    group_moments = engine._group_moments
 
-    def counted(plan, block):  # runs in the forked workers
+    def counted(plans, block):  # runs in the forked workers
+        (plan,) = plans
         intensity = plan.scenario.vehicle_intensity_per_m
         (tmp_path / f"{intensity}-{block.start}").touch()
         if intensity > 0.01:
             time.sleep(0.2)  # the later points' blocks outlast the first point's
-        return block_moments(plan, block)
+        return group_moments(plans, block)
 
     def broken(moments, packets_per_replication):
         raise RuntimeError("aggregate failed")
 
-    monkeypatch.setattr(engine, "_block_moments", counted)
+    monkeypatch.setattr(engine, "_group_moments", counted)
     monkeypatch.setattr(engine, "aggregate", broken)
     base = plan_from_document({"engine": {"replications": 20, "workers": 2}})
     spec = SweepSpec("vehicle_intensity", (0.01, 0.03, 0.05, 0.07, 0.09), base)
