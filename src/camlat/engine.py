@@ -85,8 +85,8 @@ a shared block's once per plan, as it draws a DL and reduces packets once
 per plan. A list whose plans share no block thus gets at least min(T, 2 * w)
 blocks, so no worker idles; a serial run is not capped. Outputs do not
 depend on the blocking: a block's columns equal those of its replications
-run one by one. An error in a block is raised again naming the lowest
-failing replication, as a serial run would.
+run one by one. A failing block's error names its lowest replication that
+fails alone, as a serial run would (below).
 
 Blocks reuse the memory earlier blocks freed. By default glibc maps every
 array above 128 KiB on its own and unmaps it when freed, and it trims its
@@ -130,14 +130,15 @@ search at m ranks each VRU's members nearest first, so size k's clusters
 are the first min(k, vehicles) of them. Each size, ascending, then draws
 its DL and is reduced to its moments before the next size overwrites the DL
 and total rows; every plan gets the bytes it gets alone. If a block raises
-a ``CamlatError``, a group of one returns it, and in a larger group each
-plan runs the block again as a group of one, so each gets its own moments
-or error. ``run_plans`` submits every block of every group at once, one
-future per block, so the workers never wait at a plan boundary and a block
-that raises fails only its own plans. A serial run takes the same path,
-computing a group's block when the first of its plans is read. If an
-exception leaves the pool's block, the blocks still queued are cancelled
-before the workers are joined.
+a ``CamlatError``, a larger group runs it again as a group of one per plan,
+so each gets its own moments or error; a group of one runs a longer block's
+replications one at a time and returns the first one's error, prefixed
+``replication r: ``. ``run_plans`` submits every block of every group at
+once, one future per block, so the workers never wait at a plan boundary
+and a block that raises fails only its own plans. A serial run takes the
+same path, computing a group's block when the first of its plans is read.
+If an exception leaves the pool's block, the blocks still queued are
+cancelled before the workers are joined.
 """
 
 from __future__ import annotations
@@ -311,51 +312,45 @@ def run_replication(
     """Simulate a block of replications for all periods of the plan, shape (7, n).
 
     The columns equal those of the replications run one by one, in order.
-    An error names the lowest failing replication, as a serial run would.
     With ``cluster_sizes``, as every block of ``run_plans`` has, it returns
-    each size's moments instead (see ``evaluate_period``).
+    each size's moments instead (see ``evaluate_period``). An error is the
+    pipeline's own, as raised; ``_group_moments`` names its replication.
     """
-    try:
-        streams = SubstreamFactory(plan.master_seed)
-        periods, n = plan.periods, plan.scenario.vru_count
-        vru_x = np.empty((len(replications), n))
-        packets = np.empty((len(replications), periods, n), traffic.PACKET_DTYPE)
-        kept = []
-        for b, rep in enumerate(replications):
-            scn = scenario.sample_scenario(plan.scenario, streams, rep)
-            keep = _within_reach(plan, scn)
-            vru_x[b] = scn.vru_x
-            packets[b] = traffic.generate_period(
-                periods * n, plan.traffic, streams.stream("traffic", rep)
-            ).reshape(periods, n)
-            kept.append((scn.vehicle_x[keep], scn.vehicle_speed[keep], scn.vehicle_lane[keep]))
-        # Row b of the block's vehicle arrays holds replication b's kept
-        # vehicles, in index order, then padding.
-        counts = np.array([columns[0].size for columns in kept])
-        real = np.arange(counts.max()) < counts[:, None]
-        x, speed, lane = (np.zeros(real.shape, dtype) for dtype in (float, float, np.int64))
-        for b, columns in enumerate(kept):
-            for block, column in zip((x, speed, lane), columns):
-                block[b, : column.size] = column
-        vehicle_x = np.empty((len(replications), periods, x.shape[1]))
-        # Step the positions period by period: the closed form (x0 + v*t) mod L
-        # rounds differently and would change the sample path.
-        for p in range(periods):
-            if p and plan.scenario.mobility:
-                x = scenario.advance_vehicles(
-                    x, speed, plan.traffic.period_s, plan.scenario.lane_length_m
-                )
-            vehicle_x[:, p] = x
-        # Pad after stepping, so every real vehicle sorts before the padding.
-        np.copyto(vehicle_x, np.inf, where=~real[:, None])
-        return evaluate_period(
-            plan, vru_x, vehicle_x, lane, packets, streams, replications, cluster_sizes
-        )
-    except CamlatError as exc:
-        if len(replications) > 1:
-            for rep in replications:
-                run_replication(plan, range(rep, rep + 1), cluster_sizes)
-        raise type(exc)(f"replication {replications[0]}: {exc}") from exc
+    streams = SubstreamFactory(plan.master_seed)
+    periods, n = plan.periods, plan.scenario.vru_count
+    vru_x = np.empty((len(replications), n))
+    packets = np.empty((len(replications), periods, n), traffic.PACKET_DTYPE)
+    kept = []
+    for b, rep in enumerate(replications):
+        scn = scenario.sample_scenario(plan.scenario, streams, rep)
+        keep = _within_reach(plan, scn)
+        vru_x[b] = scn.vru_x
+        packets[b] = traffic.generate_period(
+            periods * n, plan.traffic, streams.stream("traffic", rep)
+        ).reshape(periods, n)
+        kept.append((scn.vehicle_x[keep], scn.vehicle_speed[keep], scn.vehicle_lane[keep]))
+    # Row b of the block's vehicle arrays holds replication b's kept
+    # vehicles, in index order, then padding.
+    counts = np.array([columns[0].size for columns in kept])
+    real = np.arange(counts.max()) < counts[:, None]
+    x, speed, lane = (np.zeros(real.shape, dtype) for dtype in (float, float, np.int64))
+    for b, columns in enumerate(kept):
+        for block, column in zip((x, speed, lane), columns):
+            block[b, : column.size] = column
+    vehicle_x = np.empty((len(replications), periods, x.shape[1]))
+    # Step the positions period by period: the closed form (x0 + v*t) mod L
+    # rounds differently and would change the sample path.
+    for p in range(periods):
+        if p and plan.scenario.mobility:
+            x = scenario.advance_vehicles(
+                x, speed, plan.traffic.period_s, plan.scenario.lane_length_m
+            )
+        vehicle_x[:, p] = x
+    # Pad after stepping, so every real vehicle sorts before the padding.
+    np.copyto(vehicle_x, np.inf, where=~real[:, None])
+    return evaluate_period(
+        plan, vru_x, vehicle_x, lane, packets, streams, replications, cluster_sizes
+    )
 
 
 def _blocks(plan: SimulationPlan, replications: range, total: int | None = None) -> list[range]:
@@ -426,16 +421,20 @@ def _group_moments(plans: tuple[SimulationPlan, ...], block: range) -> list:
     ``plans`` differ only in their cluster sizes, which ascend; a lone plan
     is a group of one size. One evaluation of the block, at the largest
     size, gives every plan its moments, shape (7, len(block), 2). If it
-    raises a ``CamlatError``, a group of one returns it, and a larger group
-    runs the block again as a group of one per plan, for each one's outcome.
+    raises a ``CamlatError``, a larger group runs the block again as a group
+    of one per plan. A group of one runs a longer block's replications one
+    by one and returns the first one's error, as a serial run would; else,
+    its error prefixed ``replication r: ``, r being the block's first.
     """
     _keep_freed_memory()
     try:
         return list(run_replication(plans[-1], block, tuple(p.radio.cluster_size for p in plans)))
     except CamlatError as exc:
-        if len(plans) == 1:
-            return [exc]
-        return [_group_moments((plan,), block)[0] for plan in plans]
+        if len(plans) > 1:
+            return [_group_moments((plan,), block)[0] for plan in plans]
+        alone = (_group_moments(plans, range(r, r + 1))[0] for r in block if len(block) > 1)
+        failed = (outcome for outcome in alone if isinstance(outcome, CamlatError))
+        return [next(failed, type(exc)(f"replication {block[0]}: {exc}"))]
 
 
 def _replication_task(args: tuple[tuple[SimulationPlan, ...], range]) -> list:

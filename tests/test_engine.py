@@ -19,6 +19,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from camlat import channel, engine, radio, scenario
 from camlat.config import default_plan, plan_from_document
 from camlat.errors import CamlatError, ScenarioError, UnreachableLinkError
+from camlat.experiments import SweepSpec, run_sweep
 from camlat.latency import COMPONENT_KEYS, compose_e2e
 from camlat.radio import link_rate_bps
 from camlat.rng import SubstreamFactory
@@ -415,9 +416,46 @@ def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, worker
     costs.append(cost())
     if workers == 1:
         # size 9 alone names replication 3 by rerunning 0 to 3 one by one: 5
-        # calls over 10 replications. The group does that once for all sizes,
-        # then runs each plan as a group of one: 5 + 1 + 1 + 5 calls
-        assert costs == [(5, 10), (1, 6), (1, 6), (12, 32)]
+        # calls over 10 replications. The group names no replication: its
+        # failing block runs each plan as a group of one, 1 + 1 + 1 + 5 calls
+        assert costs == [(5, 10), (1, 6), (1, 6), (8, 28)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plans_of_a_shared_block_fail_at_their_own_replications(monkeypatch, workers):
+    # A 243 dB DL loss leaves some clusters with an unreachable member, the
+    # more often the larger the cluster: the five sizes share one block of 8
+    # serially, sizes 1 and 3 pass, and 5, 7 and 9 fail at replications 2, 6
+    # and 5, each as its plan fails alone. Nothing is patched to fail; the
+    # wrapper below only counts evaluate_period's calls.
+    plan = plan_from_document({
+        "channel": {"dl_calibration_loss_db": 243},
+        "engine": {"replications": 8, "periods": 2, "master_seed": 1729, "workers": workers},
+    })
+    evaluations = []  # each evaluate_period call's replications, seen in this process only
+    evaluate_period = engine.evaluate_period
+
+    def counted(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes):
+        evaluations.append(len(replications))
+        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes)
+
+    monkeypatch.setattr(engine, "evaluate_period", counted)
+    result = run_sweep(SweepSpec("cluster_size", (1, 3, 5, 7, 9), plan))
+    if workers == 1:
+        # the group's block, sizes 1 and 3 once each, then sizes 5, 7 and 9
+        # alone: the block and its replications up to 2, 6 and 5 one by one,
+        # 4 calls over 11, 8 over 15 and 7 over 14 replications
+        assert (len(evaluations), sum(evaluations)) == (22, 64)
+    assert [row.value for row in result.rows] == [1, 3]
+    unreachable = "a downlink cluster has an unreachable member"
+    assert result.failures == (
+        (5, f"replication 2: {unreachable}"),
+        (7, f"replication 6: {unreachable}"),
+        (9, f"replication 5: {unreachable}"),
+    )
+    for size, message in result.failures:
+        with pytest.raises(UnreachableLinkError, match=f"^{message}$"):
+            engine.run_plan(replace(plan, radio=replace(plan.radio, cluster_size=size)))
 
 
 @pytest.mark.parametrize(
@@ -633,6 +671,9 @@ def test_empty_road_raises_scenario_error_with_context():
     }
     plan = plan_from_document(doc)
     with pytest.raises(ScenarioError, match="replication 0"):
+        engine.run_plan(plan)
+    # the block itself raises the pipeline's error; only run_plan names the replication
+    with pytest.raises(ScenarioError, match="^no vehicles on the road; cannot form clusters$"):
         engine.run_replication(plan, range(0, 1))
 
 
@@ -643,7 +684,7 @@ def test_unreachable_downlink_raises_with_context():
         "engine": {"replications": 1, "periods": 1},
     }
     with pytest.raises(UnreachableLinkError, match="replication 0"):
-        engine.run_replication(plan_from_document(doc), range(0, 1))
+        engine.run_plan(plan_from_document(doc))
 
 
 def test_non_finite_component_fails_loudly():
@@ -653,7 +694,7 @@ def test_non_finite_component_fails_loudly():
         plan, network=replace(plan.network, backhaul_bps=float("nan")), replications=1, periods=2
     )
     with pytest.raises(CamlatError, match="^replication 0: .*finite and non-negative: bh$"):
-        engine.run_replication(plan, range(0, 1))
+        engine.run_plan(plan)
 
 
 @pytest.mark.parametrize(
