@@ -4,7 +4,10 @@ import csv
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -469,6 +472,7 @@ def test_sweep_records_a_non_finite_latency_as_failures():
         assert message == "replication 0: latency components must be finite and non-negative: bh"
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning before the typed error
 def test_sweep_fails_a_point_whose_statistics_overflow(tmp_path, capsys):
     # 1e-300 Mbit/s is a valid capacity: the backhaul latencies, about 1e299 s,
     # are finite, but their spread overflows. The point fails, naming the
@@ -622,6 +626,19 @@ def test_cli_run_single_point(tmp_path, capsys):
     assert "edge-processing gain" in capsys.readouterr().out
 
 
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    # in-process calls skip ``raise SystemExit(main())``; a real process runs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "camlat.cli", "--replications", "2", "run"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert sum("edge-processing gain" in line for line in proc.stdout.splitlines()) == 1
+
+
 def test_cli_run_creates_no_output_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--replications", "2", "--out-dir", "missing", "run"]) == 0
@@ -631,11 +648,11 @@ def test_cli_run_creates_no_output_directory(tmp_path, monkeypatch):
 @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
 def test_cli_out_dir_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, out_dir):
     (tmp_path / "afile").write_text("", encoding="utf-8")
-    argv = ["--replications", "2", "--out-dir", str(tmp_path / out_dir)]
-    assert cli.main(argv + ["sweep-vru", "--values", "50"]) == 2
+    path = str(tmp_path / out_dir)
+    assert cli.main(["--replications", "2", "--out-dir", path, "sweep-vru", "--values", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("runtime error: cannot create output directory ")
+    assert captured.err.startswith(f"runtime error: cannot create output directory {path!r}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -805,6 +822,102 @@ def test_reproduce_submits_one_task_per_sweep_block(tmp_path, submitted):
     assert len(submitted) == 19
 
 
+# The documents of the 1-vs-2-worker cases below.
+# sparse: at seed 1729 the 12 roads hold 6 to 17 vehicles against a cluster
+# size of 9, so every block, of 10 and 2 serially or of 3 on 2 workers, mixes
+# short and full roads
+SPARSE = {"scenario": {"vehicle_intensity_per_m": 0.002}, "radio": {"cluster_size": 9}}
+# long: a 30 km road at 0.09 /m whose VRU strip spans it, so the reach cut
+# keeps all 5,400 vehicles and each block holds one replication
+LONG = {
+    "scenario": {
+        "lane_length_km": 30, "vehicle_intensity_per_m": 0.09,
+        "vru_strip_m": [0, 30000], "enb_position_m": [15000, 10],
+    },
+    "radio": {"cluster_size": 9},
+}
+# a 243 dB DL loss leaves clusters of 5, 7 and 9 with an unreachable member at
+# replications 2, 6 and 5, while sizes 1 and 3 pass
+LOSS = {"channel": {"dl_calibration_loss_db": 243}, "engine": {"replications": 8, "periods": 2}}
+UNREACHABLE = "a downlink cluster has an unreachable member"
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("document, argv, code, err, rows", [
+    pytest.param(None, "--replications 12 --out-dir out reproduce", 0, "", [5, 5, 5], id="reproduce"),
+    # the sweep's 5 points share their blocks: T = 25 on 2 workers caps a
+    # block at 6 replications, and one block of 5 serves all five sizes
+    pytest.param(None, "--replications 5 --out-dir out sweep-cluster", 0, "", [5], id="cluster"),
+    pytest.param(None, "--replications 12 run", 0, "", [], id="run"),
+    # blocks of 3, 3, 3, 3 and 1 on 2 workers: more tasks than workers, the last one short
+    pytest.param(None, "--replications 13 run", 0, "", [], id="run-13"),
+    # dense: about 540 vehicles per road, of which the engine steps and ranks
+    # only those within reach of the VRUs
+    pytest.param({"scenario": {"vehicle_intensity_per_m": 0.09}, "radio": {"cluster_size": 9}},
+                 "--replications 12 run", 0, "", [], id="dense"),
+    pytest.param(SPARSE, "--replications 12 run", 0, "", [], id="sparse"),
+    # wide: lanes 17 m from the VRUs: the clusters are still ranked by x alone
+    pytest.param({"scenario": {"lane_width_m": 30.0, "vehicle_intensity_per_m": 0.05}},
+                 "--replications 12 run", 0, "", [], id="wide"),
+    pytest.param(LONG, "--replications 4 run", 0, "", [], id="long"),
+    # 100,000 offset bins per period, whose bin-count table makes each block
+    # hold one replication
+    pytest.param({"traffic": {"offset_bins": 100000}}, "--replications 4 run", 0, "", [], id="bins"),
+    # blocks of 10 and 2, each shared by the five sizes, hold roads shorter
+    # than the larger cluster sizes
+    pytest.param(SPARSE, "--replications 12 --out-dir out sweep-cluster", 0, "", [5],
+                 id="sparse-cluster"),
+    # every point's blocks are queued at once: 1e-05 /m fails inside a worker
+    # (an empty road), nan when its plan is built, and 0.01 /m between them is
+    # still written
+    pytest.param(
+        None, "--replications 4 --out-dir out sweep-density --values 0.00001,0.01,nan", 2,
+        re.escape("  vehicle_intensity=1e-05: FAILED (replication 0: no vehicles on the road; "
+                  "cannot form clusters)\n"
+                  "  vehicle_intensity=nan: FAILED (scenario.vehicle_intensity_per_m: ") + r".*\)\n",
+        [1], id="failing-density"),
+    # the five sizes share their blocks, and each failing size names the
+    # replication it fails at alone
+    pytest.param(
+        LOSS, "--replications 8 --out-dir out sweep-cluster", 2,
+        re.escape(f"  cluster_size=5: FAILED (replication 2: {UNREACHABLE})\n"
+                  f"  cluster_size=7: FAILED (replication 6: {UNREACHABLE})\n"
+                  f"  cluster_size=9: FAILED (replication 5: {UNREACHABLE})\n"),
+        [2], id="failing-cluster-size"),
+    # a valid capacity whose latency overflows: the typed error alone
+    pytest.param({"network": {"backhaul_mbps": 1e-310}}, "--replications 2 run", 2,
+                 r"runtime error: replication 0: .*\n", [], id="overflowing-backhaul"),
+])
+def test_cli_gives_the_same_bytes_on_1_and_2_workers(
+    tmp_path, monkeypatch, capsys, submitted, document, argv, code, err, rows
+):
+    # each worker count runs in its own directory, where it leaves its --out-dir
+    config = []
+    if document is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(document), encoding="utf-8")
+        config = ["--config", str(tmp_path / "conf.json")]
+
+    def camlat(workers):
+        cwd = tmp_path / f"w{workers}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = cli.main(config + ["--workers", str(workers)] + argv.split())
+        out, error = capsys.readouterr()
+        files = {str(path.relative_to(cwd)): path.read_bytes()
+                 for path in cwd.rglob("*") if path.is_file()}
+        return rc, out, error, files
+
+    serial = camlat(1)
+    assert submitted == []
+    assert camlat(2) == serial
+    assert submitted  # a real 2-worker pool ran the blocks
+    rc, _, error, files = serial
+    assert rc == code
+    assert re.fullmatch(err, error)
+    assert [len(data.splitlines()) - 1 for name, data in sorted(files.items())
+            if name.endswith(".csv")] == rows
+
+
 def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)  # the pool is capped at the CPU count
     started = []
@@ -829,3 +942,11 @@ def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, monkeypatch):
     assert len(names) == 6
     for name in names:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+    # the density sweep's 0.01 /m point and the cluster sweep's size-5 point
+    # are the same default plan: their rows agree after the value cell
+    def rows(name):
+        lines = (tmp_path / "w1" / name).read_text(encoding="utf-8").splitlines()
+        return dict(line.split(",", 1) for line in lines[1:])
+
+    assert rows("density_sweep.csv")["0.01"] == rows("cluster_sweep.csv")["5"]
