@@ -1,57 +1,46 @@
-"""Monte-Carlo orchestration: replications, the period pipeline, statistics.
+"""Monte-Carlo orchestration: replications in blocks, the period pipeline, statistics.
 
 A run is ``replications`` independent scenario realizations, each simulated
-for ``periods`` message cycles. Every replication consumes its own random
-substreams, one per purpose, so a replication's output depends only on
-(master_seed, replication_index): replications can run in any order, on any
-number of workers, and aggregates come out bit-identical because each
-replication's packets are reduced on their own, to moments that are pooled
-in replication order.
+for ``periods`` message cycles. Every replication draws from its own
+substreams, one per purpose (``rng``), and is reduced on its own, so its
+output depends only on (master_seed, replication): replications can run in
+any order, in blocks of any length, on any number of workers, and every
+output comes out bit-identical.
 
-Replications are evaluated in blocks. ``run_replication(plan, replications)``
-takes a ``range`` of replication indices and makes one pass over them: each
-replication samples its scenario, keeps the vehicles within reach of its
-VRUs (below) and draws its packets into the block's arrays. The kept
-vehicles' x, speed and lane go into (replications, vehicles) arrays, each
-row padded to the block's largest kept count; the positions are stepped
-together into a (replications, periods, vehicles) array, and the padding
-set to +inf after stepping. One ``evaluate_period`` call then takes these
-arrays and the ``SubstreamFactory``, and computes bin counts, the cluster
-search, uplink, backhaul, execution, downlink and composition for every
-packet of the block. Only the random draws stay per replication: each
-purpose draws its replication's whole block from
-``streams.stream(purpose, replication)`` in one call, in (periods, VRUs) or,
-for the downlink members, (periods, VRUs, m_r) shape. Each VRU's downlink
-cluster comes from ``radio.nearest_member_indices``, which merges the
-nearest vehicles on its two sides in m steps over all (replication, period)
-rows at once, m being the cluster size. A replication's clusters hold
-m_r = min(m, its vehicle count) members, so a road with fewer than m
-vehicles stays in its block.
+Replications are evaluated in blocks, which ``_blocks`` sizes. A block of B
+replications of P periods and n VRUs is a set of arrays whose row b holds
+the block's b-th replication:
 
-The downlink draws one replication at a time. The block holds one mean SNR
-per (replication, period, vehicle); each replication gathers its members'
-means from it, draws their SNRs and reduces them at once, in place, to the
-slowest member's, so only (periods, VRUs, m_r) member SNRs exist at a time.
-The block reduces each cluster this once; ``radio.dl_latency`` then takes
-the slowest members' SNRs of the whole block, as ``radio.ul_latency`` takes
-the senders'. The five components are written straight into the rows of the
-block's output, which ``latency.compose_e2e`` completes with the two totals.
+- ``vru_x``, shape (B, n): the VRUs' x;
+- ``packets``, shape (B, P, n): period p's packet of VRU i at [b, p, i];
+- ``vehicle_x``, shape (B, P, V): the kept vehicles' x in every period, in
+  index order, each row padded with +inf to the block's largest kept count V;
+- ``vehicle_lane``, shape (B, V): each kept vehicle's lane, any lane for the
+  padding.
+
+``run_replication`` builds them and ``evaluate_period`` computes every
+packet of the block from them at once. The block's packets come out as one
+float array of shape (7, B * P * n) whose rows follow ``COMPONENT_KEYS``,
+one column per packet: VRUs within a period, then periods, then
+replications. ``replication_moments`` reduces them at once, so no run keeps
+more than one block's packets.
 
 Only the vehicles that can join a VRU's cluster in some period are stepped
-and ranked. With m the cluster size, take a replication's period-0 vehicle
-positions over both lanes in x order: x- is the m-th vehicle below the lowest
-VRU and x+ the m-th above the highest. D = (periods - 1) * period_s *
-max|speed| over the replication's own vehicles bounds how far any of them
-moves (0 without mobility), and eps = ``REACH_SLACK`` * periods * road
-length is a slack far above the stepping's rounding error. The replication
-keeps, in index order, the vehicles whose period-0 x lies in
-[x- - w, x+ + w] with w = 2D + eps; a side with fewer than m vehicles beyond
-the VRUs is kept whole. It keeps every vehicle when it holds at most m, or
-when vehicles move and the kept interval comes within D + eps of a road end
-(a side kept whole reaches it), where a vehicle wrapping around could come
-in. The scenario is still sampled whole, so no draw changes; the cut is a
-mask over its vehicles (``slice(None)`` where it keeps them all), by which
-the replication gathers its kept x, speed and lane.
+and ranked (``_within_reach``). With m the cluster size, take a
+replication's period-0 vehicle positions over both lanes in x order: x- is
+the m-th vehicle below the lowest VRU and x+ the m-th above the highest.
+D = (periods - 1) * period_s * max|speed| over the replication's own
+vehicles bounds how far any of them moves (0 without mobility), and
+eps = ``REACH_SLACK`` * periods * road length is a slack far above the
+stepping's rounding error. The replication keeps, in index order, the
+vehicles whose period-0 x lies in [x- - w, x+ + w] with w = 2D + eps; a side
+with fewer than m vehicles beyond the VRUs is kept whole. It keeps every
+vehicle when it holds at most m, or when vehicles move and the kept interval
+comes within D + eps of a road end (a side kept whole reaches it), where a
+vehicle wrapping around could come in. The scenario is still sampled whole,
+so no draw changes; the cut is a mask over its vehicles (``slice(None)``
+where it keeps them all), by which the replication gathers its kept x, speed
+and lane.
 
 The cut is exact. The search ranks by |dx| alone (both lanes sit at one
 lateral distance from the VRUs). A VRU at q has m vehicles between x- and q
@@ -63,82 +52,6 @@ eps away, also after wrapping around a road end, which lands it beyond the
 other cut side. It can never rank in a cluster, nor tie with a member. The
 kept vehicles keep their index order and their stepped positions, so the
 (x, index) tie rule and every output are those of the whole road.
-
-The input sets the block size: a block holds as many replications as fit
-``BLOCK_PAIRS``, at periods * max(VRUs * cluster_size, LANES * intensity *
-length, offset_bins) per replication: its (packet, cluster member) pairs,
-its road's expected vehicles or the slots of ``traffic.n_hat``'s table, one
-per period and offset bin, whichever is more. Each block pays a fixed cost
-in numpy calls, about 0.3 ms whatever its length, so larger blocks are
-faster; memory is what bounds them. A block's working set is about 32 bytes per
-pair at the default point and 26 at the dense one (0.09 /m, cluster 9): the
-members' vehicle indices, 8 bytes per pair, and the search's buffers and
-the output, per packet. Its vehicle arrays and the search's sort arrays
-take about 37 bytes per (period, kept vehicle), and the reach cut keeps the
-whole road when the VRU strip spans it, so counting the road's vehicles
-keeps such a block within about twice its budget. A block shared by
-several cluster sizes (below) is sized at the largest. On a pool of w > 1
-workers, at most one per CPU, a block also holds at most max(1, T // (2 * w))
-replications, T counting every plan's replications in the task list it is
-submitted with (a sweep's T is its points times R; a lone plan's is its R),
-a shared block's once per plan, as it draws a DL and reduces packets once
-per plan. A list whose plans share no block thus gets at least min(T, 2 * w)
-blocks, so no worker idles; a serial run is not capped. Outputs do not
-depend on the blocking: a block's columns equal those of its replications
-run one by one. A failing block's error names its lowest replication that
-fails alone, as a serial run would (below).
-
-Blocks reuse the memory earlier blocks freed. By default glibc maps every
-array above 128 KiB on its own and unmaps it when freed, and it trims its
-heap above 128 KiB free, so each block would fault its working set in again
-from zero pages. glibc raises both thresholds by itself only after it frees
-a large array, which a run may do late or never. So before its first block
-each process, serial or pool worker, sets the mmap threshold to 32 MiB (glibc's
-own ceiling for it) and the trim threshold to 64 MiB (twice that, as glibc
-would). Where libc has no ``mallopt`` the allocator is left as it is; no
-output depends on it.
-
-A block's packets come out as one float array of shape (7, packets) whose
-rows follow ``COMPONENT_KEYS``: one column per packet, VRUs within a period,
-then periods, then replications, in order. No run keeps them: each block is
-reduced at once by ``replication_moments`` to a (7, replications, 2) array
-holding, per component and replication, the mean and the sum of squared
-deviations from it. Each value comes from one replication's contiguous row,
-so it does not depend on the block it was evaluated in.
-
-With several workers, replications run on a process pool. ``pool`` opens it
-lazily and lets callers share it: a ``pool`` block inside another reuses
-the open pool, whatever worker count it asks for. The CLI holds one pool
-for the whole invocation, so every sweep point of ``reproduce`` reuses the
-same workers.
-It opens no more workers than ``os.cpu_count()``: the fork start method forks
-every worker at the first submit, and no output depends on the worker count.
-The pool modules (``concurrent.futures`` and ``multiprocessing``) load when
-the first pool opens, so a serial run never imports them. The pool class is
-the module attribute ``ProcessPoolExecutor``, resolved on first use; a class
-assigned to it beforehand opens every later pool.
-The block is the unit of work: each pool task is one block, returned as its
-moments, and a plan's blocks are joined in replication order, as a serial
-run joins them. ``run_plans`` takes a task list of plans, such as a sweep's
-points. Plans equal but for their cluster sizes draw the same roads,
-packets, UL SNRs and transport+core delays from the same streams; only the
-DL depends on the size. They form a group, equal plans counting once, and
-share its blocks; a lone plan is a group of one size, so every block takes
-one path. It runs the pipeline once, at its group's largest size m: the
-reach cut at m keeps a superset of each smaller size's exact cut, and the
-search at m ranks each VRU's members nearest first, so size k's clusters
-are the first min(k, vehicles) of them. Each size, ascending, then draws
-its DL and is reduced to its moments before the next size overwrites the DL
-and total rows; every plan gets the bytes it gets alone. If a block raises
-a ``CamlatError``, a larger group runs it again as a group of one per plan,
-so each gets its own moments or error; a group of one runs a longer block's
-replications one at a time and returns the first one's error, prefixed
-``replication r: ``. ``run_plans`` submits every block of every group at
-once, one future per block, so the workers never wait at a plan boundary
-and a block that raises fails only its own plans. A serial run takes the
-same path, computing a group's block when the first of its plans is read.
-If an exception leaves the pool's block, the blocks still queued are
-cancelled before the workers are joined.
 """
 
 from __future__ import annotations
@@ -162,8 +75,8 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 # The (packet, cluster member) pairs, or (period, vehicle) slots where more,
-# one block of replications may hold; it bounds the block's memory (see the
-# module docstring).
+# one block of replications may hold; it bounds the block's memory (see
+# ``_blocks``).
 BLOCK_PAIRS = 90_000
 
 # The reach cut's rounding slack per metre of road and per period; stepping
@@ -194,21 +107,25 @@ def evaluate_period(
 ) -> np.ndarray:
     """All latency components of a block of replications, shape (7, B * P * n).
 
-    Pure given ``streams``. The block holds the B replications
-    ``replications``, each P periods of n VRUs: ``vru_x[b]`` holds the b-th
-    one's VRU positions, shape (B, n); ``vehicle_x[b, p]`` its vehicle
-    positions in period p, padded with +inf to the block's largest vehicle
-    count V, shape (B, P, V); ``vehicle_lane[b]`` each of its vehicles' lane,
-    shape (B, V), any lane for the padding; ``packets[b, p, i]`` its p-th
-    period's packet of the i-th VRU, shape (B, P, n). The lateral geometry
-    comes from the road: the VRUs stand at y = 0 and each vehicle on its
-    lane, at y = +-``lane_offset_m``. A replication's clusters hold
-    m_r = min(``cluster_size``, its vehicles) members; a replication with
-    none is a ``ScenarioError``. Each replication draws each purpose's
-    whole block from its own stream, ``streams.stream(purpose, rep)``, in
-    one call: the UL SNRs and transport+core delays in shape (P, n), the DL
-    SNRs in shape (P, n, m_r). Columns run over VRUs within a period, then
-    periods, then replications.
+    Pure given ``streams``. The arrays are the block's (see the module
+    docstring) and ``replications`` its replication indices. The lateral
+    geometry comes from the road: the VRUs stand at y = 0 and each vehicle
+    on its lane, at y = +-``lane_offset_m``. A replication's clusters hold
+    m_r = min(``cluster_size``, its vehicles) members, so a road with fewer
+    vehicles stays in its block; a replication with none is a
+    ``ScenarioError``. Only the random draws go one replication at a time:
+    each replication draws each purpose's whole block from its own stream,
+    ``streams.stream(purpose, rep)``, in one call, in the shapes that the
+    stream layout (``rng``) fixes. Every other step runs once over the
+    block, from the bin counts and the cluster search
+    (``radio.nearest_member_indices``) to the composition.
+
+    The block holds one mean DL SNR per (replication, period, vehicle). Each
+    replication gathers its members' means, draws their SNRs and reduces
+    them at once, in place, to the slowest member's
+    (``radio.slowest_member_snr``), so only (P, n, m_r) member SNRs exist at
+    a time; ``radio.dl_latency`` then takes the block's slowest members'
+    SNRs in one call, as ``radio.ul_latency`` takes the senders'.
 
     With ``cluster_sizes``, ascending sizes whose largest is the plan's own,
     the block serves every one of them (see ``run_plans``) and returns their
@@ -264,8 +181,7 @@ def evaluate_period(
     dl_mean = channel.mean_snr_db(dl_budget, d_vehicle).ravel()
     moments = []
     for size in cluster_sizes or (plan.radio.cluster_size,):
-        # One replication at a time: its m_r members' SNRs, reduced at once
-        # to the slowest member's, which the DL row holds until its latency.
+        # The DL row holds each packet's slowest member SNR until its latency.
         cluster = np.minimum(counts, size)
         for b, rep in enumerate(replications):
             snr = channel.sample_snr_db(
@@ -311,6 +227,9 @@ def run_replication(
 ) -> np.ndarray:
     """Simulate a block of replications for all periods of the plan, shape (7, n).
 
+    Each replication samples its scenario, keeps the vehicles within reach
+    of its VRUs (``_within_reach``) and draws its packets into the block's
+    arrays; the kept vehicles are then stepped together, period by period.
     The columns equal those of the replications run one by one, in order.
     With ``cluster_sizes``, as every block of ``run_plans`` has, it returns
     each size's moments instead (see ``evaluate_period``). An error is the
@@ -356,14 +275,29 @@ def run_replication(
 def _blocks(plan: SimulationPlan, replications: range, total: int | None = None) -> list[range]:
     """``replications`` cut into blocks of at most ``BLOCK_PAIRS`` pairs, vehicles or bins.
 
-    A block shared by several cluster sizes is cut by its largest size's
-    plan. On a pool of w > 1 workers (see ``_pool_workers``) a block holds
+    The input sets the block size; it is not a setting. A block holds as
+    many replications as fit ``BLOCK_PAIRS``, at periods * max(VRUs *
+    cluster_size, LANES * intensity * length, offset_bins) per replication:
+    its (packet, cluster member) pairs, its road's expected vehicles or the
+    slots of ``traffic.n_hat``'s table, one per period and offset bin,
+    whichever is more; a replication larger than that is a block alone.
+    Each block pays a fixed cost in numpy calls whatever its length, so
+    longer blocks are faster, and memory is what bounds them: a block's
+    working set stays within 37 bytes per pair at the default point and 30
+    at the dense one (0.09 /m, cluster 9), the budgets that
+    ``tests/test_engine.py`` pins. Its vehicle arrays and the search's sort
+    arrays grow with its kept vehicles instead, and the reach cut keeps the
+    whole road when the VRU strip spans it, so the road's vehicles are
+    counted too. A block shared by several cluster sizes is cut by its
+    largest size's plan.
+
+    On a pool of w > 1 workers (see ``_pool_workers``) a block holds
     at most max(1, T // (2 * w)) replications, T being ``total``, the
     replications of the whole task list this plan is submitted with (by
     default its own). T counts every plan's replications, a shared block's
     once per plan, as the block evaluates its DL, totals and moments once
-    per plan; so a list whose plans share no block gets at least
-    min(T, 2 * w) blocks.
+    per plan. A list whose plans share no block thus gets at least
+    min(T, 2 * w) blocks, and no worker idles; a serial run is not capped.
     """
     scn = plan.scenario
     vehicles = scenario.LANES * scn.vehicle_intensity_per_m * scn.lane_length_m
@@ -381,7 +315,17 @@ def _blocks(plan: SimulationPlan, replications: range, total: int | None = None)
 
 @cache
 def _keep_freed_memory() -> None:
-    """Keep freed block memory in the process (see the module docstring); once per process."""
+    """Let each block reuse the memory earlier blocks freed; once per process.
+
+    By default glibc maps every array above 128 KiB on its own and unmaps it
+    when freed, and it trims its heap above 128 KiB free, so each block would
+    fault its working set in again from zero pages. glibc raises both
+    thresholds by itself only after it frees a large array, which a run may
+    do late or never. So before its first block each process, serial or pool
+    worker, sets the mmap threshold to 32 MiB (glibc's own ceiling for it)
+    and the trim threshold to 64 MiB (twice that, as glibc would). Where libc
+    has no ``mallopt`` the allocator is left as it is; no output depends on it.
+    """
     import ctypes
 
     try:
@@ -402,7 +346,9 @@ def replication_moments(samples: np.ndarray, packets_per_replication: int) -> np
 
     ``samples`` holds R replications' packets in order, shape (7, R * W)
     with W = ``packets_per_replication``. Two passes over each replication's
-    contiguous row: the mean, then the squared deviations from it.
+    contiguous row: the mean, then the squared deviations from it. Each
+    value comes from its own replication's row alone, so it does not depend
+    on the block that replication was evaluated in.
     """
     rows = samples.reshape(len(samples), -1, packets_per_replication)
     moments = np.empty(rows.shape[:2] + (2,))
@@ -424,17 +370,21 @@ def _group_moments(plans: tuple[SimulationPlan, ...], block: range) -> list:
     raises a ``CamlatError``, a larger group runs the block again as a group
     of one per plan. A group of one runs a longer block's replications one
     by one and returns the first one's error, as a serial run would; else,
-    its error prefixed ``replication r: ``, r being the block's first.
+    its error prefixed ``replication r: ``, r being the block's first. This
+    is the engine's one failure path. An array numpy cannot allocate, a
+    ``MemoryError``, fails the same way, as a ``CamlatError`` with numpy's
+    message.
     """
     _keep_freed_memory()
     try:
         return list(run_replication(plans[-1], block, tuple(p.radio.cluster_size for p in plans)))
-    except CamlatError as exc:
+    except (CamlatError, MemoryError) as exc:
         if len(plans) > 1:
             return [_group_moments((plan,), block)[0] for plan in plans]
         alone = (_group_moments(plans, range(r, r + 1))[0] for r in block if len(block) > 1)
         failed = (outcome for outcome in alone if isinstance(outcome, CamlatError))
-        return [next(failed, type(exc)(f"replication {block[0]}: {exc}"))]
+        kind = type(exc) if isinstance(exc, CamlatError) else CamlatError
+        return [next(failed, kind(f"replication {block[0]}: {exc}"))]
 
 
 def _replication_task(args: tuple[tuple[SimulationPlan, ...], range]) -> list:
@@ -465,9 +415,14 @@ def pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     """A process pool of ``workers`` workers, at most one per CPU, or None for a serial run.
 
     Reentrant: inside a block that already holds a pool, that pool is
-    reused, whatever its size; otherwise a new one is opened here and shut
-    down, its workers joined, when the block exits. If the block exits on an
-    exception, the tasks still queued on the pool are cancelled first.
+    reused, whatever its size, as the CLI does for a whole invocation;
+    otherwise a new one is opened here and shut down, its workers joined,
+    when the block exits. If the block exits on an exception, the tasks
+    still queued on the pool are cancelled first. The fork start method
+    forks every worker at the first submit. The pool class is the module
+    attribute ``ProcessPoolExecutor``, imported with ``concurrent.futures``
+    and ``multiprocessing`` when the first pool opens, so a serial run never
+    imports them; a class assigned to it beforehand opens every later pool.
     """
     global _open_pool
     if workers == 1:
@@ -505,15 +460,23 @@ def run_plans(
 ) -> list[Callable[[], np.ndarray]]:
     """One callable per plan, returning its ``run_plan`` moments or raising its error.
 
-    Plans equal but for their cluster sizes form a group, equal plans
-    counting once, a lone plan being a group of one size. Each block of a
-    group is one task: it evaluates the block once for all the group's sizes
-    (``_group_moments``). With an ``executor``, every block of every group
-    is submitted here, in the order of each group's first plan, so the
-    workers never wait at a plan boundary; a block that raises fails its own
-    plans only. The pool's block cap counts the replications of all
-    ``plans`` (see ``_blocks``). Without one, a group's block is computed
-    when the first of its plans is read, and kept for the others.
+    Plans equal but for their cluster sizes draw the same roads, packets, UL
+    SNRs and transport+core delays from the same streams; only the DL
+    depends on the size. They form a group, equal plans counting once, a
+    lone plan being a group of one size, so every block takes one path.
+    Each block of a group is one task, returned as its moments: it
+    evaluates the block once for all the group's sizes (``_group_moments``),
+    at the largest size m, whose reach cut keeps every vehicle a smaller
+    size's cut keeps. Each size then draws its own DL (see
+    ``evaluate_period``), so every plan gets the bytes it gets alone, and a
+    plan's blocks are joined in replication order.
+
+    With an ``executor``, every block of every group is submitted here, in
+    the order of each group's first plan, so the workers never wait at a
+    plan boundary; a block that raises fails its own plans only. The pool's
+    block cap counts the replications of all ``plans`` (see ``_blocks``).
+    Without one, a group's block is computed when the first of its plans is
+    read, and kept for the others.
     """
     total = sum(plan.replications for plan in plans)
     groups: dict[SimulationPlan, dict[int, SimulationPlan]] = {}

@@ -12,10 +12,11 @@ stream is reproducible in isolation: drawing more (or fewer) numbers from
 one stream never shifts any other stream. That is what makes replications
 order-independent and sweeps re-runnable per point.
 
-A replication uses one stream per lane for its vehicles, one for its VRUs,
-and one per draw purpose (traffic, ul, dl, tn_cn), keyed by the replication
-alone, not by period. Each purpose stream draws its whole block in one call,
-in (periods, VRUs) shape, or (periods, VRUs, m) for the downlink members, so
+Stream layout v3: a replication uses one stream per lane for its vehicles,
+one for its VRUs, and one per draw purpose (traffic, ul, dl, tn_cn), keyed
+by the replication alone, not by period: 7 streams. Each purpose stream
+draws its whole block in one call, in (periods, VRUs) shape, or
+(periods, VRUs, m_r) for the downlink members of clusters of m_r, so
 changing ``periods`` or ``vru_count`` changes every draw of a replication.
 
 ``numpy.random`` is imported on the first ``stream`` call, not with the

@@ -1,10 +1,12 @@
 """Config handling, sweeps, CSV and SVG artifacts, CLI surface."""
 
 import csv
+import importlib
 import json
 import math
 import multiprocessing
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import camlat
 from camlat import cli, engine
 from camlat.config import (
     _FIELDS,
@@ -217,6 +220,26 @@ def test_readme_parameter_table_matches_default_document():
                 expected = document[section][key]
                 assert (list(expected) if isinstance(expected, tuple) else expected) == value, path
     assert seen == {f"{section}.{key}" for section, fields in document.items() for key in fields}
+
+
+def test_readme_pipeline_points_to_code_that_explains_itself():
+    # the Pipeline section names the docstrings that own each engine rule:
+    # a pointer that no longer resolves, or lands on no docstring, has drifted
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Pipeline\n", 1)[1].split("\n## ", 1)[0]
+    modules = {info.name for info in pkgutil.iter_modules(camlat.__path__)}
+    documented = []
+    for name in re.findall(r"`([\w.]+)`", section):
+        module, *attributes = name.removeprefix("camlat.").split(".")
+        if module not in modules:
+            continue
+        target = importlib.import_module(f"camlat.{module}")
+        for attribute in attributes:
+            target = getattr(target, attribute)
+        if callable(target) or not attributes:  # a function or a module, not a constant
+            assert (target.__doc__ or "").strip(), name
+            documented.append(name)
+    assert len(documented) >= 7, documented
 
 
 def test_all_violations_reported_together():
@@ -840,6 +863,9 @@ LONG = {
 # replications 2, 6 and 5, while sizes 1 and 3 pass
 LOSS = {"channel": {"dl_calibration_loss_db": 243}, "engine": {"replications": 8, "periods": 2}}
 UNREACHABLE = "a downlink cluster has an unreachable member"
+HUGE = {"scenario": {"vru_count": 10**15}}
+UNALLOCATABLE = ("Unable to allocate 7.11 PiB for an array with shape (1, 1000000000000000) "
+                 "and data type float64")
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -887,6 +913,17 @@ UNREACHABLE = "a downlink cluster has an unreachable member"
     # a valid capacity whose latency overflows: the typed error alone
     pytest.param({"network": {"backhaul_mbps": 1e-310}}, "--replications 2 run", 2,
                  r"runtime error: replication 0: .*\n", [], id="overflowing-backhaul"),
+    # a run shape numpy cannot allocate: numpy refuses the 7 PiB of VRU
+    # positions before it allocates anything, and the run fails like any
+    # runtime error, with numpy's message
+    pytest.param(HUGE, "--replications 1 run", 2,
+                 re.escape(f"runtime error: replication 0: {UNALLOCATABLE}\n"), [],
+                 id="unallocatable"),
+    # ... and a sweep keeps the rows of the points that run
+    pytest.param(
+        None, "--replications 2 --out-dir out sweep-vru --values 50,1000000000000000", 2,
+        re.escape(f"  vru_count=1e+15: FAILED (replication 0: {UNALLOCATABLE})\n"), [1],
+        id="unallocatable-vru-count"),
 ])
 def test_cli_gives_the_same_bytes_on_1_and_2_workers(
     tmp_path, monkeypatch, capsys, submitted, document, argv, code, err, rows
