@@ -88,9 +88,14 @@ def _run_point_command(plan) -> None:
     print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
     for key in COMPONENT_KEYS:
         s = stats[key]
+        if s.replication_ci95_half_width_s is None:
+            replication_ci = "undefined"  # one replication has no spread
+        else:
+            replication_ci = f"+/- {s.replication_ci95_half_width_s * 1e3:.3f} ms"
         print(
             f"  {key:>9}: {s.mean_s * 1e3:9.3f} ms "
-            f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count})"
+            f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count}; "
+            f"replication t-CI {replication_ci}, R={plan.replications})"
         )
     print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
 

@@ -168,25 +168,6 @@ def test_engine_matches_the_reference(name):
     _matches_reference(_plan(_CONFIGS[name]))
 
 
-def _build_roads(monkeypatch, road):
-    """Give replication r the vehicles and VRUs of ``road(r)``: (x, lanes, VRU x or None)."""
-    sample = scenario.sample_scenario
-
-    def built(params, streams, replication):
-        x, lanes, vru_x = road(replication)
-        scn = sample(params, streams, replication)
-        lanes = np.asarray(lanes, dtype=np.int64)
-        return replace(
-            scn,
-            vehicle_x=np.asarray(x, dtype=float),
-            vehicle_speed=np.where(lanes == 0, 30.0, -30.0),
-            vehicle_lane=lanes,
-            vru_x=scn.vru_x if vru_x is None else np.asarray(vru_x, dtype=float),
-        )
-
-    monkeypatch.setattr(scenario, "sample_scenario", built)
-
-
 def _small_road_plan(cluster_size, mobility=True):
     return _plan({
         "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002, "mobility": mobility},
@@ -194,27 +175,27 @@ def _small_road_plan(cluster_size, mobility=True):
     })
 
 
-def test_a_short_road_in_its_block_matches_the_reference(monkeypatch):
+def test_a_short_road_in_its_block_matches_the_reference(build_roads):
     # replication 2 holds 3 vehicles, fewer than the cluster size of 5
     def road(rep):
         count = 3 if rep == 2 else 14
         return (1437.0 + 211.0 * np.arange(count) + 13.0 * rep) % 3000.0, np.arange(count) % 2, None
 
-    _build_roads(monkeypatch, road)
+    build_roads(road)
     _matches_reference(_small_road_plan(5))
 
 
-def test_an_all_short_block_matches_the_reference(monkeypatch):
+def test_an_all_short_block_matches_the_reference(build_roads):
     # every road holds 2 to 7 vehicles against a cluster size of 9
     def road(rep):
         count = 2 + rep
         return (1100.0 + 97.0 * np.arange(count) + 5.0 * rep) % 3000.0, np.arange(count) % 2, None
 
-    _build_roads(monkeypatch, road)
+    build_roads(road)
     _matches_reference(_small_road_plan(9))
 
 
-def test_a_stacked_lane_tie_matches_the_reference(monkeypatch):
+def test_a_stacked_lane_tie_matches_the_reference(build_roads):
     # vehicles stacked on both lanes at one x, and VRUs halfway between
     # vehicles, in every period: equal distances in a left run (ranked again
     # over the whole row), and across a VRU at 1650 between single vehicles
@@ -222,7 +203,7 @@ def test_a_stacked_lane_tie_matches_the_reference(monkeypatch):
          1500.0, 1560.0, 1600.0, 1700.0, 1790.0, 1850.0]
     lanes = [0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1]
     vru_x = [1200.0, 1650.0, 1125.0, 1275.0, 1350.0, 1200.0, 1225.0, 1150.0, 1100.0, 1650.0]
-    _build_roads(monkeypatch, lambda rep: (x, lanes, vru_x))
+    build_roads(lambda rep: (x, lanes, vru_x))
     _matches_reference(_small_road_plan(5, mobility=False))
 
 

@@ -1,16 +1,12 @@
 """Substream keys: distinct per purpose, lane and replication, reproducible in isolation."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from camlat.rng import SubstreamFactory
-
-ROOT = Path(__file__).resolve().parent.parent
 
 KEYS = [("vrus",), ("traffic",), ("ul",), ("dl",), ("tn_cn",), ("vehicles", 0), ("vehicles", 1)]
 
@@ -58,7 +54,7 @@ def test_unknown_purpose_or_indices_raise(purpose, indices):
         SubstreamFactory(1).stream(purpose, 0, *indices)
 
 
-def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path, src_env):
     # numpy.random is loaded by the first stream, the pool modules by the first
     # pool and json by the first config file, not by importing the package
     config = tmp_path / "config.json"
@@ -76,9 +72,7 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
         "from camlat.config import load_config; load_config(sys.argv[1])\n"
         "assert 'json' in sys.modules\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, str(config)], env=src_env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
