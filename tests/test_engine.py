@@ -10,8 +10,6 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +24,6 @@ from camlat.radio import link_rate_bps
 from camlat.rng import SubstreamFactory
 from camlat.scenario import Scenario, sample_scenario
 from camlat.traffic import PACKET_DTYPE, generate_period
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _small_plan(**engine_overrides):
@@ -225,48 +221,8 @@ def test_ul_mean_equals_its_quadrature_oracle_at_the_default_point():
     assert abs(np.mean(means) - exact) < half_width
 
 
-def test_run_replication_bit_identical():
-    plan = _small_plan()
-    assert np.array_equal(
-        engine.run_replication(plan, range(1, 2)), engine.run_replication(plan, range(1, 2))
-    )
-
-
-def test_replications_use_distinct_substreams():
-    plan = _small_plan()
-    a = engine.run_replication(plan, range(0, 1))
-    b = engine.run_replication(plan, range(1, 2))
-    assert not np.array_equal(a, b)
-
-
-def test_aggregates_independent_of_execution_order():
-    plan = _small_plan()
-    sequential = engine.aggregate(engine.run_plan(plan), _width(plan))
-    shuffled = {rep: engine.run_replication(plan, range(rep, rep + 1)) for rep in (2, 0, 1)}
-    merged = np.concatenate([shuffled[rep] for rep in range(plan.replications)], axis=1)
-    assert _aggregate_packets(merged, _width(plan)) == sequential
-
-
 def _default_point(**engine_overrides):
     return plan_from_document({"engine": {"replications": 13, **engine_overrides}})
-
-
-@pytest.mark.parametrize(
-    "make_plan, block_sizes",
-    # the default point makes more blocks than workers, the last one short
-    [(_small_plan, [3]), (_default_point, [6, 6, 1])],
-    ids=["one-block", "three-blocks"],
-)
-def test_workers_do_not_change_aggregates(monkeypatch, make_plan, block_sizes):
-    monkeypatch.setattr(engine, "BLOCK_PAIRS", 30_000)
-    plan = make_plan()
-    assert [len(block) for block in engine._blocks(plan, range(plan.replications))] == block_sizes
-    serial = engine.run_plan(make_plan(workers=1))
-    parallel = engine.run_plan(make_plan(workers=2))
-    assert np.array_equal(serial, parallel)
-    assert serial.tobytes() == parallel.tobytes()
-    width = _width(plan)
-    assert engine.aggregate(serial, width) == engine.aggregate(parallel, width)
 
 
 def test_a_pool_plan_gets_at_least_two_blocks_per_worker(monkeypatch):
@@ -299,31 +255,7 @@ def test_a_task_list_gets_at_least_two_blocks_per_worker_or_one_per_replication(
             assert sum(map(len, blocks)) >= min(total, 2 * workers), (first, total)
 
 
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """The (plan, block) of every task submitted to a 2-worker pool, in order.
-
-    The pool is a serial stand-in: each task runs when its result is read.
-    """
-    tasks = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, task, args):
-            tasks.append(args)
-            return SimpleNamespace(result=partial(task, args))
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-    return tasks
-
-
-def test_pool_blocks_are_sized_by_the_whole_task_list(recording_pool):
+def test_pool_blocks_are_sized_by_the_whole_task_list(fake_pool):
     # five plans of 20 on 2 workers, equal but for their cluster sizes, share
     # their blocks. T = 100 counts each plan's replications and caps a block
     # at 25, so only BLOCK_PAIRS at the largest size (10 fit at 9) cuts them,
@@ -336,33 +268,32 @@ def test_pool_blocks_are_sized_by_the_whole_task_list(recording_pool):
     with engine.pool(2) as executor:
         runs = engine.run_plans([replace(plan, workers=2) for plan in plans], executor)
         moments = [run() for run in runs]
-    assert [len(block) for _, block in recording_pool] == [10, 10]
+    assert [len(block) for _, block in fake_pool.tasks] == [10, 10]
     for plan, got in zip(plans, moments):
         assert got.tobytes() == engine.run_plan(plan).tobytes()
 
 
-def test_a_lone_pool_plan_keeps_its_own_blocks(recording_pool):
+def test_a_lone_pool_plan_keeps_its_own_blocks(fake_pool):
     # run_plan submits a task list of its own plan: T = R = 13 on 2 workers
-    plan = _default_point(workers=2)
-    moments = engine.run_plan(plan)
-    assert [len(block) for _, block in recording_pool] == [3, 3, 3, 3, 1]
+    moments = engine.run_plan(_default_point(workers=2))
+    assert [len(block) for _, block in fake_pool.tasks] == [3, 3, 3, 3, 1]
     assert moments.tobytes() == engine.run_plan(_default_point()).tobytes()
 
 
-def test_equal_plans_in_a_task_list_run_once(recording_pool):
+def test_equal_plans_in_a_task_list_run_once(fake_pool):
     # T = 26 on 2 workers caps a block at 6: one set of blocks serves both
     plan = _default_point(workers=2)
     with engine.pool(2) as executor:
         runs = engine.run_plans([plan, replace(plan)], executor)
         first, second = runs[0](), runs[1]()
-    assert [(plans, len(block)) for plans, block in recording_pool] == [
+    assert [(plans, len(block)) for plans, block in fake_pool.tasks] == [
         ((plan,), 6), ((plan,), 6), ((plan,), 1)
     ]
     assert first.tobytes() == second.tobytes() == engine.run_plan(_default_point()).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, workers):
+def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, evaluations, workers):
     # The DL fails at cluster size 9 in replication 3 only. The shared block
     # raises and each plan runs it again alone, so the size-9 plan raises
     # what it raises alone, and sizes 1 and 5 return their lone bytes.
@@ -386,13 +317,6 @@ def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, worker
                 raise UnreachableLinkError("a cluster of 9 in replication 3")
         return dl_latency(size_bits, prbs, slowest_snr_db, params)
 
-    evaluations = []  # each evaluate_period call's replications, seen in this process only
-    evaluate_period = engine.evaluate_period
-
-    def counted(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes):
-        evaluations.append(len(replications))
-        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes)
-
     def cost():
         """The evaluate_period calls and replication-evaluations since the last cost()."""
         counts = len(evaluations), sum(evaluations)
@@ -400,7 +324,6 @@ def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, worker
         return counts
 
     monkeypatch.setattr(radio, "dl_latency", failing)
-    monkeypatch.setattr(engine, "evaluate_period", counted)
     message = "^replication 3: a cluster of 9 in replication 3$"
     with pytest.raises(UnreachableLinkError, match=message):
         engine.run_plan(plans[2])
@@ -423,24 +346,16 @@ def test_a_size_failing_in_a_shared_block_fails_its_own_plan(monkeypatch, worker
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_plans_of_a_shared_block_fail_at_their_own_replications(monkeypatch, workers):
+def test_plans_of_a_shared_block_fail_at_their_own_replications(evaluations, workers):
     # A 243 dB DL loss leaves some clusters with an unreachable member, the
     # more often the larger the cluster: the five sizes share one block of 8
     # serially, sizes 1 and 3 pass, and 5, 7 and 9 fail at replications 2, 6
     # and 5, each as its plan fails alone. Nothing is patched to fail; the
-    # wrapper below only counts evaluate_period's calls.
+    # evaluations fixture only counts evaluate_period's calls.
     plan = plan_from_document({
         "channel": {"dl_calibration_loss_db": 243},
         "engine": {"replications": 8, "periods": 2, "master_seed": 1729, "workers": workers},
     })
-    evaluations = []  # each evaluate_period call's replications, seen in this process only
-    evaluate_period = engine.evaluate_period
-
-    def counted(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes):
-        evaluations.append(len(replications))
-        return evaluate_period(plan, vru_x, vehicle_x, lane, packets, streams, replications, *sizes)
-
-    monkeypatch.setattr(engine, "evaluate_period", counted)
     result = run_sweep(SweepSpec("cluster_size", (1, 3, 5, 7, 9), plan))
     if workers == 1:
         # the group's block, sizes 1 and 3 once each, then sizes 5, 7 and 9
@@ -663,28 +578,28 @@ def test_a_golden_cluster_size_group_gives_each_size_its_lone_bytes(monkeypatch)
         assert shared == [moments.tobytes() for moments in lone]
 
 
-@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1), (8000, 5000)])
-def test_pool_opens_at_most_one_worker_per_cpu(monkeypatch, cpus, expected):
-    # a recording fake: no process is started
-    opened = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def shutdown(self, cancel_futures):
-            opened.append("shutdown")
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+@pytest.mark.parametrize("cpus, workers, nested, opened", [
+    pytest.param(3, 5000, 5000, 3, id="3-3"),
+    pytest.param(None, 5000, 5000, 1, id="None-1"),
+    pytest.param(8000, 5000, 5000, 5000, id="8000-5000"),
+    # a nested pool of any size is the open one; one worker stays serial
+    pytest.param(2, 2, 3, 2, id="3-inside-2"),
+    pytest.param(2, 2, 1, 2, id="1-inside-2"),
+])
+def test_pool_opens_at_most_one_worker_per_cpu(
+    monkeypatch, fake_pool, cpus, workers, nested, opened
+):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    with engine.pool(5000) as executor, engine.pool(5000) as inner:
-        assert inner is executor
-    assert opened == [expected, "shutdown"]
+    with engine.pool(workers) as executor, engine.pool(nested) as inner:
+        assert inner is (None if nested == 1 else executor)
+    assert fake_pool.opened == [opened]
+    assert fake_pool.shutdowns == 1
 
 
 def test_pooled_statistics_match_the_packet_level_oracle():
     # 5 replications of 2 periods x 10 VRUs: the pooled moments give the
-    # mean and CI half-width of all 100 packets
+    # mean and CI half-width of all 100 packets, and the t-CI half-width of
+    # the 5 replication means; the sample count stays the packets'
     plan = _small_plan(replications=5)
     stats = engine.aggregate(engine.run_plan(plan), _width(plan))
     packets = engine.run_replication(plan, range(plan.replications))
@@ -694,6 +609,19 @@ def test_pooled_statistics_match_the_packet_level_oracle():
         half_width = 1.96 * np.std(values, ddof=1) / math.sqrt(values.size)
         assert stats[key].ci95_half_width_s == pytest.approx(half_width, rel=1e-12), key
         assert stats[key].sample_count == values.size
+        means = values.reshape(5, -1).mean(axis=1)
+        t_half_width = 2.7764451052 * np.std(means, ddof=1) / math.sqrt(5)
+        assert stats[key].replication_ci95_half_width_s == pytest.approx(t_half_width, rel=1e-10)
+
+
+def test_t_quantile_matches_scipy_on_both_branches():
+    # the table up to 9 degrees of freedom, the Cornish-Fisher expansion above
+    from scipy.stats import t
+
+    for dof in range(1, 201):
+        expected = t.ppf(0.975, dof)
+        assert engine._t975(dof) == pytest.approx(expected, rel=1e-11 if dof <= 9 else 4e-6), dof
+    assert engine._t975(199) == pytest.approx(t.ppf(0.975, 199), rel=1e-11)
 
 
 def _constant_packets(n):
@@ -708,10 +636,12 @@ def test_aggregate_singleton_and_constant():
     assert stats["ul"].mean_s == 1e-3
     assert stats["ul"].ci95_half_width_s == 0.0
     assert stats["ul"].sample_count == 1
+    assert stats["ul"].replication_ci95_half_width_s is None  # one replication has no spread
 
     stats = _aggregate_packets(_constant_packets(40), 10)
     assert stats["e2e_cloud"].mean_s == pytest.approx(_by_key(one[:, 0])["e2e_cloud"], rel=1e-12)
     assert stats["e2e_cloud"].ci95_half_width_s == pytest.approx(0.0, abs=1e-15)
+    assert stats["e2e_cloud"].replication_ci95_half_width_s == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aggregate_empty_is_error():
@@ -857,23 +787,6 @@ def _scenarios(plan):
     return [sample(plan.scenario, streams, rep) for rep in range(plan.replications)]
 
 
-def _build_roads(monkeypatch, vehicles):
-    """Give replication r the vehicles ``vehicles(r)``, x-positions and lanes, and its own VRUs."""
-    sample = scenario.sample_scenario
-
-    def built(params, streams, replication):
-        x, lanes = vehicles(replication)
-        lanes = np.asarray(lanes, dtype=np.int64)
-        return replace(
-            sample(params, streams, replication),
-            vehicle_x=np.asarray(x, dtype=float),
-            vehicle_speed=np.where(lanes == 0, 30.0, -30.0),
-            vehicle_lane=lanes,
-        )
-
-    monkeypatch.setattr(scenario, "sample_scenario", built)
-
-
 @pytest.mark.parametrize(
     ("cluster_size", "replications", "block_pairs", "block_sizes", "short"),
     [
@@ -883,7 +796,7 @@ def _build_roads(monkeypatch, vehicles):
     ],
 )
 def test_blocks_match_replications_run_one_by_one(
-    monkeypatch, cluster_size, replications, block_pairs, block_sizes, short
+    monkeypatch, build_roads, cluster_size, replications, block_pairs, block_sizes, short
 ):
     # replications 1, 9 and 13 hold 4 vehicles, fewer than the cluster size of
     # 9, so a block mixes full and short roads, and replication 5 holds 9
@@ -892,11 +805,11 @@ def test_blocks_match_replications_run_one_by_one(
     # one block whose width, 12 vehicles, is below the cluster size
     def vehicles(rep):
         if rep == 5:
-            return 320.0 * np.arange(9) + 150.0, np.ones(9)
+            return 320.0 * np.arange(9) + 150.0, np.ones(9), None
         count = 4 if rep % 4 == 1 else 12
-        return (240.0 * np.arange(count) + 37.0 * rep) % 3000.0, np.arange(count) % 2
+        return (240.0 * np.arange(count) + 37.0 * rep) % 3000.0, np.arange(count) % 2, None
 
-    _build_roads(monkeypatch, vehicles)
+    build_roads(vehicles)
     monkeypatch.setattr(engine, "BLOCK_PAIRS", block_pairs)
     plan = plan_from_document({
         "scenario": {"vru_count": 10, "vehicle_intensity_per_m": 0.002},
@@ -916,9 +829,9 @@ def test_blocks_match_replications_run_one_by_one(
     assert engine.run_plan(plan).tobytes() == np.concatenate(moments, axis=1).tobytes()
 
 
-def test_empty_road_inside_a_block_names_its_replication(monkeypatch):
+def test_empty_road_inside_a_block_names_its_replication(build_roads):
     # replication 2's road is empty; every other one holds a vehicle per lane
-    _build_roads(monkeypatch, lambda rep: ([], []) if rep == 2 else ([1400.0, 1700.0], [0, 1]))
+    build_roads(lambda rep: ([], [], None) if rep == 2 else ([1400.0, 1700.0], [0, 1], None))
     plan = plan_from_document({
         "scenario": {"vehicle_intensity_per_m": 2e-4},
         "radio": {"cluster_size": 1},
@@ -1025,13 +938,13 @@ def _cut_matches_every_vehicle(monkeypatch, plan):
     return np.array_equal(engine.run_plan(plan), cut)
 
 
-def test_reach_cut_keeps_the_interval_in_index_order(monkeypatch):
+def test_reach_cut_keeps_the_interval_in_index_order(monkeypatch, build_roads):
     # Vehicles move at most D = 2 * 0.1 s * 30 m/s = 6 m, so w = 12 m + eps.
     # The 2nd vehicle below the VRUs is at 1470 and the 2nd above at 1530:
     # [1458, 1542] is kept, 1457.9 and 1542.1 are dropped.
     x = [2900.0, 1542.0, 1480.0, 100.0, 1457.9, 1520.0, 1458.0, 1530.0, 1542.1, 1470.0, 1500.0]
     lanes = [0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0]
-    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    build_roads(lambda rep: (x, lanes, None))
     plan = _reach_plan()
     scn, kept = _kept(plan)
     index = [1, 2, 5, 6, 7, 9, 10]
@@ -1042,14 +955,14 @@ def test_reach_cut_keeps_the_interval_in_index_order(monkeypatch):
     assert _cut_matches_every_vehicle(monkeypatch, plan)
 
 
-def test_reach_cut_keeps_a_side_short_of_cluster_vehicles_whole(monkeypatch):
+def test_reach_cut_keeps_a_side_short_of_cluster_vehicles_whole(monkeypatch, build_roads):
     # One vehicle below the VRUs, fewer than the cluster size: that side is
     # kept whole. Without mobility nothing wraps around, so the other side
     # is cut at the 2nd vehicle above (1530) plus eps; with mobility the kept
     # interval would reach the road's start, so nothing is cut.
     x = [100.0, 1530.0, 1600.0, 1520.0, 2900.0]
     lanes = [0, 1, 0, 0, 1]
-    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    build_roads(lambda rep: (x, lanes, None))
     scn, moving = _kept(_reach_plan())
     assert np.array_equal(moving.vehicle_x, scn.vehicle_x)
     plan = _reach_plan(mobility=False)
@@ -1058,7 +971,7 @@ def test_reach_cut_keeps_a_side_short_of_cluster_vehicles_whole(monkeypatch):
     assert _cut_matches_every_vehicle(monkeypatch, plan)
 
 
-def test_reach_cut_uses_the_replications_own_speeds(monkeypatch):
+def test_reach_cut_uses_the_replications_own_speeds(monkeypatch, build_roads):
     # The road drives at 30 m/s, far above speed_kmh's 20 km/h: in 1 s the
     # vehicle at 1450 closes to 1480 and joins a VRU's cluster from period 6,
     # while the ones at 1480 and 1520 drive away from the VRUs. A reach taken
@@ -1066,7 +979,7 @@ def test_reach_cut_uses_the_replications_own_speeds(monkeypatch):
     # and drops only the vehicle at 200.
     x = [1480.0, 1520.0, 1450.0, 200.0]
     lanes = [1, 0, 0, 1]
-    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    build_roads(lambda rep: (x, lanes, None))
     plan = plan_from_document({
         "scenario": {
             "vru_count": 10, "vru_strip_m": [1499.0, 1501.0], "speed_kmh": [10.0, 20.0]
@@ -1079,14 +992,14 @@ def test_reach_cut_uses_the_replications_own_speeds(monkeypatch):
     assert _cut_matches_every_vehicle(monkeypatch, plan)
 
 
-def test_reach_cut_slack_keeps_a_vehicle_that_ties_the_edge(monkeypatch):
+def test_reach_cut_slack_keeps_a_vehicle_that_ties_the_edge(monkeypatch, build_roads):
     # Without mobility the kept interval starts eps below the vehicle at 1.0.
     # The one just below it, on the other lane, sits at the same rounded
     # distance from every VRU and wins the tie on its lower x; without the
     # slack it would be dropped and the other lane's vehicle picked.
     x = [1.0, np.nextafter(1.0, 0.0), 2999.9]
     lanes = [0, 1, 0]
-    _build_roads(monkeypatch, lambda rep: (x, lanes))
+    build_roads(lambda rep: (x, lanes, None))
     plan = plan_from_document({
         "scenario": {"vru_count": 10, "vru_strip_m": [1400.0, 1401.0], "mobility": False},
         "radio": {"cluster_size": 1},
@@ -1143,7 +1056,7 @@ print(faults(12), faults(72))
 """
 
 
-def test_blocks_reuse_the_memory_earlier_blocks_freed():
+def test_blocks_reuse_the_memory_earlier_blocks_freed(src_env):
     # Freed block memory stays in the process, so more replications do not
     # fault every block's working set in again. The bound is twice the pages
     # of the packets the 60 extra replications fill (the run keeps only
@@ -1151,10 +1064,8 @@ def test_blocks_reuse_the_memory_earlier_blocks_freed():
     resource = pytest.importorskip("resource")
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("mallopt thresholds are a glibc feature")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _FAULTS_SCRIPT], env=src_env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     short, long = map(int, done.stdout.split())

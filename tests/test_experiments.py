@@ -620,6 +620,68 @@ def test_cli_out_dir_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, ou
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_cli_run_creates_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--replications", "2", "--out-dir", "missing", "run"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_partial_sweep_writes_good_rows_and_exits_2(tmp_path, capsys):
+    # 0.2 /m is infeasible with the 10 m hard-core gap; 0.05 /m is fine
+    argv = ["--replications", "4", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-density", "--values", "0.05,0.2"]) == 2
+    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2 and lines[1].startswith("0.05,")
+    assert (tmp_path / "density_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
+    assert "vehicle_intensity=0.2: FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_sweep_value_fails_its_point(tmp_path, capsys, bad):
+    # a non-finite density fails as its own point, with its field path
+    argv = ["--replications", "2", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["sweep-density", "--values", f"0.01,{bad}"]) == 2
+    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.01,")
+    message = f"scenario.vehicle_intensity_per_m: must be finite, got {bad}"
+    assert f"vehicle_intensity={bad}: FAILED ({message})" in capsys.readouterr().err
+
+
+def _reproduce(tmp_path, workers, *argv):
+    """The files that ``reproduce`` on ``workers`` writes, by name."""
+    out = tmp_path / f"w{workers}"
+    argv = [*argv, "--workers", str(workers), "--out-dir", str(out), "reproduce"]
+    assert cli.main(argv) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_reproduce_submits_one_task_per_sweep_block(tmp_path, counting_pool):
+    # each sweep's 5 points x 20 replications share one task list, so on 2
+    # workers a block may hold 25 replications and only BLOCK_PAIRS cuts
+    # them: 7 + 10 tasks, and 2 for the cluster sweep, whose points share
+    # their blocks; blocks capped per point and unshared would be 60
+    serial = _reproduce(tmp_path, 1, "--replications", "20")
+    assert counting_pool.tasks == []
+    assert _reproduce(tmp_path, 2, "--replications", "20") == serial
+    assert len(counting_pool.tasks) == 19
+
+
+def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, counting_pool):
+    serial = _reproduce(tmp_path, 1, "--replications", "4", "--seed", "3")
+    assert _reproduce(tmp_path, 2, "--replications", "4", "--seed", "3") == serial
+    assert counting_pool.opened == [2] and counting_pool.shutdowns == 1
+    assert multiprocessing.active_children() == []
+    assert len(serial) == 6
+
+    # the density sweep's 0.01 /m point and the cluster sweep's size-5 point
+    # are the same default plan: their rows agree after the value cell
+    def rows(name):
+        return dict(line.split(",", 1) for line in serial[name].decode().splitlines()[1:])
+
+    assert rows("density_sweep.csv")["0.01"] == rows("cluster_sweep.csv")["5"]
+
+
 @pytest.mark.parametrize("zero, component", [
     ({"network": {"tn_cn_one_way_ms": [0, 0]}}, "tn_cn"),
     ({"traffic": {"compute_cycles_per_bit": [0, 0]}}, "exc"),
