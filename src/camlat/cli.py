@@ -43,9 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "processing of periodic road-user awareness messages.",
     )
     parser.add_argument("--config", help="JSON config document (defaults apply when omitted)")
-    parser.add_argument("--seed", type=int, help="override engine.master_seed")
-    parser.add_argument("--replications", type=int, help="override engine.replications")
-    parser.add_argument("--workers", type=int, help="override engine.workers")
+    # the engine flags are checked by their field rules, as a config file's values are
+    parser.add_argument("--seed", help="override engine.master_seed")
+    parser.add_argument("--replications", help="override engine.replications")
+    parser.add_argument("--workers", help="override engine.workers")
     parser.add_argument("--profile", help=f"{' or '.join(PROFILES)} (default {DEFAULT_PROFILE})")
     parser.add_argument("--out-dir", default="results", help="directory for CSV/SVG outputs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,6 +72,16 @@ def _parse_values(text: str, parameter: str) -> tuple:
         raise ConfigurationError(f"invalid --values {text!r}: {exc}") from exc
 
 
+def _engine_flag(text: str | None):
+    """An engine flag's value as ``int()`` reads it; other text is left for its field rule."""
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _print_rows(result: SweepResult) -> None:
     for row in result.rows:
         cloud = row.stats["e2e_cloud"].mean_s * 1e3
@@ -84,7 +95,7 @@ def _print_rows(result: SweepResult) -> None:
 
 
 def _run_point_command(plan) -> None:
-    stats = run_point(plan)
+    stats, gain_half_width = run_point(plan)
     print(f"single point (N={plan.scenario.vru_count} VRUs, seed {plan.master_seed}):")
     for key in COMPONENT_KEYS:
         s = stats[key]
@@ -97,7 +108,11 @@ def _run_point_command(plan) -> None:
             f"(+/- {s.ci95_half_width_s * 1e3:.3f} ms, n={s.sample_count}; "
             f"replication t-CI {replication_ci}, R={plan.replications})"
         )
-    print(f"  edge-processing gain: {gain_pct(stats):.1f} %")
+    gain_ci = "undefined" if gain_half_width is None else f"+/- {gain_half_width:.3f} pp"
+    print(
+        f"  edge-processing gain: {gain_pct(stats):.1f} % "
+        f"(jackknife CI {gain_ci}, R={plan.replications})"
+    )
 
 
 def _run_sweep_command(spec: SweepSpec, out_dir: str) -> SweepResult:
@@ -123,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         plan = load_config(
             args.config,
             profile=args.profile,
-            seed=args.seed,
-            replications=args.replications,
-            workers=args.workers,
+            seed=_engine_flag(args.seed),
+            replications=_engine_flag(args.replications),
+            workers=_engine_flag(args.workers),
         )
         if args.command == "run":
             _run_point_command(plan)

@@ -73,9 +73,27 @@ def gain_pct(stats: dict[str, AggregateStats]) -> float:
     return 100.0 * (1.0 - stats["e2e_mec"].mean_s / stats["e2e_cloud"].mean_s)
 
 
-def run_point(plan: SimulationPlan) -> dict[str, AggregateStats]:
-    """Simulate one configuration and aggregate it."""
-    return _aggregate(plan, engine.run_plan(plan))
+def gain_ci95_half_width_pct(moments) -> float | None:
+    """The jackknife 95 % CI half-width of the gain, in percentage points; None for one replication.
+
+    ``moments`` is ``run_plan``'s. Leaving replication i out gives the gain
+    g_i of the other replications' mean E2E totals, and the half-width is
+    t(0.975, R - 1) * sqrt((R - 1) / R * sum((g_i - mean g)^2)) (Efron &
+    Tibshirani, *An Introduction to the Bootstrap*, ch. 11).
+    """
+    cloud, mec = (moments[COMPONENT_KEYS.index(key), :, 0] for key in ("e2e_cloud", "e2e_mec"))
+    replications = cloud.size
+    if replications < 2:
+        return None
+    gains = 100.0 * (1.0 - (mec.sum() - mec) / (cloud.sum() - cloud))
+    spread = (replications - 1) / replications * float(((gains - gains.mean()) ** 2).sum())
+    return engine._t975(replications - 1) * math.sqrt(spread)
+
+
+def run_point(plan: SimulationPlan) -> tuple[dict[str, AggregateStats], float | None]:
+    """Simulate one configuration: its aggregate and the gain's jackknife CI half-width."""
+    moments = engine.run_plan(plan)
+    return _aggregate(plan, moments), gain_ci95_half_width_pct(moments)
 
 
 def _aggregate(plan: SimulationPlan, moments) -> dict[str, AggregateStats]:

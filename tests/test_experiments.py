@@ -40,6 +40,7 @@ from camlat.experiments import (
     SweepSpec,
     csv_lines,
     emit_csv,
+    gain_ci95_half_width_pct,
     render_svg,
     run_sweep,
 )
@@ -87,18 +88,26 @@ def test_explicit_fields_override_profile():
     assert plan.network.tn_cn_one_way_s == pytest.approx((0.040, 0.050))
 
 
-def _violation(path, value, reported=None):
-    """A document that sets one field, and the path its violation is reported under."""
-    section, key = path.split(".")
-    case = f"{path}={json.dumps(value, separators=(',', ':'))}"  # no spaces in the test id
-    return pytest.param({section: {key: value}}, reported or path, id=case)
+def _violation(path, value, reported=None, case=None):
+    """A document that sets one field or top-level key, and the path its violation names."""
+    *section, key = path.split(".")
+    document = {section[0]: {key: value}} if section else {key: value}
+    case = case or json.dumps(value, separators=(",", ":"))  # no spaces in the test id
+    return pytest.param(document, reported or path, id=f"{path}={case}")
 
 
 # One case per side of every rule: the field rules, the pair rules (the
 # speed and packet minimums among them), the density and PRB products, the
 # finite PRB quotient, the winner-plus heights and the eNB and VRU strip on
-# the segment.
+# the segment. A value json.load reads from a file is a case like any other:
+# NaN, the infinities, an integer beyond the float range and a string or a
+# bool, which float() converts but which is no JSON number.
 @pytest.mark.parametrize("document, path", [
+    _violation("profile", "fastest"),
+    _violation("profile", []),  # the choice rule needs no hash
+    _violation("profile", {"a": 1}),
+    _violation("radios", {}),
+    _violation("scenario.bogus", 1),
     _violation("scenario.lane_length_km", 0),
     _violation("scenario.lane_length_km", 1, "scenario.enb_position_m"),
     _violation("scenario.lane_length_km", 1e306),  # finite in km, infinite in metres
@@ -111,6 +120,7 @@ def _violation(path, value, reported=None):
     _violation("scenario.inter_vehicle_distance_m", 100, "scenario.vehicle_intensity_per_m"),
     _violation("scenario.speed_kmh", [0, 140]),
     _violation("scenario.speed_kmh", [140, 70]),
+    _violation("scenario.speed_kmh", [True, 140]),
     _violation("scenario.vru_count", 0),
     _violation("scenario.vru_strip_m", [1500, 1500]),
     _violation("scenario.vru_strip_m", [1800, 1200]),
@@ -124,10 +134,14 @@ def _violation(path, value, reported=None):
     _violation("traffic.packet_kbits", [12, 8]),
     _violation("traffic.compute_cycles_per_bit", [-1, 300]),
     _violation("traffic.compute_cycles_per_bit", [300, 100]),
+    _violation("traffic.packet_kbits", [math.nan, 12]),
+    _violation("traffic.packet_kbits", [8, 10**400], case="[8,1e400-integer]"),
+    _violation("traffic.packet_kbits", ["8", "12"]),
     _violation("channel.frequency_ghz", 0),
     _violation("channel.enb_height_m", 1),
     _violation("channel.vru_height_m", 1),
     _violation("channel.vehicle_height_m", 1),
+    _violation("channel.thermal_noise_dbm", -math.inf),
     _violation("channel.shadowing_std_db", -1),
     _violation("channel.fast_fading_std_db", -1),
     _violation("channel.pathloss_model", "free-space"),
@@ -138,10 +152,16 @@ def _violation(path, value, reported=None):
     _violation("radio.prb_bandwidth_khz", 1e-310),
     _violation("radio.bandwidth_mhz", 1e303, "radio.prb_bandwidth_khz"),
     _violation("radio.cluster_size", 0),
+    _violation("radio.cluster_size", math.nan),
+    _violation("radio.cluster_size", math.inf),
     _violation("network.backhaul_mbps", 0),
+    _violation("network.backhaul_mbps", math.nan),
+    _violation("network.backhaul_mbps", math.inf),
+    _violation("network.backhaul_mbps", 10**400, case="1e400-integer"),
     _violation("network.server_gcycles_per_s", 0),
     _violation("network.tn_cn_one_way_ms", [-1, 20]),
     _violation("network.tn_cn_one_way_ms", [40, 20]),
+    _violation("network.tn_cn_one_way_ms", [15, None]),
     _violation("engine.master_seed", -1),
     _violation("engine.replications", 0),
     _violation("engine.periods", 0),
@@ -176,16 +196,6 @@ def test_sweep_value_past_the_vehicles_per_lane_bound_fails_its_point():
     ((value, message),) = result.failures
     assert value == 40.0
     assert message.startswith("scenario.lane_length_km: expected vehicles per lane")
-
-
-def test_overflowing_lane_length_is_a_config_error(write_config, capsys):
-    # 1e306 km is finite, its metres are not: a config error naming the
-    # field, not an overflow in the scenario sampler
-    conf = write_config({"scenario": {"lane_length_km": 1e306}})
-    assert cli.main(["--config", conf, "--replications", "2", "run"]) == 1
-    err = capsys.readouterr().err
-    assert "scenario.lane_length_km: must be finite in metres" in err
-    assert "Traceback" not in err
 
 
 def test_readme_parameter_table_matches_default_document():
@@ -252,116 +262,6 @@ def test_all_violations_reported_together():
     for section, fields in doc.items():
         for key in fields:
             assert f"{section}.{key}: " in message
-
-
-@pytest.mark.parametrize(
-    "text, path",
-    [
-        ('{"radio": {"cluster_size": NaN}}', "radio.cluster_size"),
-        ('{"radio": {"cluster_size": Infinity}}', "radio.cluster_size"),
-        ('{"network": {"backhaul_mbps": NaN}}', "network.backhaul_mbps"),
-        ('{"network": {"backhaul_mbps": Infinity}}', "network.backhaul_mbps"),
-        ('{"channel": {"thermal_noise_dbm": -Infinity}}', "channel.thermal_noise_dbm"),
-        ('{"traffic": {"packet_kbits": [NaN, 12]}}', "traffic.packet_kbits"),
-        # JSON integers beyond the float range
-        pytest.param('{"network": {"backhaul_mbps": 1%s}}' % ("0" * 400),
-                     "network.backhaul_mbps", id="backhaul_mbps-1e400-integer"),
-        pytest.param('{"traffic": {"packet_kbits": [8, 1%s]}}' % ("0" * 400),
-                     "traffic.packet_kbits", id="packet_kbits-1e400-integer"),
-    ],
-)
-def test_non_finite_numbers_rejected_with_field_path(tmp_path, write_config, text, path):
-    # json.load accepts NaN and Infinity, so a config file can carry them
-    conf = write_config(text)
-    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: ")):
-        load_config(conf)
-    assert cli.main(["--config", conf, "--out-dir", str(tmp_path / "r"), "run"]) == 1
-
-
-@pytest.mark.parametrize(
-    "text, path",
-    [
-        ('{"traffic": {"packet_kbits": ["8", "12"]}}', "traffic.packet_kbits"),
-        ('{"scenario": {"speed_kmh": [true, 140]}}', "scenario.speed_kmh"),
-        ('{"network": {"tn_cn_one_way_ms": [15, null]}}', "network.tn_cn_one_way_ms"),
-    ],
-)
-def test_non_numeric_bounds_rejected_with_field_path(tmp_path, write_config, text, path):
-    # strings and booleans convert with float(), but are no JSON numbers
-    conf = write_config(text)
-    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: expected numeric bounds")):
-        load_config(conf)
-    assert cli.main(["--config", conf, "--out-dir", str(tmp_path / "r"), "run"]) == 1
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        # json.load raises a bare ValueError for an integer of more than 4300 digits
-        pytest.param('{"network": {"backhaul_mbps": 1%s}}' % ("0" * 5000), id="5001-digits"),
-        # and a RecursionError for nesting deeper than the interpreter's stack
-        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
-    ],
-)
-def test_unreadable_json_is_a_config_error(tmp_path, write_config, capsys, text):
-    conf = write_config(text)
-    with pytest.raises(ConfigurationError, match=re.escape(f"{conf}: ")):
-        load_config(conf)
-    assert cli.main(["--config", conf, "--out-dir", str(tmp_path / "r"), "run"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {conf}: ")
-    assert "Traceback" not in err
-
-
-def test_unknown_fields_and_sections_rejected():
-    with pytest.raises(ConfigurationError, match="scenario.bogus"):
-        plan_from_document({"scenario": {"bogus": 1}})
-    with pytest.raises(ConfigurationError, match="unknown section"):
-        plan_from_document({"radios": {}})
-    with pytest.raises(ConfigurationError, match="profile"):
-        plan_from_document({"profile": "fastest"})
-
-
-@pytest.mark.parametrize("profile", [[], {"a": 1}], ids=["list", "object"])
-def test_unhashable_profile_is_a_config_error(write_config, capsys, profile):
-    # the profile is checked by the field table's choice rule, which needs no hash
-    with pytest.raises(ConfigurationError, match="profile: expected one of"):
-        plan_from_document({"profile": profile})
-    conf = write_config({"profile": profile})
-    assert cli.main(["--config", conf, "run"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("config error:") == 1 and err.startswith("config error: ")
-    assert "Traceback" not in err
-
-
-def test_unknown_cli_profile_is_a_config_error(capsys):
-    # the profile rule lives in the config module, so the flag and a file fail alike
-    assert cli.main(["--profile", "nope", "run"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "profile: expected one of" in err
-    assert "usage:" not in err
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("channel, direction", [
-    ({"dl_tx_power_dbm": 4000}, "downlink"),
-    ({"thermal_noise_dbm": -4000}, "uplink"),
-])
-def test_overflowing_link_budget_fails_with_one_typed_line(
-    write_config, capsys, channel, direction
-):
-    # an SNR above about 3,083 dB overflows the rate to +inf: a runtime error
-    # that names the direction, with no numpy warning
-    conf = write_config({"channel": channel})
-    assert cli.main(["--config", conf, "--replications", "2", "run"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"runtime error: replication 0: {direction} rate is not finite: its SNR overflows\n"
-
-
-def test_load_config_parse_error_carries_line_info(write_config):
-    path = write_config('{"scenario": {,}}', "broken.json")
-    with pytest.raises(ConfigurationError, match=r":1:"):
-        load_config(path)
 
 
 def test_load_config_cli_overrides(write_config):
@@ -476,25 +376,6 @@ def test_sweep_records_a_non_finite_latency_as_failures():
         assert message == "replication 0: latency components must be finite and non-negative: bh"
 
 
-@pytest.mark.filterwarnings("error")  # no numpy warning before the typed error
-def test_sweep_fails_a_point_whose_statistics_overflow(tmp_path, write_config, capsys):
-    # 1e-300 Mbit/s is a valid capacity: the backhaul latencies, about 1e299 s,
-    # are finite, but their spread overflows. The point fails, naming the
-    # components it reaches, instead of writing inf CIs and a 100 % gain
-    conf = write_config({"network": {"backhaul_mbps": 1e-300}}, "overflow.json")
-    message = "means and CI half-widths must be finite: bh, e2e_cloud"
-    result = run_sweep(SweepSpec("vru_count", (50,), load_config(conf, replications=2)))
-    assert result.rows == ()
-    assert result.failures == ((50, message),)
-    argv = ["--replications", "2", "--config", conf, "--out-dir", str(tmp_path)]
-    assert cli.main(argv + ["sweep-vru", "--values", "50"]) == 2
-    lines = (tmp_path / "vru_sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert lines == [CSV_HEADER]
-    captured = capsys.readouterr()
-    assert f"vru_count=50: FAILED ({message})" in captured.err
-    assert "gain" not in captured.out
-
-
 def test_numpy_sweep_value_sets_a_plain_number():
     # np.arange yields np.int64, which is a real number but no Python int
     plan = _small_plan()
@@ -519,6 +400,17 @@ def test_gain_is_well_defined_and_positive():
     result = run_sweep(SweepSpec("cluster_size", (1, 3), _small_plan()))
     for row in result.rows:
         assert 0.0 < row.gain_pct < 100.0
+
+
+def test_gain_ci_is_the_jackknife_over_replications():
+    # leave each replication out in turn and take the gain of the others' means
+    moments = engine.run_plan(replace(_small_plan(), replications=12))
+    cloud, mec = (moments[engine.COMPONENT_KEYS.index(k), :, 0] for k in ("e2e_cloud", "e2e_mec"))
+    gains = [100 * (1 - np.delete(mec, r).mean() / np.delete(cloud, r).mean()) for r in range(12)]
+    spread = sum((gain - np.mean(gains)) ** 2 for gain in gains) * 11 / 12
+    expected = engine._t975(11) * math.sqrt(spread)
+    assert gain_ci95_half_width_pct(moments) == pytest.approx(expected, rel=1e-9)
+    assert gain_ci95_half_width_pct(moments[:, :1]) is None
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -609,89 +501,15 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, src_env):
     assert sum("edge-processing gain" in line for line in proc.stdout.splitlines()) == 1
 
 
-@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
-def test_cli_out_dir_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, out_dir):
-    (tmp_path / "afile").write_text("", encoding="utf-8")
-    path = str(tmp_path / out_dir)
-    assert cli.main(["--replications", "2", "--out-dir", path, "sweep-vru", "--values", "50"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"runtime error: cannot create output directory {path!r}: ")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-
-def test_cli_run_creates_no_output_directory(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["--replications", "2", "--out-dir", "missing", "run"]) == 0
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cli_partial_sweep_writes_good_rows_and_exits_2(tmp_path, capsys):
-    # 0.2 /m is infeasible with the 10 m hard-core gap; 0.05 /m is fine
-    argv = ["--replications", "4", "--out-dir", str(tmp_path)]
-    assert cli.main(argv + ["sweep-density", "--values", "0.05,0.2"]) == 2
-    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2 and lines[1].startswith("0.05,")
-    assert (tmp_path / "density_sweep.svg").read_text(encoding="utf-8").startswith("<svg")
-    assert "vehicle_intensity=0.2: FAILED" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_cli_non_finite_sweep_value_fails_its_point(tmp_path, capsys, bad):
-    # a non-finite density fails as its own point, with its field path
-    argv = ["--replications", "2", "--out-dir", str(tmp_path)]
-    assert cli.main(argv + ["sweep-density", "--values", f"0.01,{bad}"]) == 2
-    lines = (tmp_path / "density_sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2 and lines[1].startswith("0.01,")
-    message = f"scenario.vehicle_intensity_per_m: must be finite, got {bad}"
-    assert f"vehicle_intensity={bad}: FAILED ({message})" in capsys.readouterr().err
-
-
-def _reproduce(tmp_path, workers, *argv):
-    """The files that ``reproduce`` on ``workers`` writes, by name."""
-    out = tmp_path / f"w{workers}"
-    argv = [*argv, "--workers", str(workers), "--out-dir", str(out), "reproduce"]
-    assert cli.main(argv) == 0
-    return {path.name: path.read_bytes() for path in out.iterdir()}
-
-
-def test_reproduce_submits_one_task_per_sweep_block(tmp_path, counting_pool):
-    # each sweep's 5 points x 20 replications share one task list, so on 2
-    # workers a block may hold 25 replications and only BLOCK_PAIRS cuts
-    # them: 7 + 10 tasks, and 2 for the cluster sweep, whose points share
-    # their blocks; blocks capped per point and unshared would be 60
-    serial = _reproduce(tmp_path, 1, "--replications", "20")
-    assert counting_pool.tasks == []
-    assert _reproduce(tmp_path, 2, "--replications", "20") == serial
-    assert len(counting_pool.tasks) == 19
-
-
-def test_reproduce_uses_one_pool_and_reaps_it(tmp_path, counting_pool):
-    serial = _reproduce(tmp_path, 1, "--replications", "4", "--seed", "3")
-    assert _reproduce(tmp_path, 2, "--replications", "4", "--seed", "3") == serial
-    assert counting_pool.opened == [2] and counting_pool.shutdowns == 1
-    assert multiprocessing.active_children() == []
-    assert len(serial) == 6
-
-    # the density sweep's 0.01 /m point and the cluster sweep's size-5 point
-    # are the same default plan: their rows agree after the value cell
-    def rows(name):
-        return dict(line.split(",", 1) for line in serial[name].decode().splitlines()[1:])
-
-    assert rows("density_sweep.csv")["0.01"] == rows("cluster_sweep.csv")["5"]
-
-
 @pytest.mark.parametrize("zero, component", [
     ({"network": {"tn_cn_one_way_ms": [0, 0]}}, "tn_cn"),
     ({"traffic": {"compute_cycles_per_bit": [0, 0]}}, "exc"),
 ], ids=["tn_cn", "exc"])
-def test_cli_sweep_plots_a_zero_component(tmp_path, write_config, zero, component):
+def test_cli_sweep_plots_a_zero_component(zero, component):
     # a component whose mean is 0 has no decade: the log scale is chosen from
     # the positive means and the zero bar is drawn at height 0
-    argv = ["--config", write_config(zero), "--replications", "2", "--out-dir", str(tmp_path)]
-    assert cli.main(argv + ["sweep-vru", "--values", "10,20"]) == 0
-    svg = ElementTree.parse(tmp_path / "vru_sweep.svg").getroot()
+    plan = plan_from_document({**zero, "engine": {"replications": 2}})
+    svg = ElementTree.fromstring(render_svg(run_sweep(SweepSpec("vru_count", (10, 20), plan))))
     panel = svg.find('{http://www.w3.org/2000/svg}g[@id="panel-b"]')
     assert panel.get("data-scale") == "log"
     bars = [
@@ -759,6 +577,7 @@ UNALLOCATABLE = ("Unable to allocate 7.11 PiB for an array with shape (1, 100000
                  "and data type float64")
 INFINITE_DENSITY = "scenario.vehicle_intensity_per_m: must be finite, got"
 UNPARSABLE = "invalid literal for int() with base 10: ''"
+INVALID = "config error: invalid configuration:\n  - "
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -774,7 +593,8 @@ UNPARSABLE = "invalid literal for int() with base 10: ''"
                  id="cluster"),
     pytest.param(None, "--replications 2 --seed 4 --out-dir out sweep-vru --values 5,8", 0, "",
                  [2], 4, id="sweep-vru"),
-    pytest.param(None, "--replications 12 run", 0, "", [], 4, id="run"),
+    # run writes no file, so it creates no output directory
+    pytest.param(None, "--replications 12 --out-dir out run", 0, "", [], 4, id="run"),
     # blocks of 3, 3, 3, 3 and 1 on 2 workers: more tasks than workers, the last one short
     pytest.param(None, "--replications 13 run", 0, "", [], 5, id="run-13"),
     # one replication: no replication t-CI
@@ -821,9 +641,31 @@ UNPARSABLE = "invalid literal for int() with base 10: ''"
     pytest.param({"channel": {"dl_calibration_loss_db": 1e4}, **ONE_PERIOD}, "run", 2,
                  re.escape(f"runtime error: replication 0: {UNREACHABLE}\n"), [], 1,
                  id="unreachable-dl"),
+    # an SNR above about 3,083 dB overflows the rate to +inf: the error names the direction
+    *(pytest.param({"channel": channel}, "--replications 2 run", 2,
+                   re.escape(f"runtime error: replication 0: {direction} rate is not finite: "
+                             "its SNR overflows\n"), [], 2,
+                   id=f"overflowing-link-budget-{direction}")
+      for channel, direction in (({"dl_tx_power_dbm": 4000}, "downlink"),
+                                 ({"thermal_noise_dbm": -4000}, "uplink"))),
     # a valid capacity whose latency overflows: the typed error alone
     pytest.param({"network": {"backhaul_mbps": 1e-310}}, "--replications 2 run", 2,
                  r"runtime error: replication 0: .*\n", [], 2, id="overflowing-backhaul"),
+    # 1e-300 Mbit/s: the backhaul latencies, about 1e299 s, are finite but
+    # their spread overflows, so the point fails and the CSV holds its header
+    pytest.param({"network": {"backhaul_mbps": 1e-300}},
+                 "--replications 2 --out-dir out sweep-vru --values 50", 2,
+                 re.escape("  vru_count=50: FAILED (means and CI half-widths must be finite: "
+                           "bh, e2e_cloud)\n"), [0], 2, id="overflowing-statistics"),
+    # an output directory that cannot be made, here the config file or a path under it
+    pytest.param({}, "--out-dir ../conf.json sweep-vru --values 50", 2,
+                 re.escape("runtime error: cannot create output directory '../conf.json': "
+                           "[Errno 17] File exists: '../conf.json'\n"), [], 0,
+                 id="out-dir-is-a-file"),
+    pytest.param({}, "--out-dir ../conf.json/sub sweep-vru --values 50", 2,
+                 re.escape("runtime error: cannot create output directory '../conf.json/sub': "
+                           "[Errno 20] Not a directory: '../conf.json/sub'\n"), [], 0,
+                 id="out-dir-under-a-file"),
     # a run shape numpy cannot allocate: numpy refuses the 7 PiB of VRU
     # positions before it allocates anything, and the run fails like any
     # runtime error, with numpy's message
@@ -847,13 +689,53 @@ UNPARSABLE = "invalid literal for int() with base 10: ''"
     pytest.param(None, "--out-dir out sweep-vru --values 50,", 1,
                  re.escape(f"config error: invalid --values '50,': {UNPARSABLE}\n"), [], 0,
                  id="trailing-comma"),
+    # a config file that is no valid document: one config error names the
+    # file, or each bad field under it, and nothing runs
+    pytest.param('{"radio": {"cluster_size": NaN}}', "run", 1,
+                 re.escape(f"{INVALID}radio.cluster_size: must be finite, got nan\n"), [], 0,
+                 id="non-finite-number"),
+    pytest.param('{"traffic": {"packet_kbits": ["8", "12"]}}', "run", 1,
+                 re.escape(f"{INVALID}traffic.packet_kbits: expected numeric bounds, "
+                           "got ['8', '12']\n"), [], 0, id="non-numeric-bounds"),
+    pytest.param('{"scenario": {,}}', "run", 1,
+                 re.escape("config error: ../conf.json:1:15: invalid JSON "
+                           "(Expecting property name enclosed in double quotes)\n"), [], 0,
+                 id="parse-error-line-info"),
+    # json.load raises a bare ValueError for an integer of more than 4300
+    # digits, and a RecursionError for nesting deeper than the stack
+    pytest.param('{"network": {"backhaul_mbps": 1%s}}' % ("0" * 5000), "run", 1,
+                 re.escape("config error: ../conf.json: unreadable JSON (Exceeds the limit "
+                           "(4300 digits) for integer string conversion: value has 5001 digits; "
+                           "use sys.set_int_max_str_digits() to increase the limit)\n"), [], 0,
+                 id="unreadable-json-5001-digits"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "run", 1,
+                 re.escape("config error: ../conf.json: unreadable JSON (maximum recursion depth "
+                           "exceeded while decoding a JSON array from a unicode string)\n"), [], 0,
+                 id="unreadable-json-nested-100000-deep"),
+    # the profile rule lives in the config module, so the flag and a file fail
+    # alike, and so do the engine flags: a config error, not a usage error
+    pytest.param({"profile": []}, "run", 1,
+                 re.escape(f"{INVALID}profile: expected one of {list(PROFILES)}, got []\n"), [], 0,
+                 id="unhashable-profile"),
+    pytest.param(None, "--profile nope run", 1,
+                 re.escape(f"{INVALID}profile: expected one of {list(PROFILES)}, got 'nope'\n"),
+                 [], 0, id="unknown-cli-profile"),
+    pytest.param(None, "--replications abc run", 1,
+                 re.escape(f"{INVALID}engine.replications: expected a number, got 'abc'\n"), [], 0,
+                 id="unparsable-replications"),
+    pytest.param(None, "--seed x --replications 1.5 --workers two run", 1,
+                 re.escape(f"{INVALID}engine.master_seed: expected a number, got 'x'\n"
+                           "  - engine.replications: expected a number, got '1.5'\n"
+                           "  - engine.workers: expected a number, got 'two'\n"), [], 0,
+                 id="unparsable-engine-flags"),
 ])
 def test_cli_gives_the_same_bytes_on_1_and_2_workers(
     tmp_path, monkeypatch, capsys, counting_pool, write_config,
     document, argv, code, err, rows, tasks,
 ):
-    # each worker count runs in its own directory, where it leaves its --out-dir
-    config = [] if document is None else ["--config", write_config(document)]
+    # each worker count runs in its own directory, where it leaves its
+    # --out-dir, beside the config file
+    config = [] if document is None else ["--config", "../" + Path(write_config(document)).name]
 
     def camlat(workers):
         cwd = tmp_path / f"w{workers}"
@@ -878,6 +760,9 @@ def test_cli_gives_the_same_bytes_on_1_and_2_workers(
     assert re.fullmatch(err, error)
     csvs = [name for name in paths if name.endswith(".csv")]
     assert [len(files[name].splitlines()) - 1 for name in csvs] == rows
+    # a row is a point that ran: no value has both a row and a FAILED line
+    written = {row.split(",", 1)[0] for name in csvs for row in files[name].decode().split()[1:]}
+    assert not written & set(re.findall(r"^  \w+=(\S+): FAILED", error, flags=re.M))
     # an SVG beside each CSV, and no path at all where nothing is written
     svgs = [name[:-4] + ".svg" for name in csvs]
     assert paths == (sorted(["out", *csvs, *svgs]) if rows else [])
@@ -886,11 +771,12 @@ def test_cli_gives_the_same_bytes_on_1_and_2_workers(
     row_line = r"  \w+=\S+: cloud .* ms \| edge .* ms \| gain .* %"
     assert sum(bool(re.fullmatch(row_line, line)) for line in out.splitlines()) == sum(rows)
     assert (out == "") == (code != 0 and not rows)
-    # a run prints each component's replication t-CI: undefined for one
-    # replication, never nan
-    t_cis = [line for line in out.splitlines() if "replication t-CI" in line]
-    assert len(t_cis) == 7 * (argv.endswith("run") and code == 0)
-    assert all(("t-CI undefined" in line) == line.endswith(", R=1)") for line in t_cis)
+    # a run prints each component's replication t-CI and the gain's jackknife
+    # CI: undefined for one replication, never nan
+    cis = [line for line in out.splitlines() if "CI" in line]
+    labels = [*engine.COMPONENT_KEYS, "edge-processing gain"] * (argv.endswith("run") and code == 0)
+    assert [line.split(":")[0].strip() for line in cis] == labels
+    assert all(("CI undefined" in line) == line.endswith(", R=1)") for line in cis)
     assert "nan" not in out
     if argv.endswith("reproduce"):
         # the density sweep's 0.01 /m point and the cluster sweep's size-5

@@ -7,7 +7,10 @@ or stops calling it through its module, would silently zero a layer. A short
 traced run in a fresh interpreter, so the patches stay out of this process,
 must still see every layer. The ``reproduce_w2`` workload also replaces
 ``cli.run_sweep`` and reads ``cli.DEFAULT_SWEEPS``: a CLI that stops calling
-the one or renames the other fails here, not first in the benchmark.
+the one or renames the other fails here, not first in the benchmark. Its
+output check (``one_run.py`` line 105) wants exactly the workload's CSVs in
+the output directory, so a CLI that writes one more CSV, such as a side CSV
+per sweep, fails every point of the workload, and fails here first.
 """
 
 import json
