@@ -273,6 +273,13 @@ def test_pool_blocks_are_sized_by_the_whole_task_list(fake_pool):
         assert got.tobytes() == engine.run_plan(plan).tobytes()
 
 
+def test_a_lone_pool_plan_keeps_its_own_blocks(fake_pool):
+    # run_plan submits a task list of its own plan: T = R = 13 on 2 workers
+    moments = engine.run_plan(_default_point(workers=2))
+    assert [len(block) for _, block in fake_pool.tasks] == [3, 3, 3, 3, 1]
+    assert moments.tobytes() == engine.run_plan(_default_point()).tobytes()
+
+
 def test_equal_plans_in_a_task_list_run_once(fake_pool):
     # T = 26 on 2 workers caps a block at 6: one set of blocks serves both
     plan = _default_point(workers=2)

@@ -12,6 +12,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -730,9 +731,24 @@ INVALID = "config error: invalid configuration:\n  - "
                  id="unparsable-engine-flags"),
 ])
 def test_cli_gives_the_same_bytes_on_1_and_2_workers(
-    tmp_path, monkeypatch, capsys, counting_pool, write_config,
-    document, argv, code, err, rows, tasks,
+    cli_row, document, argv, code, err, rows, tasks,
 ):
+    cli_row(document, argv, code, err, rows, tasks)
+
+
+@pytest.fixture
+def cli_row(tmp_path, monkeypatch, capsys, counting_pool, write_config):
+    """The CLI table's check of one invocation, run on 1 and then on 2 workers.
+
+    ``document`` is the config file (None for none), ``err`` a regex that the
+    whole stderr matches, ``rows`` the data rows of each CSV written and
+    ``tasks`` the pool tasks of the 2-worker run.
+    """
+    return partial(_check_cli_row, tmp_path, monkeypatch, capsys, counting_pool, write_config)
+
+
+def _check_cli_row(tmp_path, monkeypatch, capsys, counting_pool, write_config,
+                   document, argv, code, err, rows, tasks):
     # each worker count runs in its own directory, where it leaves its
     # --out-dir, beside the config file
     config = [] if document is None else ["--config", "../" + Path(write_config(document)).name]
@@ -786,3 +802,49 @@ def test_cli_gives_the_same_bytes_on_1_and_2_workers(
             for name in ("density_sweep.csv", "cluster_sweep.csv")
         )
         assert density["0.01"] == cluster["5"]
+
+
+# Tests that name one CLI behaviour each, checked by the table's harness
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_creates_no_output_directory(cli_row):
+    cli_row(None, "--replications 2 --out-dir missing run", 0, "", [], 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_partial_sweep_writes_good_rows_and_exits_2(cli_row):
+    # 0.2 /m is infeasible with the 10 m hard-core gap; 0.05 /m is fine
+    cli_row(None, "--replications 4 --out-dir out sweep-density --values 0.05,0.2", 2,
+            re.escape("  vehicle_intensity=0.2: FAILED (scenario.vehicle_intensity_per_m: "
+                      "infeasible density: intensity * inter_vehicle_distance must be < 1 "
+                      "(got 0.2 * 10.0))\n"), [1], 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_sweep_value_fails_its_point(cli_row, bad):
+    # a non-finite density fails as its own point, with its field path
+    cli_row(None, f"--replications 2 --out-dir out sweep-density --values 0.01,{bad}", 2,
+            re.escape(f"  vehicle_intensity={bad}: FAILED ({INFINITE_DENSITY} {bad})\n"), [1], 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_lane_length_is_a_config_error(cli_row):
+    # 1e306 km is finite, its metres are not: a config error naming the
+    # field, not an overflow in the scenario sampler
+    cli_row({"scenario": {"lane_length_km": 1e306}}, "--replications 2 run", 1,
+            re.escape(f"{INVALID}scenario.lane_length_km: must be finite in metres, "
+                      "got inf m\n"), [], 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reproduce_submits_one_task_per_sweep_block(cli_row):
+    # blocks capped per point and unshared would be 60 tasks, not 19
+    cli_row(None, "--replications 20 --out-dir out reproduce", 0, "", [5, 5, 5], 19)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reproduce_uses_one_pool_and_reaps_it(cli_row):
+    # 4 replications on 2 workers: a block per point of the density and VRU
+    # sweeps, one shared by the five cluster sizes
+    cli_row(None, "--replications 4 --seed 3 --out-dir out reproduce", 0, "", [5, 5, 5], 11)
