@@ -7,9 +7,9 @@ it creates the output directory. With ``--workers N > 1`` one process pool
 serves all the sweeps of a command and is shut down before ``main``
 returns; each sweep queues all of its points' blocks on it at once.
 
-Exit codes: 0 success, 1 config error, 2 runtime error. A sweep point that
-fails is not fatal: its failure goes to stderr, the rows that succeeded are
-still written, and the exit code is 2.
+Exit codes: 0 success, 1 config or usage error, 2 runtime error. A sweep
+point that fails is not fatal: its failure goes to stderr, the rows that
+succeeded are still written, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def _make_out_dir(path: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage text or its help
+        return 1 if exc.code else 0
     try:
         plan = load_config(
             args.config,

@@ -729,6 +729,15 @@ INVALID = "config error: invalid configuration:\n  - "
                            "  - engine.replications: expected a number, got '1.5'\n"
                            "  - engine.workers: expected a number, got 'two'\n"), [], 0,
                  id="unparsable-engine-flags"),
+    # argparse's usage errors exit 1, as config errors do, after its usage text;
+    # its help exits 0
+    pytest.param(None, "--replications 2 --foo run", 1,
+                 r"(?s)usage: camlat .*\ncamlat: error: unrecognized arguments: --foo\n", [], 0,
+                 id="unknown-flag"),
+    pytest.param(None, "--replications 2", 1,
+                 r"(?s)usage: camlat .*\ncamlat: error: the following arguments are required: "
+                 r"command\n", [], 0, id="no-subcommand"),
+    pytest.param(None, "--help", 0, "", [], 0, id="help"),
 ])
 def test_cli_gives_the_same_bytes_on_1_and_2_workers(
     cli_row, document, argv, code, err, rows, tasks,

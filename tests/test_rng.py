@@ -54,13 +54,28 @@ def test_unknown_purpose_or_indices_raise(purpose, indices):
         SubstreamFactory(1).stream(purpose, 0, *indices)
 
 
-def test_cli_import_leaves_numpy_random_unloaded(tmp_path, src_env):
+@pytest.mark.parametrize(
+    "first, variables, threads",
+    [("", {}, "1"), ("", {"OMP_NUM_THREADS": "2"}, "2"), ("import numpy\n", {}, "")],
+    ids=["no-blas-variable", "caller-sets-omp", "numpy-imported-first"],
+)
+def test_cli_import_defers_numpy_random_and_blas_threads(
+    tmp_path, src_env, first, variables, threads
+):
     # numpy.random is loaded by the first stream, the pool modules by the first
-    # pool and json by the first config file, not by importing the package
+    # pool and json by the first config file, not by importing the package.
+    # The import leaves os.environ as it was. It loads numpy's OpenBLAS with one
+    # thread, unless the caller set a BLAS thread variable or imported numpy first.
     config = tmp_path / "config.json"
     config.write_text('{"scenario": {"vru_count": 12}}', encoding="utf-8")
-    code = (
-        "import sys; import camlat.cli\n"
+    blas_variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {name: value for name, value in src_env.items() if name not in blas_variables}
+    code = first + (
+        "import os, sys; environ = dict(os.environ); import camlat.cli\n"
+        "assert dict(os.environ) == environ, set(os.environ.items()) ^ set(environ.items())\n"
+        "if sys.argv[2] and os.path.isdir('/proc/self/task'):\n"
+        "    expected = min(int(sys.argv[2]), len(os.sched_getaffinity(0)))\n"
+        "    assert len(os.listdir('/proc/self/task')) == expected, os.listdir('/proc/self/task')\n"
         "deferred = ('numpy.random', 'concurrent.futures', 'multiprocessing', 'json')\n"
         "loaded = [name for name in deferred if name in sys.modules]; assert not loaded, loaded\n"
         "from camlat.rng import SubstreamFactory; SubstreamFactory(0).stream('ul', 0)\n"
@@ -73,6 +88,9 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path, src_env):
         "assert 'json' in sys.modules\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(config)], env=src_env, capture_output=True, text=True
+        [sys.executable, "-c", code, str(config), threads],
+        env={**env, **variables},
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
