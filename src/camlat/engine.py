@@ -283,9 +283,8 @@ def run_replication(
     counts = np.array([columns[0].size for columns in kept])
     real = np.arange(counts.max()) < counts[:, None]
     x, speed, lane = (np.zeros(real.shape, dtype) for dtype in (float, float, np.int64))
-    for b, columns in enumerate(kept):
-        for block, column in zip((x, speed, lane), columns):
-            block[b, : column.size] = column
+    for block, columns in zip((x, speed, lane), zip(*kept)):
+        block[real] = np.concatenate(columns)
     vehicle_x = np.empty((len(replications), periods, x.shape[1]))
     # Step the positions period by period: the closed form (x0 + v*t) mod L
     # rounds differently and would change the sample path.

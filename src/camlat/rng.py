@@ -14,10 +14,11 @@ order-independent and sweeps re-runnable per point.
 
 Stream layout v3: a replication uses one stream per lane for its vehicles,
 one for its VRUs, and one per draw purpose (traffic, ul, dl, tn_cn), keyed
-by the replication alone, not by period: 7 streams. Each purpose stream
-draws its whole block in one call, in (periods, VRUs) shape, or
-(periods, VRUs, m_r) for the downlink members of clusters of m_r, so
-changing ``periods`` or ``vru_count`` changes every draw of a replication.
+by the replication alone, not by period: 7 streams, whose keys ``_SLOTS``
+alone states. Each purpose stream draws its whole block in one call, in
+(periods, VRUs) shape, or (periods, VRUs, m_r) for the downlink members of
+clusters of m_r, so changing ``periods`` or ``vru_count`` changes every
+draw of a replication.
 
 ``numpy.random`` is imported on the first ``stream`` call, not with the
 package: the CLI's start-up does not pay for it.
@@ -29,26 +30,15 @@ from functools import cache
 
 import numpy as np
 
-from .scenario import LANES
-
-# Stable key slots of a replication; the slot picks the stream's key, so
-# renaming a purpose string is free but renumbering breaks reproducibility.
-# The vehicles of lane l use slot _VEHICLE_SLOT + l.
-_PURPOSE_SLOTS = {"vrus": 0, "traffic": 1, "ul": 2, "dl": 3, "tn_cn": 4}
-_VEHICLE_SLOT = 5
-# Keys hashed per replication: the purposes above and one per lane.
-_SLOTS = _VEHICLE_SLOT + LANES
+# The key slot of each (purpose, *indices) of a replication: renaming a
+# purpose string is free, but renumbering a slot breaks reproducibility.
+_SLOTS = {
+    ("vrus",): 0, ("traffic",): 1, ("ul",): 2, ("dl",): 3, ("tn_cn",): 4,
+    ("vehicles", 0): 5, ("vehicles", 1): 6,
+}
 # Every stream starts at counter 0; given as an array, Philox copies it
 # instead of converting the integer 0 word by word.
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-
-
-def _slot(purpose: str, indices: tuple) -> int:
-    if purpose == "vehicles" and len(indices) == 1 and 0 <= int(indices[0]) < LANES:
-        return _VEHICLE_SLOT + int(indices[0])
-    if purpose in _PURPOSE_SLOTS and not indices:
-        return _PURPOSE_SLOTS[purpose]
-    raise ValueError(f"no stream for purpose {purpose!r} with indices {indices}")
 
 
 @cache
@@ -74,11 +64,13 @@ class SubstreamFactory:
         self._keys: dict[int, np.ndarray] = {}  # replication -> (slots, 2) uint64 keys
 
     def stream(self, purpose: str, replication: int, *indices: int) -> np.random.Generator:
-        slot = _slot(purpose, indices)
+        slot = _SLOTS.get((purpose, *indices))
+        if slot is None:
+            raise ValueError(f"no stream for purpose {purpose!r} with indices {indices}")
         keys = self._keys.get(replication)
         if keys is None:
             seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(int(replication),))
-            keys = seq.generate_state(2 * _SLOTS, np.uint64).reshape(-1, 2)
+            keys = seq.generate_state(2 * len(_SLOTS), np.uint64).reshape(-1, 2)
             self._keys[replication] = keys
         key = _philox_key_type()(keys[slot])
         return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

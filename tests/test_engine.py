@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import json
 import math
 import os
 import platform
@@ -10,6 +11,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from camlat import channel, engine, radio, scenario
 from camlat.config import default_plan, plan_from_document
 from camlat.errors import CamlatError, ScenarioError, UnreachableLinkError
-from camlat.experiments import SweepSpec, run_sweep
+from camlat.experiments import SweepSpec, gain_ci95_half_width_pct, run_sweep
 from camlat.latency import COMPONENT_KEYS, compose_e2e
 from camlat.radio import link_rate_bps
 from camlat.rng import SubstreamFactory
@@ -192,6 +194,51 @@ def test_closed_form_means_at_the_default_point():
     for key, value in exact.items():
         standard_error = np.std(means[key], ddof=1) / np.sqrt(plan.replications)
         assert abs(np.mean(means[key]) - value) < 4.0 * standard_error, key
+
+
+# Long-run means of the DL, both E2E totals and the gain, which have no closed
+# form: 16,000 replications per point, written by this file's __main__ block.
+REFERENCE_MEANS = Path(__file__).with_name("reference_means.json")
+REFERENCE_POINTS = {
+    "default": {},
+    "cluster-9": {"radio": {"cluster_size": 9}},
+    "n-130": {"scenario": {"vru_count": 130}},
+}
+
+
+def reference_estimates(document, master_seed, replications, workers=1):
+    """Mean and standard error of the DL, both E2E totals (ms) and the gain (%), 10 periods.
+
+    A component's standard error is that of its replication means; the gain's
+    is its jackknife CI half-width over t(0.975, R - 1).
+    """
+    engine_section = {
+        "master_seed": master_seed, "periods": 10, "replications": replications, "workers": workers
+    }
+    moments = engine.run_plan(plan_from_document({**document, "engine": engine_section}))
+    means = _by_key(1e3 * moments[:, :, 0])
+    estimates = {
+        f"{key}_ms": (np.mean(means[key]), np.std(means[key], ddof=1) / math.sqrt(replications))
+        for key in ("dl", "e2e_cloud", "e2e_mec")
+    }
+    gain = 100.0 * (1.0 - np.mean(means["e2e_mec"]) / np.mean(means["e2e_cloud"]))
+    gain_se = gain_ci95_half_width_pct(moments) / engine._t975(replications - 1)
+    estimates["gain_pct"] = (gain, gain_se)
+    return {name: {"mean": round(float(mean), 6), "se": round(float(se), 6)}
+            for name, (mean, se) in estimates.items()}
+
+
+@pytest.mark.parametrize("point", list(REFERENCE_POINTS))
+def test_fresh_means_match_the_reference_means(point):
+    # The reference means are properties of the model, not of the streams: a
+    # fresh seed's estimate lies within 4 standard errors of the difference,
+    # as the closed-form means do, and a model change moves it by far more.
+    # The reference's own SE is at most 1/5 of the fresh one (about 1/9).
+    reference = json.loads(REFERENCE_MEANS.read_text(encoding="utf-8"))["points"][point]
+    for name, fresh in reference_estimates(REFERENCE_POINTS[point], 2718, 200).items():
+        mean, se = reference[name]["mean"], reference[name]["se"]
+        assert se <= fresh["se"] / 5, (name, se, fresh["se"])
+        assert abs(fresh["mean"] - mean) < 4.0 * math.hypot(fresh["se"], se), (name, fresh, mean)
 
 
 def test_ul_mean_equals_its_quadrature_oracle_at_the_default_point():
@@ -1094,3 +1141,22 @@ def test_run_plan_without_mallopt_gives_the_same_bytes(monkeypatch):
     finally:
         engine._keep_freed_memory.cache_clear()
     assert opened
+
+
+if __name__ == "__main__":
+    # Rewrites tests/reference_means.json; run as PYTHONPATH=src python tests/test_engine.py
+    SEED, REPLICATIONS = 1729, 16_000
+    points = {
+        name: {"document": document, **reference_estimates(document, SEED, REPLICATIONS, 2)}
+        for name, document in REFERENCE_POINTS.items()
+    }
+    reference = {
+        "command": "PYTHONPATH=src python tests/test_engine.py",
+        "numpy": np.__version__,
+        "master_seed": SEED,
+        "periods": 10,
+        "replications": REPLICATIONS,
+        "workers": 2,
+        "points": points,
+    }
+    REFERENCE_MEANS.write_text(json.dumps(reference, indent=2) + "\n", encoding="utf-8")

@@ -47,7 +47,7 @@ def test_stream_depends_only_on_its_key():
 @pytest.mark.parametrize(
     "purpose, indices",
     [("fading", ()), ("ul", (0,)), ("vehicles", ()), ("vehicles", (0, 1)), ("vehicles", (-1,)),
-     ("vehicles", (2,))],
+     ("vehicles", (2,)), ("vehicles", (0.5,)), ("vehicles", (1.9,))],
 )
 def test_unknown_purpose_or_indices_raise(purpose, indices):
     with pytest.raises(ValueError, match="no stream"):
